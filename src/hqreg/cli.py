@@ -401,11 +401,16 @@ def cmd_simulate(cfg: RunConfig) -> list:
         taus = [float(t) for t in cfg.get("tau").split(",") if t.strip()]
     except ValueError as exc:
         raise CliError("config-error", f"bad scenarios/tau list: {exc}") from exc
+    if not sim_ids or not taus:
+        raise CliError("config-error", "scenarios and tau lists must not be empty")
+    if not all(0.0 < tau < 1.0 for tau in taus):
+        raise CliError("config-error", f"every tau must lie in (0, 1), got {cfg.get('tau')!r}")
     n = cfg.get_int("n")
     scenarios = [
         simbench.scenario_by_id(sid, n=n, tau=tau) for sid in sim_ids for tau in taus
     ]
-    model = _model_spec(cfg)
+    # run_study sets each cell's tau; the model takes the first for validation
+    model = _model_spec(cfg, tau=taus[0])
     cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
     table_rows = []
     eta_rows = []

@@ -1,10 +1,14 @@
 """Reproducible random-variate generation for the samplers and simulators.
 
 The generalised inverse Gaussian (GIG) sampler is the workhorse: every
-latent block of the Gibbs scans is GIG-distributed.  It implements the
+latent block of the Gibbs scans is GIG-distributed.  Orders +-1/2 are an
+inverse Gaussian or its reciprocal and are drawn exactly, without
+rejection, by the transformation method of Michael, Schucany & Haas
+(1976) (``Generator.wald``).  Every other order goes through the
 uniformly fast rejection algorithm of Devroye (2014, Stat. Comput. 24),
-vectorised over parameter arrays, with gamma / inverse-gamma dispatch at
-the degenerate boundaries.
+vectorised over parameter arrays, with a ``math``-module twin for single
+scalar draws.  Gamma / inverse-gamma limits are dispatched at the
+degenerate boundaries.
 
 Streams are derived from (seed, key-path) pairs via numpy's SeedSequence
 spawning, so parallel replications are reproducible regardless of
@@ -14,6 +18,7 @@ scheduling: unit of work (rep r, stage s) always draws from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -213,62 +218,182 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
     return np.exp(out) * (lam / omega + np.sqrt(1.0 + (lam / omega) ** 2))
 
 
+def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
+    """Scalar twin of :func:`_devroye_gig_two_param` in the ``math`` module.
+
+    Same hat, same arithmetic and the same uniforms in the same order, so
+    one stream gives the array path's draw.  Returns None, having drawn
+    nothing, when the hat cannot be built in float arithmetic (a zero
+    divisor or an overflow); the caller then takes the array path.
+    """
+    def psi(x):
+        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
+
+    def dpsi(x):
+        return -alpha * math.sinh(x) - lam * math.expm1(x)
+
+    try:
+        alpha = math.sqrt(omega * omega + lam * lam) - lam
+        m = -psi(1.0)
+        if 0.5 <= m <= 2.0:
+            t = 1.0
+        elif m > 2.0:
+            t = math.sqrt(2.0 / (alpha + lam))
+        else:
+            t = math.log(4.0 / (alpha + 2.0 * lam))
+        m = -psi(-1.0)
+        if 0.5 <= m <= 2.0:
+            s = 1.0
+        elif m > 2.0:
+            s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
+        else:
+            s = min(
+                1.0 / lam if lam > 0 else math.inf,
+                math.log1p(1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
+            )
+        eta = -psi(t)
+        zeta = -dpsi(t)
+        theta = -psi(-s)
+        xi = dpsi(-s)
+        p = 1.0 / xi
+        r = 1.0 / zeta
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return None
+    td = t - r * eta
+    sd = s - p * theta
+    q = td + sd
+    total = p + q + r
+
+    while True:
+        u = gen.random()
+        v = gen.random()
+        w = gen.random()
+        if u < q / total:
+            cand = -sd + q * v
+        elif v == 0.0:
+            continue  # an exponential tail at log(0): no mass, redraw
+        elif u < (q + r) / total:
+            cand = td - r * math.log(v)
+        else:
+            cand = -sd + p * math.log(v)
+        if cand > td:
+            upper = math.exp(-eta - zeta * (cand - t))
+        elif cand < -sd:
+            upper = math.exp(-theta + xi * (cand + s))
+        else:
+            upper = 1.0
+        try:
+            logf = -alpha * (math.cosh(cand) - 1.0) - lam * (math.expm1(cand) - cand)
+        except OverflowError:
+            logf = -math.inf
+        log_w = math.log(w) if w > 0.0 else -math.inf
+        log_upper = math.log(upper) if upper > 0.0 else -math.inf
+        if log_w + log_upper <= logf:
+            break
+
+    ratio = lam / omega
+    return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
+
+
+def _wald_gig_half(gen: np.random.Generator, nu, c, d):
+    """Exact GIG(+-1/2, c, d) draws by the Wald (inverse Gaussian) law.
+
+    GIG(-1/2, c, d) is IG(mean d/c, shape d^2), and GIG(1/2, c, d) is the
+    reciprocal of IG(mean c/d, shape c^2).
+    """
+    if np.ndim(nu) == 0:
+        return gen.wald(d / c, d * d) if nu < 0 else 1.0 / gen.wald(c / d, c * c)
+    neg = nu < 0
+    x = gen.wald(np.where(neg, d / c, c / d), np.where(neg, d * d, c * c))
+    return np.where(neg, x, 1.0 / x)
+
+
+def _devroye_gig(gen: np.random.Generator, nu, c, d):
+    """GIG(nu, c, d) draws by Devroye's sampler, through the two-parameter law."""
+    omega = c * d
+    y = _devroye_gig_two_param(gen, np.broadcast_to(np.abs(nu), omega.shape), omega)
+    return np.where(nu < 0, 1.0 / y, y) * (d / c)
+
+
+def _gig_interior(gen: np.random.Generator, nu, c, d):
+    """GIG draws for parameters away from the gamma / inverse-gamma limits:
+    orders +-1/2 first, by Wald, then every other order, by Devroye."""
+    if nu.ndim == 0:
+        if abs(nu) == 0.5:
+            return _wald_gig_half(gen, float(nu), c, d)
+        return _devroye_gig(gen, nu, c, d)
+    nu, c, d = np.broadcast_arrays(nu, c, d)
+    out = np.empty(nu.shape)
+    half = np.abs(nu) == 0.5
+    if half.any():
+        out[half] = _wald_gig_half(gen, nu[half], c[half], d[half])
+    rest = ~half
+    if rest.any():
+        out[rest] = _devroye_gig(gen, nu[rest], c[rest], d[rest])
+    return out
+
+
+def _gig_with_limits(gen: np.random.Generator, nu, c, d):
+    """GIG draws when some elements sit at or near a degenerate boundary."""
+    if np.any((c == 0) & (d == 0)):
+        raise ValueError("GIG parameters need c > 0 or d > 0")
+    tiny = c * d < GIG_BOUNDARY_EPS
+    gamma_lim = (d == 0) | (tiny & (nu > 0))
+    invgamma_lim = ((c == 0) | (tiny & (nu < 0))) & ~gamma_lim
+    if np.any(gamma_lim & (nu <= 0)):
+        raise ValueError("gamma limit (d = 0) requires nu > 0")
+    if np.any(invgamma_lim & (nu >= 0)):
+        raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
+
+    out = np.empty(nu.shape)
+    # fixed mask order keeps the draw sequence reproducible
+    if np.any(gamma_lim):
+        cs = c[gamma_lim]
+        out[gamma_lim] = gen.gamma(nu[gamma_lim]) * (2.0 / (cs * cs))
+    if np.any(invgamma_lim):
+        ds = d[invgamma_lim]
+        out[invgamma_lim] = (ds * ds) / (2.0 * gen.gamma(-nu[invgamma_lim]))
+    general = ~(gamma_lim | invgamma_lim)
+    if np.any(general):
+        out[general] = _gig_interior(gen, nu[general], c[general], d[general])
+    return out
+
+
 def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     """Vectorised GIG sampling; nu, c, d broadcast against each other.
 
     Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).
     Boundary dispatch: d = 0 (or c*d below GIG_BOUNDARY_EPS with nu > 0)
     draws Gamma(nu, rate c^2/2); the mirrored case draws the
-    inverse-gamma limit.
+    inverse-gamma limit.  Away from the boundaries, orders +-1/2 are drawn
+    exactly by the Wald law and every other order by Devroye's rejection
+    sampler; a single scalar draw of the latter kind (``size=None``)
+    takes its ``math``-module twin, which gives the same draw from the
+    same stream.
     """
     gen = as_generator(rng)
+    if size is None and np.ndim(nu) == np.ndim(c) == np.ndim(d) == 0:
+        nu_f, c_f, d_f = float(nu), float(c), float(d)
+        if (math.isfinite(nu_f) and abs(nu_f) != 0.5 and c_f > 0.0 and d_f > 0.0
+                and GIG_BOUNDARY_EPS <= c_f * d_f < math.inf):
+            y = _devroye_gig_scalar(gen, abs(nu_f), c_f * d_f)
+            if y is not None:
+                return (1.0 / y if nu_f < 0 else y) * (d_f / c_f)
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    if size is None:
-        shape = np.broadcast_shapes(nu.shape, c.shape, d.shape)
-    else:
+    if size is not None:
         shape = (size,) if np.isscalar(size) else tuple(size)
-    nu_b = np.broadcast_to(nu, shape).astype(float)
-    c_b = np.broadcast_to(c, shape).astype(float)
-    d_b = np.broadcast_to(d, shape).astype(float)
+        nu, c, d = (np.broadcast_to(a, shape) for a in (nu, c, d))
 
-    if np.any(c_b < 0) or np.any(d_b < 0) or not (
-        np.all(np.isfinite(nu_b)) and np.all(np.isfinite(c_b)) and np.all(np.isfinite(d_b))
-    ):
+    if not (np.isfinite(nu).all() and np.isfinite(c).all() and np.isfinite(d).all()
+            and (c >= 0).all() and (d >= 0).all()):
         raise ValueError("GIG parameters must be finite with c >= 0, d >= 0")
-    if np.any((c_b == 0) & (d_b == 0)):
-        raise ValueError("GIG parameters need c > 0 or d > 0")
-
-    omega = c_b * d_b
-    gamma_lim = (d_b == 0) | ((omega < GIG_BOUNDARY_EPS) & (nu_b > 0))
-    invgamma_lim = (c_b == 0) | ((omega < GIG_BOUNDARY_EPS) & (nu_b < 0))
-    invgamma_lim &= ~gamma_lim
-    general = ~(gamma_lim | invgamma_lim)
-
-    if np.any(gamma_lim & (nu_b <= 0)):
-        raise ValueError("gamma limit (d = 0) requires nu > 0")
-    if np.any(invgamma_lim & (nu_b >= 0)):
-        raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
-
-    out = np.empty(shape, dtype=float)
-    # fixed mask order keeps the draw sequence reproducible
-    if np.any(gamma_lim):
-        nus = nu_b[gamma_lim]
-        cs = c_b[gamma_lim]
-        out[gamma_lim] = gen.gamma(nus) * (2.0 / (cs * cs))
-    if np.any(invgamma_lim):
-        nus = nu_b[invgamma_lim]
-        ds = d_b[invgamma_lim]
-        out[invgamma_lim] = (ds * ds) / (2.0 * gen.gamma(-nus))
-    if np.any(general):
-        nug = nu_b[general]
-        og = omega[general]
-        y = _devroye_gig_two_param(gen, np.abs(nug), og)
-        neg = nug < 0
-        y[neg] = 1.0 / y[neg]
-        out[general] = y * (d_b[general] / c_b[general])
-    if size is None and out.shape == ():
+    if (c * d >= GIG_BOUNDARY_EPS).all():
+        out = _gig_interior(gen, nu, c, d)
+    else:
+        out = _gig_with_limits(gen, *np.broadcast_arrays(nu, c, d))
+    if size is None and np.ndim(out) == 0:
         return float(out)
     return out
 

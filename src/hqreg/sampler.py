@@ -408,7 +408,8 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
 
     Starts from A = a + n/2, B = s_sum + b - n (the large-argument
     asymptotics of the Bessel normaliser); each pass matches the first
-    two log-density derivatives at eta = A/B.  If the initial B is not
+    two log-density derivatives at eta = A/B, both taken from one
+    :func:`specfun.log_k1_derivs` call.  If the initial B is not
     positive, the iteration starts from ``eta_fallback`` instead.
 
     Returns (A, B, gaps) where gaps is the per-iteration convergence
@@ -421,8 +422,9 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
     for _ in range(max_iter):
         if B > 0:
             eta = A / B
-        A = a + n * eta * eta * specfun.log_k1_deriv2(eta)
-        B = b + (A - a) / eta + n * specfun.log_k1_deriv(eta) + s_sum
+        d1, d2 = specfun.log_k1_derivs(eta)
+        A = a + n * eta * eta * d2
+        B = b + (A - a) / eta + n * d1 + s_sum
         if B > 0:
             gap = abs(eta / (A / B) - 1.0)
             gaps.append(gap)

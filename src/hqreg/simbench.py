@@ -235,7 +235,8 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
 
     Deterministic for a given master seed: every replication owns streams
     derived from (master_seed, scenario id, replication index), and the
-    aggregation is ordered by replication index regardless of scheduling.
+    aggregation is ordered by (cell, replication index) regardless of
+    scheduling.  All cells share one process pool.
     A cell is marked incomplete when more than 5% of its replications
     fail.
 
@@ -245,16 +246,22 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
     """
     if n_replications < 1:
         raise ValueError("need at least one replication")
+    # one task per (cell, replication), cell-major; pool.map keeps that order
+    tasks = [
+        (scen, replace(model, tau=scen.tau), master_seed, rep)
+        for scen in scenarios
+        for rep in range(n_replications)
+    ]
+    width = worker_count(len(tasks))
+    if parallel and width > 1:
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            outcomes = list(pool.map(_one_replication_guarded, tasks))
+    else:
+        outcomes = [_one_replication_guarded(task) for task in tasks]
     cells = []
-    for scen in scenarios:
-        model_cell = replace(model, tau=scen.tau)
-        tasks = [(scen, model_cell, master_seed, rep) for rep in range(n_replications)]
-        if parallel and worker_count(n_replications) > 1:
-            with ProcessPoolExecutor(max_workers=worker_count(n_replications)) as pool:
-                outcomes = list(pool.map(_one_replication_guarded, tasks))
-        else:
-            outcomes = [_one_replication_guarded(task) for task in tasks]
-        done = [res for status, res in outcomes if status == "ok"]
+    for i, scen in enumerate(scenarios):
+        cell_outcomes = outcomes[i * n_replications:(i + 1) * n_replications]
+        done = [res for status, res in cell_outcomes if status == "ok"]
         failures = n_replications - len(done)
         cells.append(
             StudyCell(

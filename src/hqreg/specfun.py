@@ -13,6 +13,7 @@ from scipy import special as _sp
 __all__ = [
     "bessel_k",
     "log_bessel_k",
+    "log_k1_derivs",
     "log_k1_deriv",
     "log_k1_deriv2",
     "upper_incomplete_gamma",
@@ -22,7 +23,7 @@ __all__ = [
 
 def _validated_positive(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+    if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise ValueError(f"{name} must be finite and > 0")
     return x
 
@@ -62,43 +63,39 @@ def log_bessel_k(nu, x):
     return out
 
 
-def log_k1_deriv(eta):
-    """First derivative of log K_1 at eta: -(K_0 + K_2) / (2 K_1).
+_K_ORDERS_0_TO_3 = np.arange(4.0)
 
-    Always negative (K_1 is decreasing).  Evaluated through scaled
-    Bessel ratios so the exp(-eta) factors cancel exactly.
+
+def log_k1_derivs(eta):
+    """First and second derivatives of log K_1 at eta, as a pair.
+
+    One ``kve`` call on orders 0..3.  The derivative recurrence
+    K_nu' = -(K_{nu-1} + K_{nu+1}) / 2 gives K_1'' = (3 K_1 + K_3) / 4, so
+
+        (log K_1)'  = -(K_0 + K_2) / (2 K_1),
+        (log K_1)'' = (3 + K_3/K_1) / 4 - ((K_0 + K_2) / (2 K_1))^2.
+
+    The first is always negative (K_1 is decreasing); the second is
+    positive for every eta > 0 (log-convexity of K_nu), and the
+    fixed-point refinement of the robustness-parameter update relies on
+    that sign.  Evaluated through scaled Bessel ratios so the exp(-eta)
+    factors cancel exactly.
     """
     eta = _validated_positive(eta, "eta")
-    k0 = _sp.kve(0, eta)
-    k1 = _sp.kve(1, eta)
-    k2 = _sp.kve(2, eta)
-    out = -(k0 + k2) / (2.0 * k1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    k = _sp.kve(_K_ORDERS_0_TO_3.reshape((4,) + (1,) * eta.ndim), eta)
+    k0, k1, k2, k3 = k.tolist() if eta.ndim == 0 else k
+    first = (k0 + k2) / (2.0 * k1)
+    return -first, (3.0 + k3 / k1) / 4.0 - first * first
+
+
+def log_k1_deriv(eta):
+    """First derivative of log K_1 at eta; see :func:`log_k1_derivs`."""
+    return log_k1_derivs(eta)[0]
 
 
 def log_k1_deriv2(eta):
-    """Second derivative of log K_1 at eta.
-
-    Uses K_1'' = (3 K_1 + K_3) / 4 from the derivative recurrence
-    K_nu' = -(K_{nu-1} + K_{nu+1}) / 2, so
-
-        (log K_1)'' = (3 + K_3/K_1) / 4 - ((K_0 + K_2) / (2 K_1))^2.
-
-    Positive for every eta > 0 (log-convexity of K_nu); the fixed-point
-    refinement of the robustness-parameter update relies on that sign.
-    """
-    eta = _validated_positive(eta, "eta")
-    k0 = _sp.kve(0, eta)
-    k1 = _sp.kve(1, eta)
-    k2 = _sp.kve(2, eta)
-    k3 = _sp.kve(3, eta)
-    first = (k0 + k2) / (2.0 * k1)
-    out = (3.0 + k3 / k1) / 4.0 - first * first
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Second derivative of log K_1 at eta; see :func:`log_k1_derivs`."""
+    return log_k1_derivs(eta)[1]
 
 
 def upper_incomplete_gamma(s, x):

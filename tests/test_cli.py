@@ -201,6 +201,25 @@ class TestOtherCommands:
         eta_rows = list(csv.reader(open(out / "eta-medians.csv")))
         assert len(eta_rows) == 1 + 2  # header + one row per replication
 
+    def test_simulate_tau_list(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("scenarios=1,5\nn=25\nreps=2\niters=60\nburnin=20\n")
+        code = run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 3,
+                        "--tau", "0.25,0.5"])
+        assert code == 0, capsys.readouterr().err
+        rows = list(csv.reader(open(out / "tables.csv")))[1:]
+        assert [(r[0], r[2]) for r in rows] == [
+            ("1", "0.25"), ("1", "0.5"), ("5", "0.25"), ("5", "0.5")
+        ]
+        eta_rows = list(csv.reader(open(out / "eta-medians.csv")))
+        assert len(eta_rows) == 1 + 4 * 2
+
+    def test_simulate_tau_out_of_range(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--out", tmp_path / "sim", "--tau", "0.5,1.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config-error: ")
+
     def test_sensitivity_outputs(self, tmp_path):
         out = tmp_path / "sens"
         cfg = tmp_path / "s.cfg"

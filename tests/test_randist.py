@@ -1,12 +1,16 @@
 """Random-variate generators against moment, CDF and closure oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from hqreg.randist import (
     Cauchy,
     ContaminatedNormal,
+    GIG_BOUNDARY_EPS,
     FactorizationError,
     Gaussian,
     GigParams,
@@ -126,6 +130,87 @@ class TestGigSampling:
     def test_scalar_api(self):
         val = gig_sample(RngStream(16), GigParams(0.5, 1.0, 1.0))
         assert isinstance(val, float) and val > 0
+
+
+class TestGigHalfOrders:
+    """GIG(+-1/2) is an inverse Gaussian or its reciprocal, drawn by Wald."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5])
+    @pytest.mark.parametrize("cd", [1e-8, 1e-5, 1e-2, 1.0, 1e2])
+    def test_ks_against_invgauss(self, nu, cd):
+        c, d = 0.7 * np.sqrt(cd), np.sqrt(cd) / 0.7
+        x = gig_rvs(RngStream(31, (int(np.log10(cd)) + 10, int(nu > 0))).generator(),
+                    nu, c, d, size=20_000)
+        # GIG(-1/2, c, d) = IG(mean d/c, shape d^2); scipy's invgauss(mu, scale)
+        # has mean mu * scale and shape scale
+        if nu < 0:
+            law, sample = stats.invgauss(mu=1.0 / cd, scale=d * d), x
+        else:
+            law, sample = stats.invgauss(mu=1.0 / cd, scale=c * c), 1.0 / x
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+        assert stats.kstest(sample, law.cdf).pvalue > 1e-3
+
+    def test_draws_are_wald_draws(self):
+        c, d = np.array([0.3, 2.0, 1.1]), np.array([1.5, 0.2, 1.1])
+        out = gig_rvs(RngStream(32).generator(), np.array([-0.5, 0.5, -0.5]), c, d)
+        gen = RngStream(32).generator()
+        ig = gen.wald(np.array([d[0] / c[0], c[1] / d[1], d[2] / c[2]]),
+                      np.array([d[0] ** 2, c[1] ** 2, d[2] ** 2]))
+        np.testing.assert_array_equal(out, [ig[0], 1.0 / ig[1], ig[2]])
+
+    def test_boundaries_keep_gamma_limits(self):
+        # d = 0 and c*d below GIG_BOUNDARY_EPS draw the gamma limit, and the
+        # mirrored case the inverse-gamma limit, before any Wald draw
+        c = np.array([2.0, 1e-7, 1.5, 3.0])
+        d = np.array([0.0, 1e-7, 0.8, 0.0])
+        assert c[1] * d[1] < GIG_BOUNDARY_EPS
+        out = gig_rvs(RngStream(33).generator(), 0.5, c, d)
+        gen = RngStream(33).generator()
+        gam = gen.gamma(np.full(3, 0.5)) * (2.0 / c[[0, 1, 3]] ** 2)
+        ig = gen.wald(c[2] / d[2], c[2] ** 2)
+        np.testing.assert_array_equal(out, [gam[0], gam[1], 1.0 / ig, gam[2]])
+
+        d = np.array([2.0, 1e-7])
+        out = gig_rvs(RngStream(34).generator(), -0.5, np.array([0.0, 1e-7]), d)
+        gen = RngStream(34).generator()
+        expect = (d * d) / (2.0 * gen.gamma(np.full(2, 0.5)))
+        np.testing.assert_array_equal(out, expect)
+
+
+class TestGigScalarPath:
+    """A single scalar draw takes the math-module twin of the Devroye sampler."""
+
+    @pytest.mark.parametrize(
+        "nu,c,d",
+        [(-110.5, 14.0, 9.0), (-2010.0, 45.0, 50.0), (0.0, 1.0, 1e-3), (3.0, 1e-4, 1e-4)],
+    )
+    def test_matches_array_path_draw_for_draw(self, nu, c, d):
+        g_scalar = RngStream(35).generator()
+        g_array = RngStream(35).generator()
+        for _ in range(500):
+            x = gig_rvs(g_scalar, nu, c, d)
+            assert isinstance(x, float)
+            y = gig_rvs(g_array, np.array([nu]), c, d)[0]
+            assert x == pytest.approx(y, rel=1e-13)
+        # both streams consumed the same uniforms
+        assert g_scalar.random() == g_array.random()
+
+    def test_boundaries_fall_back(self):
+        # d = 0: gamma limit
+        c = math.sqrt(2.0)
+        x = gig_rvs(RngStream(36).generator(), 2.0, c, 0.0)
+        assert x == RngStream(36).generator().gamma(2.0) * (2.0 / (c * c))
+        # c * d below GIG_BOUNDARY_EPS with nu < 0: inverse-gamma limit
+        x = gig_rvs(RngStream(37).generator(), -4.0, 1e-7, 1e-7)
+        assert x == (1e-7 * 1e-7) / (2.0 * RngStream(37).generator().gamma(4.0))
+        # order 1/2: the Wald draw
+        x = gig_rvs(RngStream(38).generator(), 0.5, 1.2, 0.4)
+        assert x == 1.0 / RngStream(38).generator().wald(3.0, 1.44)
+        # invalid scalars still raise
+        with pytest.raises(ValueError):
+            gig_rvs(RngStream(39).generator(), -1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            gig_rvs(RngStream(39).generator(), float("nan"), 1.0, 1.0)
 
 
 class TestGigShifted:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import kve
 
 from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs, GigParams
 from hqreg.sampler import (
@@ -384,6 +385,38 @@ class TestEtaUpdate:
         assert len(gaps) >= 2
         assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
         assert gaps[-1] < 1e-8
+
+    @pytest.mark.parametrize(
+        "a,b,s_sum,n,eta_fallback",
+        [(1.0, 1.0, 25.0, 20, 1.0), (2.0, 0.5, 130.0, 100, 0.3), (1.0, 1.0, 2.0, 20, 0.5)],
+    )
+    def test_refinement_matches_two_function_form(self, a, b, s_sum, n, eta_fallback):
+        # the refinement as written with one Bessel call per derivative
+        def d1(eta):
+            return -(kve(0, eta) + kve(2, eta)) / (2.0 * kve(1, eta))
+
+        def d2(eta):
+            first = (kve(0, eta) + kve(2, eta)) / (2.0 * kve(1, eta))
+            return (3.0 + kve(3, eta) / kve(1, eta)) / 4.0 - first * first
+
+        A, B = a + n / 2.0, s_sum + b - n
+        eta = eta_fallback if B <= 0 else None
+        gaps = []
+        for _ in range(10):
+            if B > 0:
+                eta = A / B
+            A = a + n * eta * eta * d2(eta)
+            B = b + (A - a) / eta + n * d1(eta) + s_sum
+            gaps.append(abs(eta / (A / B) - 1.0) if B > 0 else float("inf"))
+            if gaps[-1] < 1e-8:
+                break
+
+        A_new, B_new, gaps_new = refine_eta_gamma_params(a, b, s_sum, n, 10, 1e-8, eta_fallback)
+        assert A_new == pytest.approx(A, rel=1e-13)
+        assert B_new == pytest.approx(B, rel=1e-13)
+        assert len(gaps_new) == len(gaps)
+        for new, old in zip(gaps_new, gaps):
+            assert new == old or new == pytest.approx(old, rel=1e-13, abs=1e-15)
 
     def test_initial_rate_positive_by_arithmetic(self):
         # each sigma/rho2 + rho2/sigma >= 2, so the starting rate

@@ -147,6 +147,21 @@ class TestRunStudy:
         assert a.mmad == b.mmad
         np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
 
+    def test_parallel_matches_serial_across_cells(self):
+        # one pool serves every cell; each cell keeps its own replications
+        scens = [scenario_by_id(1, n=30, tau=0.5), scenario_by_id(5, n=30, tau=0.25)]
+        serial = run_study(scens, self._tiny_model(), 2, master_seed=8, parallel=False)
+        pooled = run_study(scens, self._tiny_model(), 2, master_seed=8, parallel=True)
+        assert len(serial) == len(pooled) == 2
+        for a, b in zip(serial, pooled):
+            assert (a.scenario_id, a.tau, a.n_failures) == (b.scenario_id, b.tau, b.n_failures)
+            assert (a.rmse_mean, a.mmad, a.al_mean, a.cp_mean) == (
+                b.rmse_mean, b.mmad, b.al_mean, b.cp_mean)
+            np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
+        # a cell's results do not depend on the cells run beside it
+        alone = run_study(scens[1:], self._tiny_model(), 2, master_seed=8, parallel=False)[0]
+        np.testing.assert_array_equal(alone.eta_medians, serial[1].eta_medians)
+
     def test_failures_mark_cell_incomplete(self, monkeypatch):
         import hqreg.simbench as sb
 
