@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from . import specfun
 
@@ -32,11 +32,10 @@ __all__ = [
     "as_generator",
     "GigParams",
     "GIG_BOUNDARY_EPS",
-    "gig_sample",
-    "gig_sample_shifted",
     "gig_rvs",
     "gig_moment",
     "mvn_from_precision",
+    "mvn_low_rank",
     "ald_sample",
     "Gaussian",
     "ContaminatedNormal",
@@ -398,23 +397,6 @@ def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     return out
 
 
-def gig_sample(rng, params: GigParams, size=None):
-    """One draw (or ``size`` draws) from the GIG law given by ``params``."""
-    out = gig_rvs(rng, params.nu, params.c, params.d, size=size)
-    if size is None:
-        return float(np.asarray(out).reshape(()))
-    return out
-
-
-def gig_sample_shifted(rng, params: GigParams, size=None):
-    """1 + X with X ~ GIG(params); the return value is strictly > 1.
-
-    Used for latents supported on (1, inf) whose shifted value follows a
-    plain GIG law.
-    """
-    return 1.0 + gig_rvs(rng, params.nu, params.c, params.d, size=size)
-
-
 def gig_moment(params: GigParams, order: float) -> float:
     """E[X^order] for X ~ GIG(params), via scaled Bessel ratios.
 
@@ -427,23 +409,63 @@ def gig_moment(params: GigParams, order: float) -> float:
     return (params.d / params.c) ** order * np.exp(log_ratio)
 
 
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("Gaussian draw needs finite inputs")
+
+
+def _cholesky_lower(matrix, overwrite=False):
+    """Lower Cholesky factor by LAPACK potrf; only the lower triangle is
+    read, and the upper one of the result is left as it was."""
+    lower, info = lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=int(overwrite))
+    if info != 0:
+        raise FactorizationError(f"matrix is not positive definite (potrf info={info})")
+    return lower
+
+
 def mvn_from_precision(rng, precision, linear_term) -> np.ndarray:
     """Draw from N(P^-1 h, P^-1) given precision P and linear term h.
 
-    One Cholesky factorisation plus triangular solves; the covariance is
-    never formed explicitly.
+    One Cholesky factorisation P = L L', then the mean from the two
+    triangular solves of potrs and the noise L'^-1 z from one of trtrs,
+    with z ~ N(0, I_k); the covariance is never formed.  O(k^3).
     """
     gen = as_generator(rng)
     precision = np.asarray(precision, dtype=float)
     h = np.asarray(linear_term, dtype=float)
-    try:
-        lower = np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"precision matrix is not positive definite: {exc}") from exc
-    half = solve_triangular(lower, h, lower=True)
-    mean = solve_triangular(lower.T, half, lower=False)
-    z = gen.standard_normal(h.shape[0])
-    return mean + solve_triangular(lower.T, z, lower=False)
+    _require_finite(precision, h)
+    lower = _cholesky_lower(precision)
+    mean, _ = lapack.dpotrs(lower, h, lower=1)
+    noise, _ = lapack.dtrtrs(lower, gen.standard_normal(h.shape[0]), lower=1, trans=1)
+    return mean + noise
+
+
+def mvn_low_rank(rng, phi, prior_var, alpha) -> np.ndarray:
+    """Draw from N(P^-1 phi' alpha, P^-1) with P = phi' phi + diag(1 / prior_var).
+
+    The algorithm of Bhattacharya, Chakraborty & Mallick (2016,
+    Biometrika 103) for an n x k matrix phi: draw u ~ N(0, diag(prior_var))
+    and delta ~ N(0, I_n), solve (phi diag(prior_var) phi' + I_n) w =
+    alpha - (phi u + delta), and return u + prior_var * phi' w.  It costs
+    O(n^2 k) and never forms the k x k precision, so it is the cheaper
+    exact draw when k > n.  Takes k + n standard normals, u's first.
+    """
+    gen = as_generator(rng)
+    phi = np.asarray(phi, dtype=float)
+    prior_var = np.asarray(prior_var, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    _require_finite(phi, prior_var, alpha)
+    n, k = phi.shape
+    scaled = phi * prior_var
+    gram = scaled @ phi.T
+    gram.flat[:: n + 1] += 1.0
+    # gram is symmetric, so its transpose is the Fortran-ordered matrix
+    # that potrf can factor in place
+    lower = _cholesky_lower(gram.T, overwrite=True)
+    z = gen.standard_normal(k + n)
+    u = np.sqrt(prior_var) * z[:k]
+    w, _ = lapack.dpotrs(lower, alpha - phi @ u - z[k:], lower=1)
+    return u + scaled.T @ w
 
 
 def ald_sample(rng, mu, sigma, tau, size=None):

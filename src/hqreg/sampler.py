@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import specfun
-from .randist import RngStream, as_generator, gig_rvs, mvn_from_precision
+from .randist import RngStream, as_generator, gig_rvs, mvn_from_precision, mvn_low_rank
 
 __all__ = [
     "Dataset",
@@ -253,18 +253,26 @@ def _prior_precision_diag(state: ChainState, spec: ModelSpec) -> np.ndarray:
 
 
 def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
-    """Multivariate-normal block draw from the precision form.
+    """Multivariate-normal block draw, N(P^-1 h, P^-1).
 
-    Precision X' V^-1 X + prior diagonal, linear term
-    X' V^-1 (y - (1-2 tau) v), with V = diag(4 sigma_i v_i).
+    Precision P = X' V^-1 X + prior diagonal, linear term
+    h = X' V^-1 (y - (1-2 tau) v), with V = diag(4 sigma_i v_i).  The
+    shape picks the exact draw: when k > n, the O(n^2 k) low-rank form
+    on phi = V^-1/2 X (k + n normals); otherwise the O(k^3) precision
+    form (k normals).
     """
     gen = as_generator(rng)
     # the product of two floored latents can still underflow; keep 1/V finite
     winv = 1.0 / np.maximum(4.0 * state.sigma * state.v, 1e-280)
+    target = data.y - (1.0 - 2.0 * spec.tau) * state.v
+    prior_precision = _prior_precision_diag(state, spec)
+    if data.k > data.n:
+        root = np.sqrt(winv)
+        return mvn_low_rank(gen, data.X * root[:, None], 1.0 / prior_precision, root * target)
     xw = data.X * winv[:, None]
-    precision = xw.T @ data.X + np.diag(_prior_precision_diag(state, spec))
-    h = xw.T @ (data.y - (1.0 - 2.0 * spec.tau) * state.v)
-    return mvn_from_precision(gen, precision, h)
+    precision = xw.T @ data.X
+    precision.flat[:: data.k + 1] += prior_precision
+    return mvn_from_precision(gen, precision, xw.T @ target)
 
 
 def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:

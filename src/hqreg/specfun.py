@@ -11,12 +11,10 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "bessel_k",
     "log_bessel_k",
     "log_k1_derivs",
     "log_k1_deriv",
     "log_k1_deriv2",
-    "upper_incomplete_gamma",
     "log_upper_gamma_half",
 ]
 
@@ -26,31 +24,6 @@ def _validated_positive(x, name: str) -> np.ndarray:
     if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise ValueError(f"{name} must be finite and > 0")
     return x
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind K_nu(x).
-
-    Parameters
-    ----------
-    nu : float or array_like
-        Real order.
-    x : float or array_like
-        Argument, must be > 0.
-
-    Computed as ``kve(nu, x) * exp(-x)`` so that very large arguments
-    degrade gracefully to the subnormal/zero value implied by the
-    asymptotic form sqrt(pi/(2x)) * exp(-x) instead of overflowing
-    intermediate terms.  Use :func:`log_bessel_k` past x ~ 700.
-    """
-    x = _validated_positive(x, "x")
-    nu = np.asarray(nu, dtype=float)
-    if not np.all(np.isfinite(nu)):
-        raise ValueError("nu must be finite")
-    out = _sp.kve(nu, x) * np.exp(-x)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def log_bessel_k(nu, x):
@@ -96,21 +69,6 @@ def log_k1_deriv(eta):
 def log_k1_deriv2(eta):
     """Second derivative of log K_1 at eta; see :func:`log_k1_derivs`."""
     return log_k1_derivs(eta)[1]
-
-
-def upper_incomplete_gamma(s, x):
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf t^(s-1) e^-t dt.
-
-    Requires s > 0 and x >= 0; Gamma(s, 0) is the complete gamma.
-    """
-    s = _validated_positive(s, "s")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ValueError("x must be finite and >= 0")
-    out = _sp.gammaincc(s, x) * np.exp(_sp.gammaln(s))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def log_upper_gamma_half(x):

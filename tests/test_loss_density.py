@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -93,10 +93,18 @@ class TestLossFamily:
         st.floats(0.05, 0.95),
     )
     @settings(max_examples=200)
+    @example(5e-324, 20.0, 20.0, 0.95)  # check loss 5e-324, loss about 1e-325
     def test_asym_loss_nonnegative(self, x, eta, rho2, tau):
+        # Zero exactly where the check loss is zero, save that a loss below
+        # the smallest subnormal rounds to 0; for small x the loss is about
+        # check_loss / (2 rho2).
         val = asym_loss(x, LossParams(eta, rho2, tau))
+        xi = check_loss(x, tau)
         assert val >= 0
-        assert (val == 0) == (x == 0)
+        if xi == 0 or xi / rho2 >= 1e-320:
+            assert (val == 0) == (xi == 0)
+        if abs(x) >= 1e-300:
+            assert val > 0
 
     def test_bridging_limits(self):
         # with eta = sqrt(z2)(sqrt(z2)+sqrt(z2+1)), rho2 = sqrt(z2)/(sqrt(z2)+sqrt(z2+1)):

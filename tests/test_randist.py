@@ -20,9 +20,8 @@ from hqreg.randist import (
     ald_sample,
     gig_moment,
     gig_rvs,
-    gig_sample,
-    gig_sample_shifted,
     mvn_from_precision,
+    mvn_low_rank,
     noise_sample,
 )
 
@@ -128,7 +127,7 @@ class TestGigSampling:
         assert np.all(out > 0)
 
     def test_scalar_api(self):
-        val = gig_sample(RngStream(16), GigParams(0.5, 1.0, 1.0))
+        val = gig_rvs(RngStream(16), 0.5, 1.0, 1.0)
         assert isinstance(val, float) and val > 0
 
 
@@ -214,17 +213,19 @@ class TestGigScalarPath:
 
 
 class TestGigShifted:
+    """1 + X with X ~ GIG, as the elastic-net latents t_j > 1 are drawn."""
+
     def test_always_above_one(self):
-        out = gig_sample_shifted(RngStream(20), GigParams(0.5, 2.0, 1.0), size=5000)
+        out = 1.0 + gig_rvs(RngStream(20), 0.5, 2.0, 1.0, size=5000)
         assert np.all(out > 1.0)
 
     def test_zero_d_gamma_limit_no_error(self):
-        out = gig_sample_shifted(RngStream(21), GigParams(0.5, 2.0, 0.0), size=5000)
+        out = 1.0 + gig_rvs(RngStream(21), 0.5, 2.0, 0.0, size=5000)
         assert np.all(out > 1.0)
 
     def test_shift_moments_match_oracle(self):
         p = GigParams(0.5, 1.5, 0.9)
-        out = gig_sample_shifted(RngStream(22), p, size=400_000)
+        out = 1.0 + gig_rvs(RngStream(22), p.nu, p.c, p.d, size=400_000)
         mean = gig_moment(p, 1.0)
         var = gig_moment(p, 2.0) - mean**2
         z = (np.mean(out - 1.0) - mean) / np.sqrt(var / out.size)
@@ -257,6 +258,67 @@ class TestMvnFromPrecision:
     def test_indefinite_matrix_raises(self):
         with pytest.raises(FactorizationError):
             mvn_from_precision(RngStream(33), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+
+
+def _low_rank_system(n=4, k=7, seed=34):
+    gen = RngStream(seed).generator()
+    phi = gen.standard_normal((n, k))
+    prior_var = gen.uniform(0.5, 2.0, k)
+    alpha = gen.standard_normal(n)
+    precision = phi.T @ phi + np.diag(1.0 / prior_var)
+    return phi, prior_var, alpha, precision, phi.T @ alpha
+
+
+class TestGaussianDrawsExact:
+    """Both exact Gaussian draws, checked through their linear map."""
+
+    def test_precision_form(self, linear_map):
+        _, _, _, p, h = _low_rank_system(n=9, k=5)
+        mean, g = linear_map(lambda gen: mvn_from_precision(gen, p, h), 5)
+        cov = np.linalg.inv(p)
+        np.testing.assert_allclose(mean, np.linalg.solve(p, h), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g @ g.T, cov, rtol=0, atol=1e-10)
+
+    def test_low_rank_form(self, linear_map):
+        phi, pv, alpha, p, h = _low_rank_system()
+        mean, g = linear_map(lambda gen: mvn_low_rank(gen, phi, pv, alpha), 4 + 7)
+        np.testing.assert_allclose(mean, np.linalg.solve(p, h), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g @ g.T, np.linalg.inv(p), rtol=0, atol=1e-10)
+
+    def test_forms_agree(self, linear_map):
+        phi, pv, alpha, p, h = _low_rank_system(n=3, k=8)
+        m_lr, g_lr = linear_map(lambda gen: mvn_low_rank(gen, phi, pv, alpha), 3 + 8)
+        m_p, g_p = linear_map(lambda gen: mvn_from_precision(gen, p, h), 8)
+        np.testing.assert_allclose(m_lr, m_p, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g_lr @ g_lr.T, g_p @ g_p.T, rtol=0, atol=1e-10)
+
+    def test_low_rank_takes_k_plus_n_normals(self, fixed_normals):
+        phi, pv, alpha, _, _ = _low_rank_system()
+        out = mvn_low_rank(RngStream(35).generator(), phi, pv, alpha)
+        z = RngStream(35).generator().standard_normal(4 + 7)
+        np.testing.assert_array_equal(out, mvn_low_rank(fixed_normals(z), phi, pv, alpha))
+
+    def test_low_rank_indefinite_raises(self):
+        # a negative prior variance makes phi D phi' + I indefinite
+        with pytest.raises(FactorizationError):
+            mvn_low_rank(RngStream(36), np.array([[1.0, 0.0]]), np.array([-5.0, 1.0]),
+                         np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_low_rank_non_finite_input_raises(self, bad, where):
+        args = list(_low_rank_system()[:3])
+        args[where].flat[0] = bad
+        with pytest.raises(ValueError):
+            mvn_low_rank(RngStream(37), *args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_precision_non_finite_input_raises(self, bad, where):
+        args = [np.eye(3), np.zeros(3)]
+        args[where].flat[0] = bad
+        with pytest.raises(ValueError):
+            mvn_from_precision(RngStream(38), *args)
 
 
 class TestAldSample:

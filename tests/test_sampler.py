@@ -142,6 +142,63 @@ class TestUpdateBeta:
         assert ks.statistic < 0.01
 
 
+class TestUpdateBetaForms:
+    """The beta block takes the low-rank draw when k > n, the precision draw
+    otherwise; both must give the full conditional exactly."""
+
+    @staticmethod
+    def _state(penalty, n=3, k=6, seed=304):
+        gen0 = RngStream(seed).generator()
+        data = Dataset(gen0.standard_normal((n, k)), gen0.standard_normal(n))
+        spec = ModelSpec(tau=0.3, penalty=penalty)
+        state = ChainState(beta=np.zeros(k), v=gen0.uniform(0.5, 2.0, n),
+                           sigma=gen0.uniform(0.5, 2.0, n), rho2=0.8, eta=1.3)
+        if spec.is_lasso:
+            state.s, state.lam1_sq = gen0.uniform(0.5, 2.0, k), 1.0
+        else:
+            state.t, state.lam3_tilde, state.lam4 = gen0.uniform(1.2, 3.0, k), 1.0, 0.7
+        return data, spec, state
+
+    @staticmethod
+    def _full_conditional(data, spec, state):
+        winv = 1.0 / (4.0 * state.sigma * state.v)
+        if spec.is_lasso:
+            prior = 1.0 / (state.rho2 * state.s)
+        else:
+            prior = 2.0 * state.lam4 * state.t / (state.rho2 * (state.t - 1.0))
+        precision = (data.X * winv[:, None]).T @ data.X + np.diag(prior)
+        cov = np.linalg.inv(precision)
+        h = (data.X * winv[:, None]).T @ (data.y - (1 - 2 * spec.tau) * state.v)
+        return cov @ h, cov
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    def test_wide_state_exact_moments(self, penalty, linear_map):
+        data, spec, state = self._state(penalty)
+        mean, g = linear_map(lambda gen: update_beta(state, data, spec, gen), data.k + data.n)
+        expect_mean, cov = self._full_conditional(data, spec, state)
+        np.testing.assert_allclose(mean, expect_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g @ g.T, cov, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n,k,form", [(4, 4, "mvn_from_precision"),
+                                          (4, 5, "mvn_low_rank"),
+                                          (5, 4, "mvn_from_precision")])
+    def test_form_chosen_by_shape(self, monkeypatch, n, k, form):
+        import hqreg.sampler as sampler_mod
+
+        data, spec, state = self._state(LassoHyper(), n=n, k=k)
+        taken = []
+        for name in ("mvn_from_precision", "mvn_low_rank"):
+            original = getattr(sampler_mod, name)
+
+            def traced(*args, _name=name, _original=original):
+                taken.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(sampler_mod, name, traced)
+        update_beta(state, data, spec, RngStream(306).generator())
+        assert taken == [form]
+
+
 class TestUpdateSigmaV:
     def test_v_coefficient_identity(self):
         # (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma == 1/(4 sigma)
