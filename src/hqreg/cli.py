@@ -15,7 +15,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +200,9 @@ _DEFAULTS = {
 }
 
 _SUBCOMMANDS = ("fit", "simulate", "sensitivity", "contour", "cv")
+# the penalty key picks the sampler's penalty family and the surface's prior
+_PENALTIES = {"lasso": LassoHyper, "en": ElasticNetHyper}
+_SURFACE_PENALTIES = {"lasso": LassoPenalty, "en": ElasticNetPenalty}
 
 
 @dataclass
@@ -278,23 +281,17 @@ def _resolve_config(args) -> RunConfig:
             values[key] = str(val)
     if args.no_standardise:
         values["standardise"] = "false"
-    if values["penalty"] not in ("lasso", "en"):
+    if values["penalty"] not in _PENALTIES:
         raise CliError("config-error", f"penalty must be 'lasso' or 'en', got {values['penalty']!r}")
     return RunConfig(args.subcommand, values)
 
 
 def _model_spec(cfg: RunConfig, tau: float = None) -> ModelSpec:
-    if cfg.get("penalty") == "lasso":
-        hyper = LassoHyper(cfg.get_float("a"), cfg.get_float("b"),
-                           cfg.get_float("c"), cfg.get_float("d"))
-    else:
-        hyper = ElasticNetHyper(cfg.get_float("a1"), cfg.get_float("b1"),
-                                cfg.get_float("a2"), cfg.get_float("b2"),
-                                cfg.get_float("a3"), cfg.get_float("b3"))
+    family = _PENALTIES[cfg.get("penalty")]
     try:
         return ModelSpec(
             tau=tau if tau is not None else cfg.get_float("tau"),
-            penalty=hyper,
+            penalty=family(*(cfg.get_float(key) for key in family.keys)),
             n_iter=cfg.get_int("iters"),
             burn_in=cfg.get_int("burnin"),
             thin=cfg.get_int("thin"),
@@ -433,9 +430,8 @@ def cmd_simulate(cfg: RunConfig) -> list:
 def cmd_sensitivity(cfg: RunConfig) -> list:
     outdir = _outdir(cfg)
     vary = cfg.get("vary")
-    lasso_keys = ("a", "b", "c", "d")
-    en_keys = ("a1", "b1", "a2", "b2", "a3", "b3")
-    if vary not in lasso_keys + en_keys:
+    family = next((name for name, cls in _PENALTIES.items() if vary in cls.keys), None)
+    if family is None:
         raise CliError("config-error", f"vary must name a hyperparameter, got {vary!r}")
     try:
         values = [float(v) for v in cfg.get("values").split(",") if v.strip()]
@@ -443,9 +439,7 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
         raise CliError("config-error", f"bad values list: {exc}") from exc
     models = []
     for val in values:
-        sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val)})
-        if vary in en_keys and cfg.get("penalty") != "en":
-            sub.values["penalty"] = "en"
+        sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})
         models.append((f"{vary}={val:g}", _model_spec(sub)))
     curves = simbench.sensitivity_curve_study(
         models, master_seed=cfg.get_int("seed"),
@@ -473,10 +467,8 @@ def cmd_contour(cfg: RunConfig) -> list:
     size = cfg.get_int("grid_size")
     bgrid = np.exp(np.linspace(cfg.get_float("log_beta_min"), cfg.get_float("log_beta_max"), size))
     rgrid = np.exp(np.linspace(cfg.get_float("log_rho2_min"), cfg.get_float("log_rho2_max"), size))
-    if cfg.get("penalty") == "lasso":
-        penalty = LassoPenalty(cfg.get_float("lambda1"))
-    else:
-        penalty = ElasticNetPenalty(cfg.get_float("lambda3"), cfg.get_float("lambda4"))
+    surface = _SURFACE_PENALTIES[cfg.get("penalty")]
+    penalty = surface(*(cfg.get_float(f.name) for f in fields(surface)))
     style = cfg.get("prior_style")
     if style not in ("unconditional", "conditional"):
         raise CliError("config-error", f"prior_style must be (un)conditional, got {style!r}")

@@ -287,8 +287,8 @@ def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
     """Unnormalised log posterior of (beta, rho2) with latents integrated out.
 
     The likelihood part is a product of Bessel-K_0 factors in the scaled
-    one-sided residuals; the prior part depends on spec.penalty and
-    spec.prior_style.
+    check losses rho_tau of the residuals; the prior part depends on
+    spec.penalty and spec.prior_style.
     """
     if rho2 <= 0:
         raise ValueError("rho2 must be > 0")
@@ -296,11 +296,10 @@ def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
     n = spec.y.size
     k = beta.size
     resid = spec.y - spec.x @ beta
-    w = np.abs(resid) + (1.0 - 2.0 * spec.tau) * resid
     # the eta^2 floor comes from the 1/sigma coefficient of the mixing
     # prior; it keeps the Bessel argument >= eta, so the surface has no
     # residual-interpolation singularities
-    args = np.sqrt(spec.eta**2 + (spec.eta / rho2) * w / 2.0)
+    args = np.sqrt(spec.eta**2 + (spec.eta / rho2) * check_loss(resid, spec.tau))
     loglik = float(np.sum(_log_k0(args)))
 
     pen = spec.penalty
@@ -333,9 +332,8 @@ def log_posterior_grid(spec: PosteriorGridSpec) -> np.ndarray:
     rho2 = spec.rho2_grid
     n = spec.y.size
     resid = spec.y[None, :] - beta[:, None] * spec.x[:, 0][None, :]  # (B, n)
-    w = np.abs(resid) + (1.0 - 2.0 * spec.tau) * resid
-    half_eta_w = np.maximum(spec.eta * w / 2.0, 0.0)
-    args = np.sqrt(spec.eta**2 + half_eta_w[:, :, None] / rho2[None, None, :])
+    eta_loss = spec.eta * check_loss(resid, spec.tau)
+    args = np.sqrt(spec.eta**2 + eta_loss[:, :, None] / rho2[None, None, :])
     loglik = _log_k0(args).sum(axis=1)  # (B, R)
 
     pen = spec.penalty

@@ -1,23 +1,28 @@
 """Gibbs samplers for Huberised regularised quantile regression.
 
-Two penalty families share one scan skeleton:
+One scan updates beta, sigma, v, the penalty block, rho2 and eta.  Each
+penalty family is one object, its hyperparameter dataclass:
 
-* lasso: coefficient scales s_j with a gamma-updated squared rate, and
-* elastic net: shifted latents t_j > 1 with a gamma step for the ridge
-  rate and a one-step Metropolis-Hastings move for the reparameterised
-  l1 rate.
+* LassoHyper: coefficient scales s_j with a gamma-updated squared rate;
+* ElasticNetHyper: shifted latents t_j > 1 with a gamma step for the
+  ridge rate and a one-step Metropolis-Hastings move for the
+  reparameterised l1 rate.
 
-Every latent block has a generalised inverse Gaussian full conditional;
-the robustness parameter eta is updated by a gamma approximation whose
-(shape, rate) pair is refined by a short fixed-point iteration before a
-single draw is taken.
+It names its config ``keys``, study ``method`` label and retained rate
+``columns``, and gives ``init`` (its latents and rates on a new state),
+``prior_precision`` (the beta prior's diagonal), ``rho2_quadratic``
+(rho2 * sum(beta_j^2 * prior_precision_j)), ``rates`` and ``update``
+(its block).  Every latent block has a generalised inverse Gaussian
+full conditional; the robustness parameter eta is updated by a gamma
+approximation whose (shape, rate) pair is refined by a short
+fixed-point iteration before a single draw is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -89,12 +94,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LassoHyper:
-    """Gamma hyperparameters: (a, b) for the squared l1 rate, (c, d) for eta."""
+    """Lasso: gamma hyperparameters (a, b) for the squared l1 rate and (c, d)
+    for eta; ``fixed_lambda1_sq`` pins the rate instead of sampling it (a
+    prior off-switch used by diagnostics and nesting checks)."""
 
     a: float = 1.0
     b: float = 1.0
     c: float = 1.0
     d: float = 1.0
+    fixed_lambda1_sq: Optional[float] = field(default=None, kw_only=True)
+
+    keys: ClassVar[tuple] = ("a", "b", "c", "d")
+    method: ClassVar[str] = "HBQR-BL"
+    columns: ClassVar[tuple] = ("lambda1_sq",)
 
     def __post_init__(self):
         if min(self.a, self.b, self.c, self.d) <= 0:
@@ -104,11 +116,30 @@ class LassoHyper:
     def eta_prior(self):
         return (self.c, self.d)
 
+    def init(self, state: ChainState, k: int) -> None:
+        state.s = np.ones(k)
+        state.lam1_sq = 1.0 if self.fixed_lambda1_sq is None else self.fixed_lambda1_sq
+
+    def prior_precision(self, state: ChainState) -> np.ndarray:
+        return 1.0 / (state.rho2 * state.s)
+
+    def rho2_quadratic(self, state: ChainState) -> float:
+        return float(np.sum(state.beta**2 / state.s))
+
+    def rates(self, state: ChainState) -> tuple:
+        return (state.lam1_sq,)
+
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
+        state.s = _clamp_positive(update_s(state, data, spec, gen), health)
+        if self.fixed_lambda1_sq is None:
+            state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
+
 
 @dataclass(frozen=True)
 class ElasticNetHyper:
-    """Gamma hyperparameters: (a1, b1) for the reparameterised l1 rate,
-    (a2, b2) for the ridge rate, (a3, b3) for eta."""
+    """Elastic net: gamma hyperparameters (a1, b1) for the reparameterised l1
+    rate, (a2, b2) for the ridge rate and (a3, b3) for eta;
+    ``fixed_lambda3_tilde`` pins the l1 rate instead of sampling it."""
 
     a1: float = 1.0
     b1: float = 1.0
@@ -116,6 +147,11 @@ class ElasticNetHyper:
     b2: float = 1.0
     a3: float = 1.0
     b3: float = 1.0
+    fixed_lambda3_tilde: Optional[float] = field(default=None, kw_only=True)
+
+    keys: ClassVar[tuple] = ("a1", "b1", "a2", "b2", "a3", "b3")
+    method: ClassVar[str] = "HBQR-EN"
+    columns: ClassVar[tuple] = ("lambda3_tilde", "lambda4")
 
     def __post_init__(self):
         if min(self.a1, self.b1, self.a2, self.b2, self.a3, self.b3) <= 0:
@@ -124,6 +160,26 @@ class ElasticNetHyper:
     @property
     def eta_prior(self):
         return (self.a3, self.b3)
+
+    def init(self, state: ChainState, k: int) -> None:
+        state.t = np.full(k, 2.0)
+        state.lam3_tilde = 1.0 if self.fixed_lambda3_tilde is None else self.fixed_lambda3_tilde
+        state.lam4 = 1.0
+
+    def prior_precision(self, state: ChainState) -> np.ndarray:
+        return (2.0 * state.lam4 / state.rho2) * state.t / (state.t - 1.0)
+
+    def rho2_quadratic(self, state: ChainState) -> float:
+        return float(np.sum(2.0 * state.lam4 * state.t * state.beta**2 / (state.t - 1.0)))
+
+    def rates(self, state: ChainState) -> tuple:
+        return (state.lam3_tilde, state.lam4)
+
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
+        state.t = 1.0 + _clamp_positive(update_t(state, data, spec, gen) - 1.0, health)
+        state.lam4 = update_lambda4(state, data, spec, gen)
+        if self.fixed_lambda3_tilde is None:
+            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
 
 
 PenaltyHyper = Union[LassoHyper, ElasticNetHyper]
@@ -135,9 +191,7 @@ class ModelSpec:
 
     rho2_invgamma switches the scale prior from the default improper
     1/rho2 to a proper inverse gamma (shape, rate); the Gibbs update
-    absorbs it exactly.  fixed_lambda1_sq / fixed_lambda3_tilde pin the
-    corresponding rate instead of sampling it (prior off-switches used
-    by diagnostics and nesting checks).
+    absorbs it exactly.
     """
 
     tau: float = 0.5
@@ -149,8 +203,6 @@ class ModelSpec:
     eta_tol: float = 1e-8
     seed: int = 0
     rho2_invgamma: Optional[tuple] = None
-    fixed_lambda1_sq: Optional[float] = None
-    fixed_lambda3_tilde: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
@@ -166,17 +218,13 @@ class ModelSpec:
             if a0 <= 0 or g0 <= 0:
                 raise ValueError("inverse-gamma prior needs positive shape and rate")
 
-    @property
-    def is_lasso(self) -> bool:
-        return isinstance(self.penalty, LassoHyper)
-
 
 @dataclass
 class ChainState:
     """Current values of every sampled block.
 
     Exactly one of (s, lam1_sq) and (t, lam3_tilde, lam4) is populated,
-    matching the penalty family.
+    by the penalty object's ``init``.
     """
 
     beta: np.ndarray
@@ -234,22 +282,8 @@ def initial_state(data: Dataset, spec: ModelSpec) -> ChainState:
         rho2=var_y if var_y > 0 else 1.0,
         eta=1.0,
     )
-    if spec.is_lasso:
-        state.s = np.ones(k)
-        state.lam1_sq = spec.fixed_lambda1_sq if spec.fixed_lambda1_sq is not None else 1.0
-    else:
-        state.t = np.full(k, 2.0)
-        state.lam3_tilde = (
-            spec.fixed_lambda3_tilde if spec.fixed_lambda3_tilde is not None else 1.0
-        )
-        state.lam4 = 1.0
+    spec.penalty.init(state, k)
     return state
-
-
-def _prior_precision_diag(state: ChainState, spec: ModelSpec) -> np.ndarray:
-    if spec.is_lasso:
-        return 1.0 / (state.rho2 * state.s)
-    return (2.0 * state.lam4 / state.rho2) * state.t / (state.t - 1.0)
 
 
 def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
@@ -265,7 +299,7 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     # the product of two floored latents can still underflow; keep 1/V finite
     winv = 1.0 / np.maximum(4.0 * state.sigma * state.v, 1e-280)
     target = data.y - (1.0 - 2.0 * spec.tau) * state.v
-    prior_precision = _prior_precision_diag(state, spec)
+    prior_precision = spec.penalty.prior_precision(state)
     if data.k > data.n:
         root = np.sqrt(winv)
         return mvn_low_rank(gen, data.X * root[:, None], 1.0 / prior_precision, root * target)
@@ -308,11 +342,7 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float
     gen = as_generator(rng)
     n, k = data.n, data.k
     c_sq = state.eta * float(np.sum(1.0 / state.sigma))
-    d_sq = state.eta * float(np.sum(state.sigma))
-    if spec.is_lasso:
-        d_sq += float(np.sum(state.beta**2 / state.s))
-    else:
-        d_sq += float(np.sum(2.0 * state.lam4 * state.t * state.beta**2 / (state.t - 1.0)))
+    d_sq = state.eta * float(np.sum(state.sigma)) + spec.penalty.rho2_quadratic(state)
     nu = -(n + k / 2.0)
     if spec.rho2_invgamma is not None:
         a0, g0 = spec.rho2_invgamma
@@ -481,13 +511,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     gen = as_generator(rng) if rng is not None else RngStream(spec.seed).generator()
     state = initial_state(data, spec)
     health = ChainHealth()
+    penalty = spec.penalty
     k = data.k
 
-    beta_cols = [f"beta_{j}" for j in range(k)]
-    if spec.is_lasso:
-        columns = beta_cols + ["rho2", "eta", "lambda1_sq"]
-    else:
-        columns = beta_cols + ["rho2", "eta", "lambda3_tilde", "lambda4"]
+    columns = [f"beta_{j}" for j in range(k)] + ["rho2", "eta", *penalty.columns]
     n_keep = (spec.n_iter - spec.burn_in) // spec.thin
     draws = np.empty((n_keep, len(columns)))
     row = 0
@@ -500,25 +527,8 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
             state.sigma = _clamp_positive(update_sigma(state, data, spec, gen), health)
             block = "v"
             state.v = _clamp_positive(update_v(state, data, spec, gen), health)
-            if spec.is_lasso:
-                block = "s"
-                state.s = _clamp_positive(update_s(state, data, spec, gen), health)
-                block = "lambda1_sq"
-                if spec.fixed_lambda1_sq is None:
-                    state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
-            else:
-                block = "t"
-                t_shift = _clamp_positive(
-                    update_t(state, data, spec, gen) - 1.0, health
-                )
-                state.t = 1.0 + t_shift
-                block = "lambda4"
-                state.lam4 = update_lambda4(state, data, spec, gen)
-                block = "lambda3_tilde"
-                if spec.fixed_lambda3_tilde is None:
-                    state.lam3_tilde = mh_update_lambda3_tilde(
-                        state, data, spec, gen, health
-                    )
+            block = "penalty"
+            penalty.update(state, data, spec, gen, health)
             block = "rho2"
             state.rho2 = float(_clamp_positive(update_rho2(state, data, spec, gen), health))
             block = "eta"
@@ -527,12 +537,8 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
             raise ChainError(f"update '{block}' failed at iteration {it}: {exc}") from exc
 
         if it > spec.burn_in and (it - spec.burn_in) % spec.thin == 0 and row < n_keep:
-            if spec.is_lasso:
-                tail = (state.rho2, state.eta, state.lam1_sq)
-            else:
-                tail = (state.rho2, state.eta, state.lam3_tilde, state.lam4)
             draws[row, :k] = state.beta
-            draws[row, k:] = tail
+            draws[row, k:] = (state.rho2, state.eta, *penalty.rates(state))
             row += 1
 
     return PosteriorSamples(draws=draws, columns=columns, health=health)

@@ -268,7 +268,7 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
                 scenario_id=scen.id,
                 tau=scen.tau,
                 n=scen.n,
-                method="HBQR-BL" if model.is_lasso else "HBQR-EN",
+                method=model.penalty.method,
                 n_replications=n_replications,
                 n_failures=failures,
                 rmse_mean=float(np.mean([r.rmse for r in done])) if done else float("nan"),

@@ -32,6 +32,7 @@ from hqreg.sampler import (
     ChainState,
     Dataset,
     ElasticNetHyper,
+    LassoHyper,
     ModelSpec,
     mh_update_lambda3_tilde,
     refine_eta_gamma_params,
@@ -266,7 +267,8 @@ def test_criterion_11_cv_harness():
     X = np.column_stack([np.ones(n), gen.standard_normal((n, k - 1))])
     y = X @ np.array([0.7, 1.5, -2.0])
     data = Dataset(X, y)
-    model = ModelSpec(tau=0.5, n_iter=400, burn_in=100, seed=2, fixed_lambda1_sq=1e-10)
+    model = ModelSpec(tau=0.5, penalty=LassoHyper(fixed_lambda1_sq=1e-10), n_iter=400,
+                      burn_in=100, seed=2)
     res = cross_validate(data, model, folds=10, rng=RngStream(5))
     worst = max(res.mspe, res.mape, res.mhpe, res.medspe)
 

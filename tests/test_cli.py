@@ -177,6 +177,13 @@ class TestFitCommand:
         assert code == 1
         assert "config-error" in capsys.readouterr().err
 
+    def test_nonpositive_hyperparameter_is_config_error(self, toy_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "neg.cfg"
+        cfgfile.write_text("a=-1\n")
+        code = run_cli(["fit", "--config", cfgfile, "--input", toy_csv, "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config-error: ")
+
 
 class TestOtherCommands:
     def test_cv_outputs(self, toy_csv, tmp_path):
@@ -229,6 +236,30 @@ class TestOtherCommands:
         rows = list(csv.reader(open(out / "curve.csv")))
         assert rows[0] == ["setting", "x", "fitted", "truth"]
         assert len(rows) == 1 + 2 * 50
+
+    def test_simulate_elastic_net_method_label(self, tmp_path):
+        out = tmp_path / "sim"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("scenarios=1\nn=25\nreps=1\niters=60\nburnin=20\n")
+        assert run_cli(["simulate", "--config", cfg, "--out", out, "--penalty", "en"]) == 0
+        rows = list(csv.reader(open(out / "tables.csv")))[1:]
+        assert [r[1] for r in rows] == ["HBQR-EN"]
+
+    def test_sensitivity_key_picks_family(self, tmp_path):
+        # a lasso key fits the lasso family even under penalty=en
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("vary=b\nvalues=1,50\niters=200\nburnin=50\n")
+        for penalty in ("en", "lasso"):
+            assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / penalty,
+                            "--penalty", penalty]) == 0
+        rows = list(csv.reader(open(tmp_path / "en" / "curve.csv")))[1:]
+        fitted = {}
+        for setting, _, value, _ in rows:
+            fitted.setdefault(setting, []).append(value)
+        assert sorted(fitted) == ["b=1", "b=50"]
+        assert fitted["b=1"] != fitted["b=50"]
+        assert ((tmp_path / "en" / "curve.csv").read_bytes()
+                == (tmp_path / "lasso" / "curve.csv").read_bytes())
 
     def test_contour_grid_and_mode_counts(self, tmp_path):
         # the two shallow modes of the unconditional surface sit ~0.2 apart

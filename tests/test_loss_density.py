@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import k0
 
 from hqreg.loss_density import (
     ElasticNetPenalty,
@@ -176,6 +177,16 @@ class TestJointLogPosterior:
             for j in (3, 60, 110):
                 direct = joint_log_posterior(self.bgrid[i], self.rgrid[j], self.spec)
                 assert z[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+    def test_likelihood_uses_check_loss_at_tau(self):
+        # n = 1, x = 0, y = 1: the residual is 1 at every beta, so at tau = 0.25
+        # its check loss is 0.25; 0.75 would be the mirrored quantile's
+        spec = PosteriorGridSpec(np.array([1.0, 2.0]), np.array([1.0, 2.0]), [0.0], [1.0],
+                                 LassoPenalty(1.0), "unconditional", 1.3, 0.25)
+        expect = np.log(k0(np.sqrt(1.3**2 + 1.3 * 0.25))) - 1.0
+        assert expect == pytest.approx(-2.4376, abs=1e-4)
+        assert log_posterior_grid(spec)[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert joint_log_posterior(1.0, 1.0, spec) == pytest.approx(expect, rel=1e-12)
 
     def test_constant_shift_leaves_argmax(self):
         z = log_posterior_grid(self.spec)

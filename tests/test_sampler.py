@@ -153,7 +153,7 @@ class TestUpdateBetaForms:
         spec = ModelSpec(tau=0.3, penalty=penalty)
         state = ChainState(beta=np.zeros(k), v=gen0.uniform(0.5, 2.0, n),
                            sigma=gen0.uniform(0.5, 2.0, n), rho2=0.8, eta=1.3)
-        if spec.is_lasso:
+        if isinstance(spec.penalty, LassoHyper):
             state.s, state.lam1_sq = gen0.uniform(0.5, 2.0, k), 1.0
         else:
             state.t, state.lam3_tilde, state.lam4 = gen0.uniform(1.2, 3.0, k), 1.0, 0.7
@@ -162,7 +162,7 @@ class TestUpdateBetaForms:
     @staticmethod
     def _full_conditional(data, spec, state):
         winv = 1.0 / (4.0 * state.sigma * state.v)
-        if spec.is_lasso:
+        if isinstance(spec.penalty, LassoHyper):
             prior = 1.0 / (state.rho2 * state.s)
         else:
             prior = 2.0 * state.lam4 * state.t / (state.rho2 * (state.t - 1.0))
@@ -424,6 +424,38 @@ class TestElasticBlock:
         assert np.max(np.abs(cdf - emp)) < 0.015
 
 
+class TestPenaltyContract:
+    """Each penalty object gives the beta and rho2 blocks one prior, and a
+    pinned rate stays where it was pinned."""
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    def test_rho2_quadratic_matches_prior_precision(self, penalty):
+        gen = RngStream(370).generator()
+        k = 7
+        for _ in range(20):
+            # every latent populated, so one state serves both families
+            state = ChainState(
+                beta=gen.standard_normal(k), v=np.ones(3), sigma=np.ones(3),
+                rho2=gen.uniform(0.05, 5.0), eta=1.0, s=gen.uniform(0.05, 5.0, k),
+                lam1_sq=1.0, t=gen.uniform(1.01, 6.0, k), lam3_tilde=1.0,
+                lam4=gen.uniform(0.05, 5.0),
+            )
+            expect = state.rho2 * np.sum(state.beta**2 * penalty.prior_precision(state))
+            assert penalty.rho2_quadratic(state) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("penalty,column", [
+        (LassoHyper(fixed_lambda1_sq=0.37), "lambda1_sq"),
+        (ElasticNetHyper(fixed_lambda3_tilde=0.37), "lambda3_tilde"),
+    ])
+    def test_pinned_rate_stays_fixed(self, penalty, column):
+        data, _ = sim1_dataset(404, n=30)
+        spec = ModelSpec(tau=0.5, penalty=penalty, n_iter=150, burn_in=50, seed=4)
+        samples = run_chain(data, spec)
+        assert samples.columns[data.k + 2:] == list(penalty.columns)
+        assert np.all(samples.column(column) == 0.37)
+        assert samples.health.mh_proposals == 0
+
+
 class TestEtaUpdate:
     def test_no_data_draws_prior(self):
         spec = ModelSpec(tau=0.5, penalty=LassoHyper(c=2.0, d=3.0))
@@ -562,8 +594,8 @@ class TestRunChain:
         data = Dataset(X, y)
         strong_prior = ModelSpec(tau=0.5, penalty=ElasticNetHyper(b1=1e8),
                                  n_iter=2000, burn_in=500, seed=21)
-        pinned = ModelSpec(tau=0.5, penalty=ElasticNetHyper(), n_iter=2000, burn_in=500,
-                           seed=21, fixed_lambda3_tilde=1e-7)
+        pinned = ModelSpec(tau=0.5, penalty=ElasticNetHyper(fixed_lambda3_tilde=1e-7),
+                           n_iter=2000, burn_in=500, seed=21)
         m1 = np.median(run_chain(data, strong_prior).draws[:, :k], axis=0)
         m2 = np.median(run_chain(data, pinned).draws[:, :k], axis=0)
         assert np.max(np.abs(m1 - m2)) < 0.05

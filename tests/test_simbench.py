@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hqreg.randist import Cauchy, ContaminatedNormal, Gaussian, Mixture, RngStream, SkewT
-from hqreg.sampler import Dataset, ModelSpec
+from hqreg.sampler import Dataset, LassoHyper, ModelSpec
 from hqreg.simbench import (
     CvResult,
     ReplicationResult,
@@ -247,7 +247,8 @@ class TestCrossValidate:
 
     def test_perfect_data_with_sampler_and_flat_prior(self):
         data, beta = self._linear_data(noise=0.0)
-        model = ModelSpec(tau=0.5, n_iter=300, burn_in=100, seed=2, fixed_lambda1_sq=1e-10)
+        model = ModelSpec(tau=0.5, penalty=LassoHyper(fixed_lambda1_sq=1e-10), n_iter=300,
+                          burn_in=100, seed=2)
         res = cross_validate(data, model, folds=5, rng=RngStream(3))
         assert max(res.mspe, res.mape, res.mhpe, res.medspe) < 1e-6
 
