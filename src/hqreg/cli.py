@@ -16,6 +16,7 @@ import csv
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,24 @@ def ingest_csv(path):
     body = rows[1:]
     if not body:
         raise CliError("empty-dataset", f"{path}: header only, no data rows")
-    data = np.empty((len(body), width))
-    bad_rows = []
+    try:
+        if any(len(row) != width for row in body):
+            raise ValueError
+        data = np.fromiter(map(float, chain.from_iterable(body)), float, len(body) * width)
+    except ValueError:
+        _raise_first_bad_row(path, header, body)
+    data = data.reshape(len(body), width)
+    bad_rows = (np.flatnonzero(~np.isfinite(data).all(axis=1)) + 2).tolist()
+    if bad_rows:
+        raise CliError(
+            "non-finite-rows", f"{path}: non-finite values in rows {bad_rows}"
+        )
+    return Dataset(data[:, :-1], data[:, -1]), header
+
+
+def _raise_first_bad_row(path, header, body):
+    """Raise the error of the first ragged row or non-numeric cell."""
+    width = len(header)
     for i, row in enumerate(body):
         if len(row) != width:
             raise CliError(
@@ -90,19 +107,12 @@ def ingest_csv(path):
             )
         for j, cell in enumerate(row):
             try:
-                data[i, j] = float(cell)
+                float(cell)
             except ValueError:
                 raise CliError(
                     "non-numeric-cell",
                     f"{path}: row {i + 2}, column '{header[j]}' is not numeric: {cell!r}",
                 ) from None
-        if not np.all(np.isfinite(data[i])):
-            bad_rows.append(i + 2)
-    if bad_rows:
-        raise CliError(
-            "non-finite-rows", f"{path}: non-finite values in rows {bad_rows}"
-        )
-    return Dataset(data[:, :-1], data[:, -1]), header
 
 
 # --- standardisation ------------------------------------------------------------
@@ -313,9 +323,16 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _write_csv(path: Path, header, rows):
+    """Header through csv.writer; an ndarray body is written one row per
+    format call, with the bytes fmt and csv.writer would give."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + writer.dialect.lineterminator
+            for row in rows:
+                fh.write(line % tuple(row.tolist()))
+            return
         for row in rows:
             writer.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
 
@@ -387,6 +404,8 @@ def cmd_cv(cfg: RunConfig) -> list:
 def cmd_simulate(cfg: RunConfig) -> list:
     outdir = _outdir(cfg)
     reps = cfg.get_int("reps")
+    if reps < 1:
+        raise CliError("config-error", f"reps must be >= 1, got {reps}")
     if reps >= 300:
         print(
             "warning: full-scale replication counts take hours; "
@@ -403,9 +422,14 @@ def cmd_simulate(cfg: RunConfig) -> list:
     if not all(0.0 < tau < 1.0 for tau in taus):
         raise CliError("config-error", f"every tau must lie in (0, 1), got {cfg.get('tau')!r}")
     n = cfg.get_int("n")
-    scenarios = [
-        simbench.scenario_by_id(sid, n=n, tau=tau) for sid in sim_ids for tau in taus
-    ]
+    if n < 1:
+        raise CliError("config-error", f"n must be >= 1, got {n}")
+    try:
+        scenarios = [
+            simbench.scenario_by_id(sid, n=n, tau=tau) for sid in sim_ids for tau in taus
+        ]
+    except ValueError as exc:
+        raise CliError("config-error", str(exc)) from exc
     # run_study sets each cell's tau; the model takes the first for validation
     model = _model_spec(cfg, tau=taus[0])
     cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
@@ -437,6 +461,8 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
         values = [float(v) for v in cfg.get("values").split(",") if v.strip()]
     except ValueError as exc:
         raise CliError("config-error", f"bad values list: {exc}") from exc
+    if not values:
+        raise CliError("config-error", "values list must not be empty")
     models = []
     for val in values:
         sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})

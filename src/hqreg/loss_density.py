@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import quad
 
 __all__ = [
     "LossParams",
@@ -165,6 +164,10 @@ def scale_mixture_density(x, mu, p: LossParams, rel_tol: float = 1e-9) -> float:
     Slow; intended as an independent cross-check of the closed form,
     not for bulk evaluation.
     """
+    # imported here: scipy.integrate also loads scipy.optimize, which
+    # nothing else in the package needs
+    from scipy.integrate import quad
+
     e = float(x) - float(mu)
     tau, eta, rho2 = p.tau, p.eta, p.rho2
     c2 = eta / rho2

@@ -294,14 +294,18 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
 
 
-def _wald_gig_half(gen: np.random.Generator, nu, c, d):
-    """Exact GIG(+-1/2, c, d) draws by the Wald (inverse Gaussian) law.
+def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d):
+    """Exact GIG(-1/2, c, d) draws when ``negative``, else GIG(1/2, c, d),
+    by the Wald (inverse Gaussian) law.
 
     GIG(-1/2, c, d) is IG(mean d/c, shape d^2), and GIG(1/2, c, d) is the
     reciprocal of IG(mean c/d, shape c^2).
     """
-    if np.ndim(nu) == 0:
-        return gen.wald(d / c, d * d) if nu < 0 else 1.0 / gen.wald(c / d, c * c)
+    return gen.wald(d / c, d * d) if negative else 1.0 / gen.wald(c / d, c * c)
+
+
+def _wald_gig_half(gen: np.random.Generator, nu, c, d):
+    """As :func:`_wald_gig_half_order`, with orders +-1/2 mixed elementwise."""
     neg = nu < 0
     x = gen.wald(np.where(neg, d / c, c / d), np.where(neg, d * d, c * c))
     return np.where(neg, x, 1.0 / x)
@@ -319,7 +323,7 @@ def _gig_interior(gen: np.random.Generator, nu, c, d):
     orders +-1/2 first, by Wald, then every other order, by Devroye."""
     if nu.ndim == 0:
         if abs(nu) == 0.5:
-            return _wald_gig_half(gen, float(nu), c, d)
+            return _wald_gig_half_order(gen, nu < 0, c, d)
         return _devroye_gig(gen, nu, c, d)
     nu, c, d = np.broadcast_arrays(nu, c, d)
     out = np.empty(nu.shape)
@@ -358,6 +362,41 @@ def _gig_with_limits(gen: np.random.Generator, nu, c, d):
     return out
 
 
+def _as_param(x):
+    """A float for a 0-d parameter, a float array otherwise."""
+    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _low(x):
+    return x.min(initial=math.inf) if isinstance(x, np.ndarray) else x
+
+
+def _high(x):
+    return x.max(initial=-math.inf) if isinstance(x, np.ndarray) else x
+
+
+def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
+    """GIG draws for one order when every (c, d) pair is plainly interior.
+
+    One test: nu finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf, which
+    together imply finite c, d > 0.  Orders +-1/2 then go straight to the
+    Wald law, for any shapes of c and d; any other order goes to the
+    scalar Devroye sampler when c and d are scalars too.  Returns None,
+    having drawn nothing, in every other case.
+    """
+    c, d = _as_param(c), _as_param(d)
+    cd = c * d
+    if not (math.isfinite(nu) and _low(c) > 0.0
+            and _low(cd) >= GIG_BOUNDARY_EPS and _high(cd) < math.inf):
+        return None
+    if abs(nu) == 0.5:
+        return _wald_gig_half_order(gen, nu < 0, c, d)
+    if isinstance(cd, np.ndarray):
+        return None
+    y = _devroye_gig_scalar(gen, abs(nu), cd)
+    return None if y is None else (1.0 / y if nu < 0 else y) * (d / c)
+
+
 def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     """Vectorised GIG sampling; nu, c, d broadcast against each other.
 
@@ -368,16 +407,15 @@ def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     exactly by the Wald law and every other order by Devroye's rejection
     sampler; a single scalar draw of the latter kind (``size=None``)
     takes its ``math``-module twin, which gives the same draw from the
-    same stream.
+    same stream.  A single order whose parameters pass one cheap interior
+    test skips the full validation; any other input takes it, so errors
+    and limits do not depend on the test.
     """
     gen = as_generator(rng)
-    if size is None and np.ndim(nu) == np.ndim(c) == np.ndim(d) == 0:
-        nu_f, c_f, d_f = float(nu), float(c), float(d)
-        if (math.isfinite(nu_f) and abs(nu_f) != 0.5 and c_f > 0.0 and d_f > 0.0
-                and GIG_BOUNDARY_EPS <= c_f * d_f < math.inf):
-            y = _devroye_gig_scalar(gen, abs(nu_f), c_f * d_f)
-            if y is not None:
-                return (1.0 / y if nu_f < 0 else y) * (d_f / c_f)
+    if size is None and (isinstance(nu, float) or np.ndim(nu) == 0):
+        out = _gig_plain_interior(gen, float(nu), c, d)
+        if out is not None:
+            return out
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)

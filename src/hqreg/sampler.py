@@ -124,7 +124,9 @@ class LassoHyper:
         return 1.0 / (state.rho2 * state.s)
 
     def rho2_quadratic(self, state: ChainState) -> float:
-        return float(np.sum(state.beta**2 / state.s))
+        quad = state.beta**2
+        quad /= state.s
+        return float(quad.sum())
 
     def rates(self, state: ChainState) -> tuple:
         return (state.lam1_sq,)
@@ -170,7 +172,10 @@ class ElasticNetHyper:
         return (2.0 * state.lam4 / state.rho2) * state.t / (state.t - 1.0)
 
     def rho2_quadratic(self, state: ChainState) -> float:
-        return float(np.sum(2.0 * state.lam4 * state.t * state.beta**2 / (state.t - 1.0)))
+        quad = 2.0 * state.lam4 * state.t
+        quad *= state.beta**2
+        quad /= state.t - 1.0
+        return float(quad.sum())
 
     def rates(self, state: ChainState) -> tuple:
         return (state.lam3_tilde, state.lam4)
@@ -297,8 +302,12 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     """
     gen = as_generator(rng)
     # the product of two floored latents can still underflow; keep 1/V finite
-    winv = 1.0 / np.maximum(4.0 * state.sigma * state.v, 1e-280)
-    target = data.y - (1.0 - 2.0 * spec.tau) * state.v
+    winv = 4.0 * state.sigma
+    winv *= state.v
+    np.maximum(winv, 1e-280, out=winv)
+    np.divide(1.0, winv, out=winv)
+    target = (1.0 - 2.0 * spec.tau) * state.v
+    np.subtract(data.y, target, out=target)
     prior_precision = spec.penalty.prior_precision(state)
     if data.k > data.n:
         root = np.sqrt(winv)
@@ -312,11 +321,17 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
 def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
     """Per-observation GIG(-1/2) draws for the global mixing latents."""
     gen = as_generator(rng)
-    resid = data.y - data.X @ state.beta - (1.0 - 2.0 * spec.tau) * state.v
     tau = spec.tau
-    d_sq = resid * resid / (4.0 * state.v) + tau * (1.0 - tau) * state.v + state.eta * state.rho2
+    # d^2 = resid^2 / (4 v) + tau (1 - tau) v + eta rho2, built in place
+    d = data.y - data.X @ state.beta
+    d -= (1.0 - 2.0 * tau) * state.v
+    d *= d
+    d /= 4.0 * state.v
+    d += tau * (1.0 - tau) * state.v
+    d += state.eta * state.rho2
+    np.sqrt(d, out=d)
     c = math.sqrt(state.eta / state.rho2)
-    return gig_rvs(gen, -0.5, c, np.sqrt(d_sq))
+    return gig_rvs(gen, -0.5, c, d)
 
 
 def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
@@ -327,9 +342,11 @@ def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarr
     GIG sampler rather than being jittered.
     """
     gen = as_generator(rng)
-    resid = data.y - data.X @ state.beta
-    c = 0.5 / np.sqrt(state.sigma)
-    d = np.abs(resid) * c
+    c = np.sqrt(state.sigma)
+    np.divide(0.5, c, out=c)
+    d = data.y - data.X @ state.beta
+    np.abs(d, out=d)
+    d *= c
     return gig_rvs(gen, 0.5, c, d)
 
 
@@ -341,8 +358,8 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float
     """
     gen = as_generator(rng)
     n, k = data.n, data.k
-    c_sq = state.eta * float(np.sum(1.0 / state.sigma))
-    d_sq = state.eta * float(np.sum(state.sigma)) + spec.penalty.rho2_quadratic(state)
+    c_sq = state.eta * float((1.0 / state.sigma).sum())
+    d_sq = state.eta * float(state.sigma.sum()) + spec.penalty.rho2_quadratic(state)
     nu = -(n + k / 2.0)
     if spec.rho2_invgamma is not None:
         a0, g0 = spec.rho2_invgamma
@@ -355,7 +372,8 @@ def update_s(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarr
     """Lasso coefficient-scale latents: GIG(1/2, l1sq, beta_j^2/rho2)."""
     gen = as_generator(rng)
     c = math.sqrt(state.lam1_sq)
-    d = np.abs(state.beta) / math.sqrt(state.rho2)
+    d = np.abs(state.beta)
+    d /= math.sqrt(state.rho2)
     return gig_rvs(gen, 0.5, c, d)
 
 
@@ -364,7 +382,7 @@ def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, rng) ->
     gen = as_generator(rng)
     hyper = spec.penalty
     shape = hyper.a + data.k
-    rate = hyper.b + 0.5 * float(np.sum(state.s))
+    rate = hyper.b + 0.5 * float(state.s.sum())
     return float(gen.gamma(shape) / rate)
 
 
@@ -372,7 +390,8 @@ def update_t(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarr
     """Elastic-net latents t_j > 1; t_j - 1 is GIG(1/2, 2 l3t, 2 l4 beta_j^2/rho2)."""
     gen = as_generator(rng)
     c = math.sqrt(2.0 * state.lam3_tilde)
-    d = np.sqrt(2.0 * state.lam4 / state.rho2) * np.abs(state.beta)
+    d = np.abs(state.beta)
+    d *= math.sqrt(2.0 * state.lam4 / state.rho2)
     return 1.0 + gig_rvs(gen, 0.5, c, d)
 
 
@@ -381,7 +400,12 @@ def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> fl
     gen = as_generator(rng)
     hyper = spec.penalty
     shape = data.k / 2.0 + hyper.a2
-    rate = float(np.sum(state.t * state.beta**2 / (state.rho2 * (state.t - 1.0)))) + hyper.b2
+    quad = state.beta**2
+    quad *= state.t
+    scaled = state.t - 1.0
+    scaled *= state.rho2
+    quad /= scaled
+    rate = float(quad.sum()) + hyper.b2
     return float(gen.gamma(shape) / rate)
 
 
@@ -425,7 +449,7 @@ def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, r
     gen = as_generator(rng)
     hyper = spec.penalty
     k = data.k
-    sum_t = float(np.sum(state.t))
+    sum_t = float(state.t.sum())
     prop_rate = hyper.b1 + (sum_t - k)
     proposal = float(gen.gamma(k + hyper.a1) / prop_rate)
     log_ratio = lambda3_log_accept_ratio(
@@ -483,7 +507,9 @@ def update_eta_approx(state: ChainState, spec: ModelSpec, rng,
     gen = as_generator(rng)
     a, b = spec.penalty.eta_prior
     n = state.sigma.size
-    s_sum = 0.5 * float(np.sum(state.sigma / state.rho2 + state.rho2 / state.sigma))
+    ratio = state.sigma / state.rho2
+    ratio += state.rho2 / state.sigma
+    s_sum = 0.5 * float(ratio.sum())
     A, B, _ = refine_eta_gamma_params(
         a, b, s_sum, n, spec.eta_inner_iters, spec.eta_tol, state.eta
     )
@@ -494,10 +520,16 @@ def update_eta_approx(state: ChainState, spec: ModelSpec, rng,
     return float(gen.gamma(A) / B)
 
 
-def _clamp_positive(arr_or_val, health: ChainHealth):
-    clipped = np.maximum(arr_or_val, _POSITIVITY_FLOOR)
-    health.positivity_clamps += int(np.sum(arr_or_val < _POSITIVITY_FLOOR))
-    return clipped
+def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
+    """Floor a latent array at _POSITIVITY_FLOOR, counting the floored entries.
+
+    Returns ``arr`` itself when nothing is below the floor; NaN entries
+    pass through uncounted.
+    """
+    if arr.min(initial=math.inf) >= _POSITIVITY_FLOOR:
+        return arr
+    health.positivity_clamps += int((arr < _POSITIVITY_FLOOR).sum())
+    return np.maximum(arr, _POSITIVITY_FLOOR)
 
 
 def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
@@ -530,7 +562,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
             block = "penalty"
             penalty.update(state, data, spec, gen, health)
             block = "rho2"
-            state.rho2 = float(_clamp_positive(update_rho2(state, data, spec, gen), health))
+            state.rho2 = update_rho2(state, data, spec, gen)
+            if state.rho2 < _POSITIVITY_FLOOR:
+                state.rho2 = _POSITIVITY_FLOOR
+                health.positivity_clamps += 1
             block = "eta"
             state.eta = update_eta_approx(state, spec, gen, health)
         except Exception as exc:

@@ -7,6 +7,8 @@ full argument range the Gibbs updates visit (roughly 1e-6 .. 1e6).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special as _sp
 
@@ -54,9 +56,14 @@ def log_k1_derivs(eta):
     that sign.  Evaluated through scaled Bessel ratios so the exp(-eta)
     factors cancel exactly.
     """
-    eta = _validated_positive(eta, "eta")
-    k = _sp.kve(_K_ORDERS_0_TO_3.reshape((4,) + (1,) * eta.ndim), eta)
-    k0, k1, k2, k3 = k.tolist() if eta.ndim == 0 else k
+    if isinstance(eta, float):
+        if not 0.0 < eta < math.inf:
+            raise ValueError("eta must be finite and > 0")
+        k0, k1, k2, k3 = _sp.kve(_K_ORDERS_0_TO_3, eta).tolist()
+    else:
+        eta = _validated_positive(eta, "eta")
+        k = _sp.kve(_K_ORDERS_0_TO_3.reshape((4,) + (1,) * eta.ndim), eta)
+        k0, k1, k2, k3 = k.tolist() if eta.ndim == 0 else k
     first = (k0 + k2) / (2.0 * k1)
     return -first, (3.0 + k3 / k1) / 4.0 - first * first
 
@@ -71,6 +78,9 @@ def log_k1_deriv2(eta):
     return log_k1_derivs(eta)[1]
 
 
+_HALF_LOG_PI = 0.5 * np.log(np.pi)
+
+
 def log_upper_gamma_half(x):
     """log Gamma(1/2, x), stable for arbitrarily large x.
 
@@ -79,11 +89,15 @@ def log_upper_gamma_half(x):
     direct product would underflow (x beyond ~700).  Metropolis ratios
     for the elastic-net rate parameter are computed with this.
     """
+    if isinstance(x, float):
+        if not 0.0 <= x < math.inf:
+            raise ValueError("x must be finite and >= 0")
+        return float(_HALF_LOG_PI + np.log(_sp.erfcx(math.sqrt(x))) - x)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise ValueError("x must be finite and >= 0")
     rx = np.sqrt(x)
-    out = 0.5 * np.log(np.pi) + np.log(_sp.erfcx(rx)) - x
+    out = _HALF_LOG_PI + np.log(_sp.erfcx(rx)) - x
     if out.ndim == 0:
         return float(out)
     return out

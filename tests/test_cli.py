@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hqreg import cli
 from hqreg.cli import CliError, ingest_csv, main, standardise
 from hqreg.loss_density import count_strict_local_maxima
 
@@ -70,10 +71,45 @@ class TestIngest:
         assert err.value.error_class == "non-finite-rows"
         assert "[3, 4]" in str(err.value)
 
+    @pytest.mark.parametrize("text,error_class,where", [
+        ("a,b,y\n1,2,3\n4,zz,6\n7,8\n", "non-numeric-cell", "row 3, column 'b'"),
+        ("a,b,y\n1,2\n4,zz,6\n", "ragged-row", "row 2 has 2 cells"),
+        ("a,b,y\n1,nan,3\n4,q,6\n", "non-numeric-cell", "row 3, column 'b'"),
+        ("a,b,y\n1,2,3\n\n4,5,6\n", "ragged-row", "row 3 has 0 cells"),
+        ("a,b,y\n1,,3\n", "non-numeric-cell", "row 2, column 'b' is not numeric: ''"),
+    ])
+    def test_first_offending_row_wins(self, tmp_path, text, error_class, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CliError) as err:
+            ingest_csv(path)
+        assert err.value.error_class == error_class
+        assert where in str(err.value)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("a,b,y\n 1.5 ,1_0,-0\n1e-320,0.1,3\n")
+        data, _ = ingest_csv(path)
+        expect = [[1.5, 10.0, -0.0], [1e-320, 0.1, 3.0]]
+        assert data.X.tobytes() == np.array(expect)[:, :2].tobytes()
+        assert data.y.tobytes() == np.array(expect)[:, 2].tobytes()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError) as err:
             ingest_csv(tmp_path / "absent.csv")
         assert err.value.error_class == "config-error"
+
+
+def test_array_rows_write_like_csv_writer(tmp_path):
+    gen = np.random.default_rng(8)
+    body = np.concatenate([gen.standard_normal((4, 3)) * 1e5,
+                           [[-0.0, np.inf, np.nan], [1e-320, 0.1, -1e300]]])
+    cli._write_csv(tmp_path / "a.csv", ["x", "y,z", "w"], body)
+    cli._write_csv(tmp_path / "b.csv", ["x", "y,z", "w"], [list(row) for row in body])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    rows = list(csv.reader(open(tmp_path / "a.csv", newline="")))
+    assert rows[0] == ["x", "y,z", "w"]
+    np.testing.assert_array_equal(np.array(rows[1:], dtype=float), body)
 
 
 class TestStandardise:
@@ -227,6 +263,27 @@ class TestOtherCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("config-error: ")
 
+    @pytest.mark.parametrize("setting,detail", [
+        ("reps=0", "reps must be >= 1"),
+        ("scenarios=7", "unknown scenario id 7"),
+        ("n=0", "n must be >= 1"),
+    ])
+    def test_simulate_bad_input_is_config_error(self, tmp_path, capsys, setting, detail):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"iters=60\nburnin=20\nreps=1\n{setting}\n")
+        code = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "sim"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and detail in err
+
+    def test_sensitivity_empty_values_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("vary=b\nvalues=\niters=60\nburnin=20\n")
+        code = run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "sens"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config-error: ")
+        assert not (tmp_path / "sens" / "curve.csv").exists()
+
     def test_sensitivity_outputs(self, tmp_path):
         out = tmp_path / "sens"
         cfg = tmp_path / "s.cfg"
@@ -301,3 +358,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (out / "manifest.txt").exists()
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate (and the scipy.optimize it pulls in) serves only the
+        # quadrature oracle, so the front end does not import it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hqreg.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

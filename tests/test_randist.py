@@ -212,6 +212,64 @@ class TestGigScalarPath:
             gig_rvs(RngStream(39).generator(), float("nan"), 1.0, 1.0)
 
 
+class TestGigInteriorTest:
+    """A single order whose parameters pass one cheap interior test skips the
+    full validation; everything else still gets it."""
+
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize(
+        "nu,c,d",
+        [
+            (float("nan"), 1.0, 1.0),  # NaN order
+            (-0.5, 1.0, math.inf),  # infinite d
+            (0.5, -1.0, 2.0),  # c < 0, d > 0
+            (0.5, -1.0, -2.0),  # c < 0 and d < 0: c * d > 0
+            (-0.5, math.inf, 1.0),  # infinite c
+            (0.5, 1.0, float("nan")),  # NaN d
+        ],
+    )
+    def test_invalid_parameters_raise(self, nu, c, d, shape):
+        if shape == "array":
+            d = np.array([1.0, d, 2.0])
+        with pytest.raises(ValueError):
+            gig_rvs(RngStream(40).generator(), nu, c, d)
+
+    def test_scalar_c_keeps_boundary_limits(self):
+        # the sampler's shape: one order, scalar c, array d
+        d = np.array([0.0, 1.3, 1e-13])
+        out = gig_rvs(RngStream(41).generator(), 0.5, 2.0, d)
+        gen = RngStream(41).generator()
+        gam = gen.gamma(np.full(2, 0.5)) * (2.0 / 4.0)
+        ig = gen.wald(2.0 / 1.3, 4.0)
+        np.testing.assert_array_equal(out, [gam[0], 1.0 / ig, gam[1]])
+
+        d = np.array([2.0, 0.5])
+        out = gig_rvs(RngStream(42).generator(), -0.5, 0.0, d)
+        expect = (d * d) / (2.0 * RngStream(42).generator().gamma(np.full(2, 0.5)))
+        np.testing.assert_array_equal(out, expect)
+        with pytest.raises(ValueError):
+            gig_rvs(RngStream(42).generator(), -0.5, 1.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5])
+    def test_same_draws_as_full_path(self, nu):
+        # an order array takes the full validation and the per-order split
+        gen = np.random.default_rng(43)
+        c, d = gen.uniform(0.1, 3.0, 50), gen.uniform(1e-3, 3.0, 50)
+        for cc in (c, 1.7):
+            fast = gig_rvs(RngStream(44).generator(), nu, cc, d)
+            full = gig_rvs(RngStream(44).generator(), np.full(50, nu), cc, d)
+            assert fast.tobytes() == full.tobytes()
+
+    def test_scalar_half_order_is_one_wald_draw(self):
+        x = gig_rvs(RngStream(45).generator(), -0.5, np.float64(1.2), np.array(0.4))
+        assert isinstance(x, float)
+        assert x == RngStream(45).generator().wald(0.4 / 1.2, 0.16)
+
+    def test_empty_parameters(self):
+        out = gig_rvs(RngStream(46).generator(), 0.5, 1.0, np.array([]))
+        assert out.shape == (0,)
+
+
 class TestGigShifted:
     """1 + X with X ~ GIG, as the elastic-net latents t_j > 1 are drawn."""
 

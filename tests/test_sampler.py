@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import kve
 
+from hqreg import sampler
 from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs, GigParams
 from hqreg.sampler import (
     ChainError,
@@ -454,6 +455,159 @@ class TestPenaltyContract:
         assert samples.columns[data.k + 2:] == list(penalty.columns)
         assert np.all(samples.column(column) == 0.37)
         assert samples.health.mh_proposals == 0
+
+
+def _full_state(gen, n, k):
+    # every latent populated, so one state serves both families
+    return ChainState(
+        beta=gen.standard_normal(k), v=gen.uniform(0.05, 3.0, n),
+        sigma=gen.uniform(0.05, 3.0, n), rho2=gen.uniform(0.1, 4.0), eta=gen.uniform(0.2, 5.0),
+        s=gen.uniform(0.05, 5.0, k), lam1_sq=gen.uniform(0.2, 3.0),
+        t=gen.uniform(1.01, 6.0, k), lam3_tilde=gen.uniform(0.2, 3.0),
+        lam4=gen.uniform(0.2, 3.0),
+    )
+
+
+class TestLeanBlocks:
+    """The blocks compute their inputs in place, with the same operations in
+    the same order as the plain expressions, and never touch the state."""
+
+    def test_clamp_returns_input_when_nothing_is_below_floor(self):
+        health = ChainHealth()
+        arr = np.array([1e-300, 0.5, 3.0])
+        assert sampler._clamp_positive(arr, health) is arr
+        assert health.positivity_clamps == 0
+
+    def test_clamp_floors_and_counts(self):
+        health = ChainHealth()
+        arr = np.array([1.0, 0.0, -2.0, 1e-310, 5.0])
+        out = sampler._clamp_positive(arr, health)
+        np.testing.assert_array_equal(out, [1.0, 1e-300, 1e-300, 1e-300, 5.0])
+        assert health.positivity_clamps == 3
+        np.testing.assert_array_equal(arr, [1.0, 0.0, -2.0, 1e-310, 5.0])
+
+    def test_clamp_passes_nan_through(self):
+        health = ChainHealth()
+        out = sampler._clamp_positive(np.array([np.nan, 2.0, 0.0]), health)
+        assert np.isnan(out[0]) and out[1] == 2.0 and out[2] == 1e-300
+        assert health.positivity_clamps == 1
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    def test_gig_arguments_match_plain_expressions(self, tau, monkeypatch):
+        calls = []
+
+        def capture(rng, nu, c, d, size=None):
+            calls.append((nu, c, d))
+            return np.ones(np.shape(d)) if np.ndim(d) else 1.0
+
+        monkeypatch.setattr(sampler, "gig_rvs", capture)
+        gen = RngStream(380).generator()
+        n, k = 12, 4
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        for penalty in (LassoHyper(), ElasticNetHyper()):
+            spec = ModelSpec(tau=tau, penalty=penalty)
+            st = _full_state(gen, n, k)
+            calls.clear()
+            update_sigma(st, data, spec, gen)
+            update_v(st, data, spec, gen)
+            (update_s if isinstance(penalty, LassoHyper) else update_t)(st, data, spec, gen)
+            update_rho2(st, data, spec, gen)
+            resid = data.y - data.X @ st.beta
+            r_sig = resid - (1.0 - 2.0 * tau) * st.v
+            d_sq = r_sig * r_sig / (4.0 * st.v) + tau * (1.0 - tau) * st.v + st.eta * st.rho2
+            c_v = 0.5 / np.sqrt(st.sigma)
+            if isinstance(penalty, LassoHyper):
+                c_pen = math.sqrt(st.lam1_sq)
+                d_pen = np.abs(st.beta) / math.sqrt(st.rho2)
+                quad_sum = float(np.sum(st.beta**2 / st.s))
+            else:
+                c_pen = math.sqrt(2.0 * st.lam3_tilde)
+                d_pen = np.sqrt(2.0 * st.lam4 / st.rho2) * np.abs(st.beta)
+                quad_sum = float(np.sum(2.0 * st.lam4 * st.t * st.beta**2 / (st.t - 1.0)))
+            c_rho2 = math.sqrt(st.eta * float(np.sum(1.0 / st.sigma)))
+            d_rho2 = math.sqrt(st.eta * float(np.sum(st.sigma)) + quad_sum)
+            expected = [
+                (-0.5, math.sqrt(st.eta / st.rho2), np.sqrt(d_sq)),
+                (0.5, c_v, np.abs(resid) * c_v),
+                (0.5, c_pen, d_pen),
+                (-(n + k / 2.0), c_rho2, d_rho2),
+            ]
+            assert len(calls) == len(expected)
+            for got, want in zip(calls, expected):
+                for a, b in zip(got, want):
+                    assert np.asarray(a, dtype=float).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("n,k", [(12, 4), (5, 9)])
+    def test_beta_system_matches_plain_expressions(self, n, k, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sampler, "mvn_from_precision",
+                            lambda rng, p, h: calls.append((p, h)) or np.zeros(k))
+        monkeypatch.setattr(sampler, "mvn_low_rank",
+                            lambda rng, phi, var, a: calls.append((phi, var, a)) or np.zeros(k))
+        gen = RngStream(381).generator()
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        spec = ModelSpec(tau=0.3)
+        st = _full_state(gen, n, k)
+        update_beta(st, data, spec, gen)
+        winv = 1.0 / np.maximum(4.0 * st.sigma * st.v, 1e-280)
+        target = data.y - (1.0 - 2.0 * spec.tau) * st.v
+        prior = spec.penalty.prior_precision(st)
+        if k > n:
+            root = np.sqrt(winv)
+            want = (data.X * root[:, None], 1.0 / prior, root * target)
+        else:
+            xw = data.X * winv[:, None]
+            precision = xw.T @ data.X
+            precision.flat[:: k + 1] += prior
+            want = (precision, xw.T @ target)
+        for a, b in zip(calls[0], want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_scalar_rates_match_plain_expressions(self, monkeypatch):
+        gen = RngStream(382).generator()
+        n, k = 10, 6
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        st = _full_state(gen, n, k)
+        spec = ModelSpec(tau=0.4, penalty=ElasticNetHyper())
+        rate = float(np.sum(st.t * st.beta**2 / (st.rho2 * (st.t - 1.0)))) + 1.0
+        draw = update_lambda4(st, data, spec, RngStream(383).generator())
+        assert draw == float(RngStream(383).generator().gamma(k / 2.0 + 1.0) / rate)
+        spec = ModelSpec(tau=0.4, penalty=LassoHyper())
+        rate = 1.0 + 0.5 * float(np.sum(st.s))
+        draw = update_lambda1_sq(st, data, spec, RngStream(384).generator())
+        assert draw == float(RngStream(384).generator().gamma(1.0 + k) / rate)
+        seen = []
+        monkeypatch.setattr(sampler, "refine_eta_gamma_params",
+                            lambda a, b, s_sum, *rest: seen.append(s_sum) or (1.0, 1.0, []))
+        update_eta_approx(st, spec, gen)
+        assert seen == [0.5 * float(np.sum(st.sigma / st.rho2 + st.rho2 / st.sigma))]
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    @pytest.mark.parametrize("n,k", [(15, 4), (4, 9)])
+    def test_blocks_leave_state_arrays_untouched(self, penalty, n, k):
+        gen = RngStream(385).generator()
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        spec = ModelSpec(tau=0.3, penalty=penalty)
+        st = _full_state(gen, n, k)
+        before = {f: np.copy(getattr(st, f)) for f in ("beta", "v", "sigma", "s", "t")}
+        X, y = data.X.copy(), data.y.copy()
+        update_beta(st, data, spec, gen)
+        update_sigma(st, data, spec, gen)
+        update_v(st, data, spec, gen)
+        update_rho2(st, data, spec, gen)
+        update_eta_approx(st, spec, gen)
+        penalty.rho2_quadratic(st)
+        penalty.prior_precision(st)
+        if isinstance(penalty, LassoHyper):
+            update_s(st, data, spec, gen)
+            update_lambda1_sq(st, data, spec, gen)
+        else:
+            update_t(st, data, spec, gen)
+            update_lambda4(st, data, spec, gen)
+            mh_update_lambda3_tilde(st, data, spec, gen)
+        for f, arr in before.items():
+            assert getattr(st, f).tobytes() == arr.tobytes(), f
+        assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
 
 
 class TestEtaUpdate:

@@ -11,6 +11,7 @@ from scipy.special import gamma, gammaincc, kv
 
 from hqreg.specfun import (
     log_bessel_k,
+    log_k1_derivs,
     log_k1_deriv,
     log_k1_deriv2,
     log_upper_gamma_half,
@@ -173,3 +174,40 @@ class TestLogUpperGammaHalf:
         val = log_upper_gamma_half(5000.0)
         # Gamma(1/2, x) ~ x^{-1/2} e^{-x} for large x
         assert val == pytest.approx(-0.5 * np.log(5000.0) - 5000.0, abs=0.01)
+
+
+class TestFloatPaths:
+    """A float argument skips the array validation and gives the array path's
+    bits; non-finite and out-of-domain floats are still rejected."""
+
+    XS = np.concatenate([[1e-30, 1e-8, 0.5, 1.0, 2.0 / 3.0, 709.0, 1e6, 1e300],
+                         np.random.default_rng(5).uniform(1e-3, 50.0, 200)])
+
+    def test_log_k1_derivs_bitwise(self):
+        for x in self.XS:
+            fast = log_k1_derivs(float(x))
+            slow = log_k1_derivs(np.array(x))
+            assert isinstance(fast[0], float) and isinstance(fast[1], float)
+            assert np.array(fast).tobytes() == np.array(slow).tobytes()
+        first, second = log_k1_derivs(self.XS)
+        fast = np.array([log_k1_derivs(float(x)) for x in self.XS])
+        assert fast[:, 0].tobytes() == first.tobytes()
+        assert fast[:, 1].tobytes() == second.tobytes()
+
+    def test_log_upper_gamma_half_bitwise(self):
+        for x in np.concatenate([[0.0, -0.0], self.XS]):
+            fast = log_upper_gamma_half(float(x))
+            assert isinstance(fast, float)
+            assert np.float64(fast).tobytes() == np.float64(log_upper_gamma_half(np.array(x))).tobytes()
+        fast = np.array([log_upper_gamma_half(float(x)) for x in self.XS])
+        assert fast.tobytes() == log_upper_gamma_half(self.XS).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_log_k1_derivs_rejects(self, x):
+        with pytest.raises(ValueError):
+            log_k1_derivs(x)
+
+    @pytest.mark.parametrize("x", [-1e-300, -2.0, float("nan"), float("inf")])
+    def test_log_upper_gamma_half_rejects(self, x):
+        with pytest.raises(ValueError):
+            log_upper_gamma_half(x)
