@@ -301,7 +301,10 @@ def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d):
     GIG(-1/2, c, d) is IG(mean d/c, shape d^2), and GIG(1/2, c, d) is the
     reciprocal of IG(mean c/d, shape c^2).
     """
-    return gen.wald(d / c, d * d) if negative else 1.0 / gen.wald(c / d, c * c)
+    if negative:
+        return gen.wald(d / c, d * d)
+    x = gen.wald(c / d, c * c)
+    return np.divide(1.0, x, out=x) if isinstance(x, np.ndarray) else 1.0 / x
 
 
 def _wald_gig_half(gen: np.random.Generator, nu, c, d):
@@ -375,25 +378,37 @@ def _high(x):
     return x.max(initial=-math.inf) if isinstance(x, np.ndarray) else x
 
 
+def _plainly_interior(nu: float, c, d) -> bool:
+    """nu finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf for every pair,
+    which together imply finite c, d > 0; c and d as from :func:`_as_param`.
+
+    For a scalar c > 0, rounding x -> c*x is monotone, so the extremes of
+    c*d are c*min(d) and c*max(d) (NaN propagating through both) and no
+    c*d array is built.
+    """
+    if not (math.isfinite(nu) and _low(c) > 0.0):
+        return False
+    if isinstance(c, float):
+        return c * _low(d) >= GIG_BOUNDARY_EPS and c * _high(d) < math.inf
+    cd = c * d
+    return _low(cd) >= GIG_BOUNDARY_EPS and _high(cd) < math.inf
+
+
 def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
     """GIG draws for one order when every (c, d) pair is plainly interior.
 
-    One test: nu finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf, which
-    together imply finite c, d > 0.  Orders +-1/2 then go straight to the
-    Wald law, for any shapes of c and d; any other order goes to the
-    scalar Devroye sampler when c and d are scalars too.  Returns None,
-    having drawn nothing, in every other case.
+    Orders +-1/2 go straight to the Wald law, for any shapes of c and d;
+    any other order goes to the scalar Devroye sampler when c and d are
+    scalars too.  Returns None, having drawn nothing, in every other case.
     """
     c, d = _as_param(c), _as_param(d)
-    cd = c * d
-    if not (math.isfinite(nu) and _low(c) > 0.0
-            and _low(cd) >= GIG_BOUNDARY_EPS and _high(cd) < math.inf):
+    if not _plainly_interior(nu, c, d):
         return None
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d)
-    if isinstance(cd, np.ndarray):
+    if not (isinstance(c, float) and isinstance(d, float)):
         return None
-    y = _devroye_gig_scalar(gen, abs(nu), cd)
+    y = _devroye_gig_scalar(gen, abs(nu), c * d)
     return None if y is None else (1.0 / y if nu < 0 else y) * (d / c)
 
 

@@ -318,34 +318,47 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     return mvn_from_precision(gen, precision, xw.T @ target)
 
 
-def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
-    """Per-observation GIG(-1/2) draws for the global mixing latents."""
+def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng,
+                 resid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-observation GIG(-1/2) draws for the global mixing latents.
+
+    ``resid`` is y - X beta at the state, computed here when not given;
+    it is only read.
+    """
     gen = as_generator(rng)
     tau = spec.tau
-    # d^2 = resid^2 / (4 v) + tau (1 - tau) v + eta rho2, built in place
-    d = data.y - data.X @ state.beta
-    d -= (1.0 - 2.0 * tau) * state.v
+    if resid is None:
+        resid = data.y - data.X @ state.beta
+    # d^2 = (resid - (1 - 2 tau) v)^2 / (4 v) + tau (1 - tau) v + eta rho2,
+    # built in place in d and one scratch array
+    d = (1.0 - 2.0 * tau) * state.v
+    np.subtract(resid, d, out=d)
     d *= d
-    d /= 4.0 * state.v
-    d += tau * (1.0 - tau) * state.v
+    scratch = 4.0 * state.v
+    d /= scratch
+    np.multiply(tau * (1.0 - tau), state.v, out=scratch)
+    d += scratch
     d += state.eta * state.rho2
     np.sqrt(d, out=d)
     c = math.sqrt(state.eta / state.rho2)
     return gig_rvs(gen, -0.5, c, d)
 
 
-def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
+def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng,
+             resid: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-observation GIG(1/2) draws for the asymmetry latents.
 
     The x-coefficient (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma collapses
     to 1/(4 sigma); exact-zero residuals hit the gamma boundary of the
-    GIG sampler rather than being jittered.
+    GIG sampler rather than being jittered.  ``resid`` is as in
+    :func:`update_sigma`.
     """
     gen = as_generator(rng)
     c = np.sqrt(state.sigma)
     np.divide(0.5, c, out=c)
-    d = data.y - data.X @ state.beta
-    np.abs(d, out=d)
+    if resid is None:
+        resid = data.y - data.X @ state.beta
+    d = np.abs(resid)
     d *= c
     return gig_rvs(gen, 0.5, c, d)
 
@@ -556,9 +569,12 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
         try:
             state.beta = update_beta(state, data, spec, gen)
             block = "sigma"
-            state.sigma = _clamp_positive(update_sigma(state, data, spec, gen), health)
+            # sigma and v both read y - X beta, and beta stays fixed until
+            # the next scan
+            resid = data.y - data.X @ state.beta
+            state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
             block = "v"
-            state.v = _clamp_positive(update_v(state, data, spec, gen), health)
+            state.v = _clamp_positive(update_v(state, data, spec, gen, resid), health)
             block = "penalty"
             penalty.update(state, data, spec, gen, health)
             block = "rho2"

@@ -100,6 +100,88 @@ class TestIngest:
         assert err.value.error_class == "config-error"
 
 
+def _ingest_outcome(parse, path):
+    """The parsed bits and header, or the error class and message."""
+    try:
+        data, header = parse(path)
+    except CliError as exc:
+        return ("error", exc.error_class, str(exc))
+    except Exception as exc:  # e.g. a decoding error, which both passes let through
+        return ("exception", type(exc).__name__, str(exc))
+    return ("ok", data.X.shape, data.X.tobytes(), data.y.tobytes(), header)
+
+
+class TestIngestParity:
+    """The one-pass parse and the csv.reader row scan agree on every file:
+    same data bits and header, or same error class and message.  Files in
+    the documented dialect (README, "Input CSV") take the one pass."""
+
+    @pytest.mark.parametrize("text,one_pass", [
+        # the dialect: commas, one header row, the response last
+        ("a,b,y\n1,2,3\n4,5,6\n", True),
+        ("a , b ,y\n 1.5 , 2 ,\t3\n4e-3,-0,+6\n", True),  # padded cells
+        ("a,y\r\n1,2\r\n3,4\r\n", True),  # CRLF line ends
+        ("a,y\r1,2\r3,4\r", True),  # CR line ends
+        ("a,y\n1,2\n3,4", True),  # no final newline
+        ("a,y\n1,2\n", True),  # a single data row
+        ("\ufeffa,y\n1,2\n", True),  # a BOM stays in the first name
+        ("a,y\n1e-320,0.1\n1e-400,1e308\n", True),  # subnormal, underflow to 0
+        # outside it: the row scan gives the data or the error
+        ('"a","y"\n"1.5",2\n', False),  # quoted cells
+        ('a,y\n"1,5",2\n', False),  # a quoted comma
+        ("a,y\n1_0,2\n", False),  # underscores, as float() takes them
+        ("a,y\n\u0661,2\n", False),  # a non-ASCII digit, as float() takes it
+        ("a,y\n1,2\n\n3,4\n", False),  # a blank line
+        ("a,y\n1,2\n\n", False),  # a trailing blank line
+        ("a,y\n1,2\n  \n", False),  # a whitespace line
+        ("a,y\n1,2\n#3,4\n", False),  # a '#' cell
+        ("# note\na,y\n1,2\n", False),  # a comment line becomes the header
+        ("a,y\n1,2\ninf,3\n4,nan\n", False),  # non-finite rows
+        ("a,y\n1e400,2\n", False),  # overflow to inf
+        ("a,y\n0x10,2\n", False),  # hex
+        ("a,y\n1,2\x0c3\n", False),  # a form feed is not a line end
+        ("a,y\n1,2\u20283,4\n", False),  # nor is a line separator
+        ("a,y\n1\x00,2\n", False),  # NUL
+        ("a,y\n", False),  # header only
+        ("", False),  # empty file
+        ("y\n1\n", False),  # one column
+        ("a,b,y\n1,2,3\n4,5\n", False),  # ragged row
+        ("a,y\n1,2,3\n", False),  # a row too wide
+        ("a,y\n1,,\n", False),
+    ])
+    def test_same_result_both_ways(self, tmp_path, text, one_pass):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        rows = _ingest_outcome(cli._ingest_rows, path)
+        assert _ingest_outcome(ingest_csv, path) == rows
+        assert (cli._ingest_one_pass(path) is not None) == one_pass
+        if one_pass:
+            assert _ingest_outcome(cli._ingest_one_pass, path) == rows
+
+    def test_field_longer_than_csv_limit(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("a,y\n1.00000000000,2\n")
+        old = csv.field_size_limit(8)
+        try:
+            assert cli._ingest_one_pass(path) is None
+            rows = _ingest_outcome(cli._ingest_rows, path)
+            assert rows[:2] == ("error", "parse-error")
+            assert _ingest_outcome(ingest_csv, path) == rows
+        finally:
+            csv.field_size_limit(old)
+        assert cli._ingest_one_pass(path) is not None
+
+    def test_large_file_takes_one_pass(self, tmp_path):
+        gen = np.random.default_rng(9)
+        body = gen.standard_normal((300, 8)) * 10.0 ** gen.integers(-300, 300, (300, 8))
+        path = tmp_path / "in.csv"
+        np.savetxt(path, body, fmt="%.17g", delimiter=",",
+                   header=",".join(f"x{j}" for j in range(8)), comments="")
+        data, header = cli._ingest_one_pass(path)
+        assert _ingest_outcome(cli._ingest_rows, path) == _ingest_outcome(ingest_csv, path)
+        assert data.X.tobytes() == body[:, :-1].tobytes() and data.y.tobytes() == body[:, -1].tobytes()
+
+
 def test_array_rows_write_like_csv_writer(tmp_path):
     gen = np.random.default_rng(8)
     body = np.concatenate([gen.standard_normal((4, 3)) * 1e5,
@@ -346,6 +428,37 @@ class TestOtherCommands:
         assert run_cli(["simulate", "--config", out1 / "manifest.txt", "--out", out2]) == 0
         assert (out1 / "tables.csv").read_bytes() == (out2 / "tables.csv").read_bytes()
         assert (out1 / "eta-medians.csv").read_bytes() == (out2 / "eta-medians.csv").read_bytes()
+
+
+class TestFailedRunOutput:
+    """A run that ends in an error line leaves no output directory that it
+    created, and leaves one that was there before as it was."""
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("fit", "input=absent.csv"),
+        ("cv", "a=-1"),  # after the input has been read
+        ("simulate", "reps=0"),
+        ("sensitivity", "values="),
+        ("contour", "prior_style=sideways"),
+    ])
+    def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
+                                              subcommand, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config.replace("absent.csv", str(tmp_path / "absent.csv")) + "\n")
+        args = [subcommand, "--config", cfg, "--out", tmp_path / "new" / "out"]
+        if subcommand == "cv":
+            args += ["--input", toy_csv]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("config-error: ")
+        assert not (tmp_path / "new").exists()
+
+    def test_existing_directory_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        assert run_cli(["simulate", "--reps", 0, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config-error: ")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 class TestEntryPoint:

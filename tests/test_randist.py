@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from hqreg import randist
 from hqreg.randist import (
     Cauchy,
     ContaminatedNormal,
@@ -268,6 +269,77 @@ class TestGigInteriorTest:
     def test_empty_parameters(self):
         out = gig_rvs(RngStream(46).generator(), 0.5, 1.0, np.array([]))
         assert out.shape == (0,)
+
+
+def _interior_by_product(nu, c, d):
+    """The interior test written on the c*d array itself."""
+    cd = c * d
+    return (math.isfinite(nu) and c > 0.0
+            and cd.min(initial=math.inf) >= GIG_BOUNDARY_EPS
+            and cd.max(initial=-math.inf) < math.inf)
+
+
+class TestScalarCInteriorTest:
+    """A scalar c tests c*min(d) and c*max(d) instead of building c*d; it must
+    accept and reject exactly as the c*d array does."""
+
+    TINY = 5e-324  # the smallest subnormal
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, float("nan")])
+    @pytest.mark.parametrize("c,d", [
+        (1.3, [0.5, 2.0, 7.0]),
+        (1.3, [0.5, float("nan"), 7.0]),  # NaN d
+        (1.3, [float("nan"), float("nan")]),
+        (1.3, [0.5, math.inf]),  # infinite d
+        (1.3, [-math.inf, 2.0]),
+        (1.3, [0.5, -2.0]),  # negative d
+        (1.3, [0.0, 2.0]),  # d = 0: gamma limit
+        (1.3, [-0.0, 2.0]),
+        (0.0, [0.5, 2.0]),  # c = 0
+        (-0.0, [0.5, 2.0]),
+        (-1.0, [0.5, 2.0]),
+        (math.inf, [0.5, 2.0]),
+        (math.inf, [0.0, 2.0]),  # inf * 0 is NaN
+        (float("nan"), [0.5, 2.0]),
+        (TINY, [0.5, 2.0]),  # subnormal c, product underflows below the bound
+        (TINY, [1e300, 1.7e308]),  # subnormal c, product in range
+        (1e-300, [1e288, 1e289]),  # product at the bound
+        (1e-300, [0.999999e288, 1e289]),  # just below it
+        (1e300, [0.5, 1e8]),  # c * max(d) overflows to inf
+        (1e300, [0.5, 1e300]),
+        (1e154, [1e154, 2e154]),  # largest product finite
+        (1.3, []),
+    ])
+    @np.errstate(all="ignore")
+    def test_accepts_and_rejects_as_product(self, nu, c, d):
+        d = np.array(d, dtype=float)
+        assert randist._plainly_interior(nu, c, d) == _interior_by_product(nu, c, d)
+
+    @np.errstate(all="ignore")
+    def test_random_extremes(self):
+        # c and d spread over the whole exponent range, with NaN, inf, 0 and
+        # negative entries mixed in
+        gen = np.random.default_rng(50)
+        accepted = 0
+        for _ in range(2000):
+            c = 10.0 ** gen.uniform(-324, 308.2)
+            d = 10.0 ** gen.uniform(-330, 330, size=gen.integers(1, 6))
+            if gen.random() < 0.2:
+                d[gen.integers(d.size)] = gen.choice([np.nan, np.inf, 0.0, -1.0])
+            fast = randist._plainly_interior(0.5, c, d)
+            assert fast == _interior_by_product(0.5, c, d)
+            accepted += fast
+        assert 0 < accepted < 2000
+
+    def test_accepted_draws_match_array_c(self):
+        # an array c takes the c*d form of the test; the draws are the same
+        d = np.random.default_rng(48).uniform(1e-3, 3.0, 40)
+        for nu in (-0.5, 0.5):
+            for c in (1.7, 1e-10, 1e3):
+                scalar = randist._gig_plain_interior(RngStream(49).generator(), nu, c, d)
+                array = randist._gig_plain_interior(
+                    RngStream(49).generator(), nu, np.full(d.size, c), d)
+                assert scalar.tobytes() == array.tobytes()
 
 
 class TestGigShifted:

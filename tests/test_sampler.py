@@ -609,6 +609,59 @@ class TestLeanBlocks:
             assert getattr(st, f).tobytes() == arr.tobytes(), f
         assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("n,k", [(12, 4), (5, 9)])
+    def test_shared_residual_gives_plain_gig_arguments(self, tau, n, k, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sampler, "gig_rvs",
+                            lambda rng, nu, c, d, size=None: calls.append((nu, c, d)) or 1.0)
+        gen = RngStream(386).generator()
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        spec = ModelSpec(tau=tau)
+        st = _full_state(gen, n, k)
+        resid = data.y - data.X @ st.beta
+        kept = resid.copy()
+        update_sigma(st, data, spec, gen, resid)
+        update_v(st, data, spec, gen, resid)
+        # the expressions of the blocks before the residual was shared
+        d = data.y - data.X @ st.beta
+        d -= (1.0 - 2.0 * tau) * st.v
+        d *= d
+        d /= 4.0 * st.v
+        d += tau * (1.0 - tau) * st.v
+        d += st.eta * st.rho2
+        np.sqrt(d, out=d)
+        c_v = np.sqrt(st.sigma)
+        np.divide(0.5, c_v, out=c_v)
+        d_v = data.y - data.X @ st.beta
+        np.abs(d_v, out=d_v)
+        d_v *= c_v
+        expected = [(-0.5, math.sqrt(st.eta / st.rho2), d), (0.5, c_v, d_v)]
+        assert len(calls) == 2
+        for got, want in zip(calls, expected):
+            for a, b in zip(got, want):
+                assert np.asarray(a, dtype=float).tobytes() == np.asarray(b).tobytes()
+        assert resid.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    def test_run_chain_shares_the_post_beta_residual(self, penalty, monkeypatch):
+        # sigma and v get y - X beta at the beta of their own scan
+        seen = []
+        for name in ("update_sigma", "update_v"):
+            block = getattr(sampler, name)
+
+            def spy(state, data, spec, rng, resid=None, block=block, name=name):
+                seen.append((name, resid.tobytes(),
+                             (data.y - data.X @ state.beta).tobytes()))
+                return block(state, data, spec, rng, resid)
+
+            monkeypatch.setattr(sampler, name, spy)
+        gen = RngStream(387).generator()
+        data = Dataset(gen.standard_normal((15, 4)), gen.standard_normal(15))
+        run_chain(data, ModelSpec(tau=0.3, penalty=penalty, n_iter=6, burn_in=2, seed=5))
+        assert [name for name, _, _ in seen] == ["update_sigma", "update_v"] * 6
+        assert all(resid == plain for _, resid, plain in seen)
+
 
 class TestEtaUpdate:
     def test_no_data_draws_prior(self):
