@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import shutil
 import sys
 import time
 import warnings
@@ -415,9 +414,9 @@ def _prepare_fit_data(cfg: RunConfig):
 
 
 def cmd_fit(cfg: RunConfig) -> list:
-    outdir = _outdir(cfg)
     data, names_x, _, _ = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
+    outdir = _outdir(cfg)
     samples = run_chain(data, model)
     rename = {f"beta_{j}": f"beta_{j}:{names_x[j]}" for j in range(len(names_x))}
     columns = [rename.get(c, c) for c in samples.columns]
@@ -432,10 +431,10 @@ def cmd_fit(cfg: RunConfig) -> list:
 
 
 def cmd_cv(cfg: RunConfig) -> list:
-    outdir = _outdir(cfg)
     data, _, _, _ = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     folds = cfg.get_int("folds")
+    outdir = _outdir(cfg)
     try:
         result = simbench.cross_validate(data, model, folds=folds)
     except ValueError as exc:
@@ -451,7 +450,6 @@ def cmd_cv(cfg: RunConfig) -> list:
 
 
 def cmd_simulate(cfg: RunConfig) -> list:
-    outdir = _outdir(cfg)
     reps = cfg.get_int("reps")
     if reps < 1:
         raise CliError("config-error", f"reps must be >= 1, got {reps}")
@@ -481,6 +479,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         raise CliError("config-error", str(exc)) from exc
     # run_study sets each cell's tau; the model takes the first for validation
     model = _model_spec(cfg, tau=taus[0])
+    outdir = _outdir(cfg)
     cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
     table_rows = []
     eta_rows = []
@@ -501,7 +500,6 @@ def cmd_simulate(cfg: RunConfig) -> list:
 
 
 def cmd_sensitivity(cfg: RunConfig) -> list:
-    outdir = _outdir(cfg)
     vary = cfg.get("vary")
     family = next((name for name, cls in _PENALTIES.items() if vary in cls.keys), None)
     if family is None:
@@ -516,9 +514,10 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
     for val in values:
         sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})
         models.append((f"{vary}={val:g}", _model_spec(sub)))
+    noise_sigma = cfg.get_float("noise_sigma")
+    outdir = _outdir(cfg)
     curves = simbench.sensitivity_curve_study(
-        models, master_seed=cfg.get_int("seed"),
-        noise_sigma=cfg.get_float("noise_sigma"),
+        models, master_seed=cfg.get_int("seed"), noise_sigma=noise_sigma,
     )
     rows = []
     for label, grid, fitted, truth in curves:
@@ -537,7 +536,6 @@ def _toy_contour_data(cfg: RunConfig):
 
 
 def cmd_contour(cfg: RunConfig) -> list:
-    outdir = _outdir(cfg)
     x, y = _toy_contour_data(cfg)
     size = cfg.get_int("grid_size")
     bgrid = np.exp(np.linspace(cfg.get_float("log_beta_min"), cfg.get_float("log_beta_max"), size))
@@ -552,6 +550,7 @@ def cmd_contour(cfg: RunConfig) -> list:
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
+    outdir = _outdir(cfg)
     z = log_posterior_grid(spec)
     rows = []
     log_b = np.log(bgrid)
@@ -575,20 +574,14 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> list:
     """Execute one resolved configuration; returns the written files.
 
-    A run that fails removes the output directory if the run created it.
+    Each subcommand checks its keys before it creates the output
+    directory, so a config-error leaves none behind.
     """
-    out = Path(cfg.get("out"))
-    # the outermost directory of out= that the run would create
-    created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
     t0 = time.perf_counter()
-    try:
-        written = _RUNNERS[cfg.subcommand](cfg)
-        _write_manifest(_outdir(cfg), cfg, time.perf_counter() - t0)
-    except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-        raise
-    return written + [out / "manifest.txt"]
+    written = _RUNNERS[cfg.subcommand](cfg)
+    outdir = _outdir(cfg)
+    _write_manifest(outdir, cfg, time.perf_counter() - t0)
+    return written + [outdir / "manifest.txt"]
 
 
 def main(argv=None) -> int:

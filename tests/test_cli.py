@@ -431,15 +431,20 @@ class TestOtherCommands:
 
 
 class TestFailedRunOutput:
-    """A run that ends in an error line leaves no output directory that it
-    created, and leaves one that was there before as it was."""
+    """A run that ends in a config-error creates no output directory, and a
+    failed run deletes nothing."""
 
     @pytest.mark.parametrize("subcommand,config", [
         ("fit", "input=absent.csv"),
-        ("cv", "a=-1"),  # after the input has been read
+        ("fit", "seed=x"),  # read after the input
+        ("cv", "a=-1"),
+        ("cv", "folds=x"),
         ("simulate", "reps=0"),
+        ("simulate", "seed=x"),
         ("sensitivity", "values="),
+        ("sensitivity", "noise_sigma=x"),
         ("contour", "prior_style=sideways"),
+        ("contour", "tau=2"),
     ])
     def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
                                               subcommand, config):
@@ -459,6 +464,23 @@ class TestFailedRunOutput:
         assert run_cli(["simulate", "--reps", 0, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("config-error: ")
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    def test_failure_after_the_directory_deletes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # another run writes beside this one while it runs, then this one fails
+        parent = tmp_path / "results"
+        other = parent / "b" / "done.txt"
+
+        def run_study(*args, **kwargs):
+            other.parent.mkdir()
+            other.write_text("x")
+            raise CliError("data-error", "failed late")
+
+        monkeypatch.setattr(cli.simbench, "run_study", run_study)
+        assert run_cli(["simulate", "--out", parent / "a"]) == 1
+        assert capsys.readouterr().err.startswith("data-error: ")
+        assert other.read_text() == "x"
+        assert (parent / "a").is_dir()
 
 
 class TestEntryPoint:
