@@ -294,23 +294,56 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
 
 
-def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d):
+def _require_wald_range(negative: bool, mean_lo, mean_hi, shape_lo, shape_hi) -> None:
+    """Raise ValueError unless every Wald mean and shape lies in (0, inf).
+
+    Interior GIG parameters can still put d/c, c/d, d^2 or c^2 outside
+    the double range, where ``Generator.wald`` raises on 0 and returns
+    NaN on inf.
+    """
+    for name, lo, hi in (("mean", mean_lo, mean_hi), ("shape", shape_lo, shape_hi)):
+        if not (lo > 0.0 and hi < math.inf):
+            if negative:
+                order, form = "-1/2", "d/c" if name == "mean" else "d^2"
+            else:
+                order, form = "1/2", "c/d" if name == "mean" else "c^2"
+            fate = "underflows to 0" if not lo > 0.0 else "overflows to inf"
+            raise ValueError(f"GIG({order}) Wald {name} {form} {fate}; "
+                             f"the parameters leave the double range")
+
+
+def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d, checked=False):
     """Exact GIG(-1/2, c, d) draws when ``negative``, else GIG(1/2, c, d),
     by the Wald (inverse Gaussian) law.
 
     GIG(-1/2, c, d) is IG(mean d/c, shape d^2), and GIG(1/2, c, d) is the
-    reciprocal of IG(mean c/d, shape c^2).
+    reciprocal of IG(mean c/d, shape c^2).  Unless ``checked`` says the
+    caller has bounded them, the means and shapes are tested against the
+    double range first.
     """
+    if checked:
+        mean, shape = (d / c, d * d) if negative else (c / d, c * c)
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            mean, shape = (d / c, d * d) if negative else (c / d, c * c)
+        _require_wald_range(negative, _low(mean), _high(mean), _low(shape), _high(shape))
+    x = gen.wald(mean, shape)
     if negative:
-        return gen.wald(d / c, d * d)
-    x = gen.wald(c / d, c * c)
+        return x
     return np.divide(1.0, x, out=x) if isinstance(x, np.ndarray) else 1.0 / x
 
 
 def _wald_gig_half(gen: np.random.Generator, nu, c, d):
     """As :func:`_wald_gig_half_order`, with orders +-1/2 mixed elementwise."""
     neg = nu < 0
-    x = gen.wald(np.where(neg, d / c, c / d), np.where(neg, d * d, c * c))
+    with np.errstate(over="ignore", under="ignore"):
+        mean, shape = np.where(neg, d / c, c / d), np.where(neg, d * d, c * c)
+    for negative in (True, False):
+        part = neg == negative
+        if part.any():
+            _require_wald_range(negative, mean[part].min(), mean[part].max(),
+                                shape[part].min(), shape[part].max())
+    x = gen.wald(mean, shape)
     return np.where(neg, x, 1.0 / x)
 
 
@@ -378,20 +411,45 @@ def _high(x):
     return x.max(initial=-math.inf) if isinstance(x, np.ndarray) else x
 
 
-def _plainly_interior(nu: float, c, d) -> bool:
-    """nu finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf for every pair,
-    which together imply finite c, d > 0; c and d as from :func:`_as_param`.
+def _interior_extremes(nu: float, c, d):
+    """(min c, min c*d, max c*d) when nu is finite, c > 0 and
+    GIG_BOUNDARY_EPS <= c*d < inf for every pair, else None.  Together
+    these imply finite c, d > 0; c and d are as from :func:`_as_param`.
 
     For a scalar c > 0, rounding x -> c*x is monotone, so the extremes of
     c*d are c*min(d) and c*max(d) (NaN propagating through both) and no
     c*d array is built.
     """
-    if not (math.isfinite(nu) and _low(c) > 0.0):
-        return False
+    if not math.isfinite(nu):
+        return None
+    c_lo = _low(c)
+    if not c_lo > 0.0:
+        return None
     if isinstance(c, float):
-        return c * _low(d) >= GIG_BOUNDARY_EPS and c * _high(d) < math.inf
-    cd = c * d
-    return _low(cd) >= GIG_BOUNDARY_EPS and _high(cd) < math.inf
+        cd_lo, cd_hi = c * _low(d), c * _high(d)
+    else:
+        cd = c * d
+        cd_lo, cd_hi = _low(cd), _high(cd)
+    if cd_lo >= GIG_BOUNDARY_EPS and cd_hi < math.inf:
+        return float(c_lo), float(cd_lo), float(cd_hi)
+    return None
+
+
+def _wald_plainly_in_range(negative: bool, c_lo, c_hi, cd_lo, cd_hi) -> bool:
+    """Whether every Wald mean and shape of interior pairs is far inside the
+    double range, judged from the extremes of c and c*d alone.
+
+    The mean c/d is c^2 / (c d), d is (c d) / c and d/c is d / c, so the
+    bounds below are within a few roundings of the extremes of the arrays
+    the draw builds; 1e-300 and 1e300 leave a wide margin for that.  The
+    arguments are Python floats, which overflow to inf without a warning.
+    """
+    if negative:
+        d_lo, d_hi = cd_lo / c_hi, cd_hi / c_lo
+        return (1e-300 <= d_lo / c_hi and 1e-300 <= d_lo * d_lo
+                and d_hi / c_lo <= 1e300 and d_hi * d_hi <= 1e300)
+    return (1e-300 <= c_lo * c_lo / cd_hi and 1e-300 <= c_lo * c_lo
+            and c_hi * c_hi / cd_lo <= 1e300 and c_hi * c_hi <= 1e300)
 
 
 def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
@@ -402,17 +460,20 @@ def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
     scalars too.  Returns None, having drawn nothing, in every other case.
     """
     c, d = _as_param(c), _as_param(d)
-    if not _plainly_interior(nu, c, d):
+    extremes = _interior_extremes(nu, c, d)
+    if extremes is None:
         return None
     if abs(nu) == 0.5:
-        return _wald_gig_half_order(gen, nu < 0, c, d)
+        c_lo, cd_lo, cd_hi = extremes
+        checked = _wald_plainly_in_range(nu < 0, c_lo, float(_high(c)), cd_lo, cd_hi)
+        return _wald_gig_half_order(gen, nu < 0, c, d, checked)
     if not (isinstance(c, float) and isinstance(d, float)):
         return None
     y = _devroye_gig_scalar(gen, abs(nu), c * d)
     return None if y is None else (1.0 / y if nu < 0 else y) * (d / c)
 
 
-def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
+def gig_rvs(rng, nu, c, d, size=None, *, interior_only=False) -> np.ndarray:
     """Vectorised GIG sampling; nu, c, d broadcast against each other.
 
     Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).
@@ -424,13 +485,19 @@ def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     takes its ``math``-module twin, which gives the same draw from the
     same stream.  A single order whose parameters pass one cheap interior
     test skips the full validation; any other input takes it, so errors
-    and limits do not depend on the test.
+    and limits do not depend on the test.  With ``interior_only``, such
+    other input returns None instead, having drawn nothing.
+
+    Raises ValueError when a Wald mean or shape of an order +-1/2 leaves
+    the double range (overflows to inf or underflows to 0).
     """
     gen = as_generator(rng)
     if size is None and (isinstance(nu, float) or np.ndim(nu) == 0):
         out = _gig_plain_interior(gen, float(nu), c, d)
-        if out is not None:
+        if out is not None or interior_only:
             return out
+    elif interior_only:
+        return None
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -462,11 +529,6 @@ def gig_moment(params: GigParams, order: float) -> float:
     return (params.d / params.c) ** order * np.exp(log_ratio)
 
 
-def _require_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("Gaussian draw needs finite inputs")
-
-
 def _cholesky_lower(matrix, overwrite=False):
     """Lower Cholesky factor by LAPACK potrf; only the lower triangle is
     read, and the upper one of the result is left as it was."""
@@ -486,7 +548,8 @@ def mvn_from_precision(rng, precision, linear_term) -> np.ndarray:
     gen = as_generator(rng)
     precision = np.asarray(precision, dtype=float)
     h = np.asarray(linear_term, dtype=float)
-    _require_finite(precision, h)
+    if not (np.isfinite(precision).all() and np.isfinite(h).all()):
+        raise ValueError("Gaussian draw needs finite inputs")
     lower = _cholesky_lower(precision)
     mean, _ = lapack.dpotrs(lower, h, lower=1)
     noise, _ = lapack.dtrtrs(lower, gen.standard_normal(h.shape[0]), lower=1, trans=1)
@@ -507,7 +570,9 @@ def mvn_low_rank(rng, phi, prior_var, alpha) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     prior_var = np.asarray(prior_var, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    _require_finite(phi, prior_var, alpha)
+    if not (np.isfinite(phi).all() and np.isfinite(prior_var).all()
+            and np.isfinite(alpha).all()):
+        raise ValueError("Gaussian draw needs finite inputs")
     n, k = phi.shape
     scaled = phi * prior_var
     gram = scaled @ phi.T

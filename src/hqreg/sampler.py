@@ -1,7 +1,11 @@
 """Gibbs samplers for Huberised regularised quantile regression.
 
-One scan updates beta, sigma, v, the penalty block, rho2 and eta.  Each
-penalty family is one object, its hyperparameter dataclass:
+One scan updates beta, sigma, then v with the penalty latents, the penalty
+rates, rho2 and eta.  Given beta and sigma, v and the penalty latents are
+independent GIG(1/2) variables, so one GIG call draws all n + k of them
+(:func:`update_v_and_latents`), with the variates of the separate calls
+:func:`update_v` and :func:`update_s` / :func:`update_t`.  Each penalty
+family is one object, its hyperparameter dataclass:
 
 * LassoHyper: coefficient scales s_j with a gamma-updated squared rate;
 * ElasticNetHyper: shifted latents t_j > 1 with a gamma step for the
@@ -11,8 +15,10 @@ penalty family is one object, its hyperparameter dataclass:
 It names its config ``keys``, study ``method`` label and retained rate
 ``columns``, and gives ``init`` (its latents and rates on a new state),
 ``prior_precision`` (the beta prior's diagonal), ``rho2_quadratic``
-(rho2 * sum(beta_j^2 * prior_precision_j)), ``rates`` and ``update``
-(its block).  Every latent block has a generalised inverse Gaussian
+(rho2 * sum(beta_j^2 * prior_precision_j)), ``rates``,
+``latent_params`` (the GIG(1/2) parameters of its latents) and
+``update`` (which takes the joint draw back, sets v and its latents and
+draws its rates).  Every latent block has a generalised inverse Gaussian
 full conditional; the robustness parameter eta is updated by a gamma
 approximation whose (shape, rate) pair is refined by a short
 fixed-point iteration before a single draw is taken.
@@ -42,6 +48,7 @@ __all__ = [
     "update_beta",
     "update_sigma",
     "update_v",
+    "update_v_and_latents",
     "update_rho2",
     "update_s",
     "update_lambda1_sq",
@@ -131,8 +138,20 @@ class LassoHyper:
     def rates(self, state: ChainState) -> tuple:
         return (state.lam1_sq,)
 
-    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
-        state.s = _clamp_positive(update_s(state, data, spec, gen), health)
+    @staticmethod
+    def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
+        """(c, d) of the GIG(1/2) s_j: sqrt(l1sq) and |beta_j| / sqrt(rho2),
+        d written to ``out`` when given."""
+        d = np.abs(state.beta, out=out)
+        d /= math.sqrt(state.rho2)
+        return math.sqrt(state.lam1_sq), d
+
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
+               drawn: np.ndarray) -> None:
+        """Take v and s from ``drawn`` (v's n draws, then s's k), clamped
+        together, then draw the rate."""
+        drawn = _clamp_positive(drawn, health)
+        state.v, state.s = drawn[: data.n], drawn[data.n:]
         if self.fixed_lambda1_sq is None:
             state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
 
@@ -180,8 +199,21 @@ class ElasticNetHyper:
     def rates(self, state: ChainState) -> tuple:
         return (state.lam3_tilde, state.lam4)
 
-    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
-        state.t = 1.0 + _clamp_positive(update_t(state, data, spec, gen) - 1.0, health)
+    @staticmethod
+    def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
+        """(c, d) of the GIG(1/2) t_j - 1: sqrt(2 l3t) and
+        |beta_j| sqrt(2 l4 / rho2), d written to ``out`` when given."""
+        d = np.abs(state.beta, out=out)
+        d *= math.sqrt(2.0 * state.lam4 / state.rho2)
+        return math.sqrt(2.0 * state.lam3_tilde), d
+
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
+               drawn: np.ndarray) -> None:
+        """Take v and t - 1 from ``drawn`` (v's n draws, then the k of
+        t - 1), then draw the rates."""
+        state.v = _clamp_positive(drawn[: data.n], health)
+        # the clamp sees (1 + x) - 1: an x below 2^-53 becomes 0 and is counted
+        state.t = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health)
         state.lam4 = update_lambda4(state, data, spec, gen)
         if self.fixed_lambda3_tilde is None:
             state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
@@ -354,13 +386,48 @@ def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     :func:`update_sigma`.
     """
     gen = as_generator(rng)
-    c = np.sqrt(state.sigma)
-    np.divide(0.5, c, out=c)
     if resid is None:
         resid = data.y - data.X @ state.beta
-    d = np.abs(resid)
+    return gig_rvs(gen, 0.5, *_v_params(state, resid))
+
+
+def _v_params(state: ChainState, resid: np.ndarray, c=None, d=None) -> tuple:
+    """(c, d) of the GIG(1/2) v_i: 1/(2 sqrt(sigma_i)) and |resid_i| c_i,
+    written to ``c`` and ``d`` when given."""
+    c = np.sqrt(state.sigma, out=c)
+    np.divide(0.5, c, out=c)
+    d = np.abs(resid, out=d)
     d *= c
-    return gig_rvs(gen, 0.5, c, d)
+    return c, d
+
+
+def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
+                         resid: Optional[np.ndarray] = None) -> np.ndarray:
+    """v and the penalty family's latents in one GIG(1/2) call: the n
+    draws of :func:`update_v`, then the k of :func:`update_s` (lasso) or
+    of :func:`update_t` less one (elastic net).
+
+    Given beta and sigma the two blocks are independent, and numpy draws
+    Wald variates element by element in index order, so one call over the
+    n + k pairs gives the variates of the two calls.  When some pair is
+    not plainly interior (a zero residual or coefficient, an underflow),
+    the boundary limits would order the joint draws by kind, so the two
+    calls are made instead.  ``resid`` is as in :func:`update_sigma`.
+    """
+    gen = as_generator(rng)
+    if resid is None:
+        resid = data.y - data.X @ state.beta
+    n = data.n
+    c = np.empty(n + data.k)
+    d = np.empty(n + data.k)
+    _v_params(state, resid, c[:n], d[:n])
+    c_pen, _ = spec.penalty.latent_params(state, d[n:])
+    c[n:] = c_pen
+    drawn = gig_rvs(gen, 0.5, c, d, interior_only=True)
+    if drawn is None:
+        drawn = np.concatenate((gig_rvs(gen, 0.5, c[:n], d[:n]),
+                                gig_rvs(gen, 0.5, c_pen, d[n:])))
+    return drawn
 
 
 def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
@@ -384,10 +451,7 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float
 def update_s(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
     """Lasso coefficient-scale latents: GIG(1/2, l1sq, beta_j^2/rho2)."""
     gen = as_generator(rng)
-    c = math.sqrt(state.lam1_sq)
-    d = np.abs(state.beta)
-    d /= math.sqrt(state.rho2)
-    return gig_rvs(gen, 0.5, c, d)
+    return gig_rvs(gen, 0.5, *LassoHyper.latent_params(state))
 
 
 def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
@@ -402,10 +466,7 @@ def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, rng) ->
 def update_t(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
     """Elastic-net latents t_j > 1; t_j - 1 is GIG(1/2, 2 l3t, 2 l4 beta_j^2/rho2)."""
     gen = as_generator(rng)
-    c = math.sqrt(2.0 * state.lam3_tilde)
-    d = np.abs(state.beta)
-    d *= math.sqrt(2.0 * state.lam4 / state.rho2)
-    return 1.0 + gig_rvs(gen, 0.5, c, d)
+    return 1.0 + gig_rvs(gen, 0.5, *ElasticNetHyper.latent_params(state))
 
 
 def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
@@ -548,7 +609,8 @@ def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
 def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     """Run one systematic-scan chain and collect thinned post-burn-in draws.
 
-    Scan order: beta, sigma, v, penalty block, rho2, eta.  Retains
+    Scan order: beta, sigma, v with the penalty latents, the penalty
+    rates, rho2, eta.  Retains
     floor((n_iter - burn_in)/thin) rows of (beta, rho2, eta, penalty
     rates).  Deterministic given the stream (spec.seed when ``rng`` is
     not supplied).
@@ -573,10 +635,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
             # the next scan
             resid = data.y - data.X @ state.beta
             state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
-            block = "v"
-            state.v = _clamp_positive(update_v(state, data, spec, gen, resid), health)
+            block = "v and penalty latents"
+            drawn = update_v_and_latents(state, data, spec, gen, resid)
             block = "penalty"
-            penalty.update(state, data, spec, gen, health)
+            penalty.update(state, data, spec, gen, health, drawn)
             block = "rho2"
             state.rho2 = update_rho2(state, data, spec, gen)
             if state.rho2 < _POSITIVITY_FLOOR:

@@ -313,7 +313,7 @@ class TestScalarCInteriorTest:
     @np.errstate(all="ignore")
     def test_accepts_and_rejects_as_product(self, nu, c, d):
         d = np.array(d, dtype=float)
-        assert randist._plainly_interior(nu, c, d) == _interior_by_product(nu, c, d)
+        assert (randist._interior_extremes(nu, c, d) is not None) == _interior_by_product(nu, c, d)
 
     @np.errstate(all="ignore")
     def test_random_extremes(self):
@@ -326,7 +326,7 @@ class TestScalarCInteriorTest:
             d = 10.0 ** gen.uniform(-330, 330, size=gen.integers(1, 6))
             if gen.random() < 0.2:
                 d[gen.integers(d.size)] = gen.choice([np.nan, np.inf, 0.0, -1.0])
-            fast = randist._plainly_interior(0.5, c, d)
+            fast = randist._interior_extremes(0.5, c, d) is not None
             assert fast == _interior_by_product(0.5, c, d)
             accepted += fast
         assert 0 < accepted < 2000
@@ -340,6 +340,83 @@ class TestScalarCInteriorTest:
                 array = randist._gig_plain_interior(
                     RngStream(49).generator(), nu, np.full(d.size, c), d)
                 assert scalar.tobytes() == array.tobytes()
+
+
+class TestWaldRange:
+    """Interior pairs whose Wald mean or shape leaves the double range raise a
+    ValueError naming it, draw nothing and never give NaN."""
+
+    CASES = [
+        (0.5, 1e170, 1e-160, "mean c/d overflows to inf"),
+        (0.5, 1e-170, 1e160, "mean c/d underflows to 0"),
+        (0.5, 1e160, 1.0, "shape c\\^2 overflows to inf"),
+        (0.5, 1e-165, 1e153, "shape c\\^2 underflows to 0"),
+        (-0.5, 1e-160, 1e170, "mean d/c overflows to inf"),
+        (-0.5, 1e170, 1e-160, "mean d/c underflows to 0"),
+        (-0.5, 1.0, 1e160, "shape d\\^2 overflows to inf"),
+        (-0.5, 1e150, 1e-162, "shape d\\^2 underflows to 0"),
+    ]
+
+    @pytest.mark.parametrize("nu,c,bad_d,message", CASES)
+    @pytest.mark.parametrize("c_form", ["scalar", "array"])
+    @pytest.mark.parametrize("interior_only", [False, True])
+    def test_fast_path_raises(self, nu, c, bad_d, message, c_form, interior_only):
+        d = np.array([bad_d, bad_d * 2.0])
+        assert randist._interior_extremes(nu, c, d) is not None
+        cc = c if c_form == "scalar" else np.full(d.size, c)
+        gen = RngStream(51).generator()
+        before = gen.bit_generator.state
+        order = "-1/2" if nu < 0 else "1/2"
+        with pytest.raises(ValueError, match=rf"GIG\({order}\) Wald {message}"):
+            gig_rvs(gen, nu, cc, d, interior_only=interior_only)
+        assert gen.bit_generator.state == before
+
+    @pytest.mark.parametrize("nu,c,bad_d,message", CASES)
+    def test_full_path_raises(self, nu, c, bad_d, message):
+        # a size or an order array takes the full validation and dispatch
+        for args, size in (((nu, c, bad_d), 3), ((np.full(2, nu), c, np.full(2, bad_d)), None)):
+            with pytest.raises(ValueError, match="Wald " + message):
+                gig_rvs(RngStream(52).generator(), *args, size=size)
+
+    def test_mixed_orders_raise(self):
+        nu = np.array([0.5, -0.5])
+        with pytest.raises(ValueError, match=r"GIG\(-1/2\) Wald shape d\^2 overflows"):
+            gig_rvs(RngStream(55).generator(), nu, 1.0, np.array([1.0, 1e160]))
+        with pytest.raises(ValueError, match=r"GIG\(1/2\) Wald mean c/d overflows"):
+            gig_rvs(RngStream(55).generator(), nu, np.array([1e170, 1.0]), np.array([1e-160, 1.0]))
+
+    @pytest.mark.parametrize("nu,c,d", [(0.5, 1e-151, 1e145), (-0.5, 1e150, 1e-155)])
+    def test_extreme_pairs_in_range_draw(self, nu, c, d):
+        # the cheap bounds cannot clear these, so the arrays' own extremes are
+        # taken; the draw is still the plain Wald draw
+        d = np.full(3, d)
+        for cc in (c, np.full(3, c)):
+            out = gig_rvs(RngStream(53).generator(), nu, cc, d)
+            gen = RngStream(53).generator()
+            x = gen.wald(d / c, d * d) if nu < 0 else 1.0 / gen.wald(c / d, c * c)
+            assert out.tobytes() == x.tobytes()
+            assert np.isfinite(out).all()
+
+    @np.errstate(all="ignore")
+    def test_screen_is_wide_of_the_range(self):
+        # the cheap bounds clear a state only when its Wald parameters sit
+        # far inside (0, inf)
+        gen = np.random.default_rng(54)
+        cleared = 0
+        for _ in range(3000):
+            c = 10.0 ** gen.uniform(-200, 200, size=gen.integers(1, 4))
+            d = 10.0 ** gen.uniform(-200, 200, size=c.size)
+            nu = gen.choice([-0.5, 0.5])
+            extremes = randist._interior_extremes(nu, c, d)
+            if extremes is None:
+                continue
+            c_lo, cd_lo, cd_hi = extremes
+            if randist._wald_plainly_in_range(nu < 0, c_lo, float(c.max()), cd_lo, cd_hi):
+                mean, shape = (d / c, d * d) if nu < 0 else (c / d, c * c)
+                for arr in (mean, shape):
+                    assert 1e-302 < arr.min() and arr.max() < 1e302
+                cleared += 1
+        assert 0 < cleared < 3000
 
 
 class TestGigShifted:

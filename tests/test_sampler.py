@@ -36,6 +36,7 @@ from hqreg.sampler import (
     update_sigma,
     update_t,
     update_v,
+    update_v_and_latents,
 )
 
 
@@ -594,6 +595,7 @@ class TestLeanBlocks:
         update_beta(st, data, spec, gen)
         update_sigma(st, data, spec, gen)
         update_v(st, data, spec, gen)
+        update_v_and_latents(st, data, spec, gen)
         update_rho2(st, data, spec, gen)
         update_eta_approx(st, spec, gen)
         penalty.rho2_quadratic(st)
@@ -645,9 +647,10 @@ class TestLeanBlocks:
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     def test_run_chain_shares_the_post_beta_residual(self, penalty, monkeypatch):
-        # sigma and v get y - X beta at the beta of their own scan
+        # sigma and the joint v block get y - X beta at the beta of their
+        # own scan
         seen = []
-        for name in ("update_sigma", "update_v"):
+        for name in ("update_sigma", "update_v_and_latents"):
             block = getattr(sampler, name)
 
             def spy(state, data, spec, rng, resid=None, block=block, name=name):
@@ -659,8 +662,129 @@ class TestLeanBlocks:
         gen = RngStream(387).generator()
         data = Dataset(gen.standard_normal((15, 4)), gen.standard_normal(15))
         run_chain(data, ModelSpec(tau=0.3, penalty=penalty, n_iter=6, burn_in=2, seed=5))
-        assert [name for name, _, _ in seen] == ["update_sigma", "update_v"] * 6
+        assert [name for name, _, _ in seen] == ["update_sigma", "update_v_and_latents"] * 6
         assert all(resid == plain for _, resid, plain in seen)
+
+
+def _scan_in_separate_calls(data, spec):
+    """run_chain with v and the penalty latents drawn by two GIG calls, as
+    the scan was written before the joint block: the oracle for its bits."""
+    gen = RngStream(spec.seed).generator()
+    state = initial_state(data, spec)
+    health = ChainHealth()
+    penalty = spec.penalty
+    rows = []
+    for it in range(1, spec.n_iter + 1):
+        state.beta = update_beta(state, data, spec, gen)
+        resid = data.y - data.X @ state.beta
+        state.sigma = sampler._clamp_positive(update_sigma(state, data, spec, gen, resid), health)
+        state.v = sampler._clamp_positive(update_v(state, data, spec, gen, resid), health)
+        if isinstance(penalty, LassoHyper):
+            state.s = sampler._clamp_positive(update_s(state, data, spec, gen), health)
+            state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
+        else:
+            state.t = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0, health)
+            state.lam4 = update_lambda4(state, data, spec, gen)
+            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
+        state.rho2 = update_rho2(state, data, spec, gen)
+        if state.rho2 < 1e-300:
+            state.rho2 = 1e-300
+            health.positivity_clamps += 1
+        state.eta = update_eta_approx(state, spec, gen, health)
+        if it > spec.burn_in:
+            rows.append([*state.beta, state.rho2, state.eta, *penalty.rates(state)])
+    return np.array(rows), health
+
+
+class TestJointLatentBlock:
+    """v and the penalty latents come from one GIG call, with the draws of
+    the two calls the scan used to make."""
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    @pytest.mark.parametrize("n,k", [(15, 4), (5, 9)])
+    def test_run_chain_matches_separate_calls(self, penalty, tau, n, k):
+        gen = RngStream(390).generator()
+        X = gen.standard_normal((n, k))
+        data = Dataset(X, X @ gen.standard_normal(k) + gen.standard_t(3, n))
+        spec = ModelSpec(tau=tau, penalty=penalty, n_iter=120, burn_in=20, seed=11)
+        samples = run_chain(data, spec)
+        rows, health = _scan_in_separate_calls(data, spec)
+        assert samples.draws.tobytes() == rows.tobytes()
+        assert samples.health == health
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    def test_interior_state_takes_one_call(self, penalty, monkeypatch):
+        calls = []
+        draw = sampler.gig_rvs
+        monkeypatch.setattr(sampler, "gig_rvs",
+                            lambda *args, **kwargs: calls.append(args) or draw(*args, **kwargs))
+        gen = RngStream(391).generator()
+        n, k = 12, 5
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        st = _full_state(gen, n, k)
+        drawn = update_v_and_latents(st, data, ModelSpec(penalty=penalty), gen)
+        assert len(calls) == 1 and drawn.shape == (n + k,)
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    @pytest.mark.parametrize("zero_resid,zero_coef", [(True, True), (True, False), (False, True)])
+    def test_boundary_pairs_take_two_calls(self, penalty, zero_resid, zero_coef):
+        # a zero residual or coefficient sends its pair to the gamma limit,
+        # which orders a joint call's draws by kind; the block makes the two
+        # calls of update_v and update_s / update_t instead
+        gen = RngStream(392).generator()
+        n, k = 9, 4
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        spec = ModelSpec(tau=0.3, penalty=penalty)
+        st = _full_state(gen, n, k)
+        if zero_coef:
+            st.beta[2] = 0.0
+        resid = data.y - data.X @ st.beta
+        if zero_resid:
+            resid[4] = 0.0
+        drawn = update_v_and_latents(st, data, spec, RngStream(393).generator(), resid)
+        gen = RngStream(393).generator()
+        v = update_v(st, data, spec, gen, resid)
+        if isinstance(penalty, LassoHyper):
+            assert drawn.tobytes() == np.concatenate((v, update_s(st, data, spec, gen))).tobytes()
+        else:
+            t = update_t(st, data, spec, gen)
+            assert drawn[:n].tobytes() == v.tobytes()
+            assert (1.0 + drawn[n:]).tobytes() == t.tobytes()
+
+    @np.errstate(divide="ignore")  # t = 1 gives the ridge rate an infinite term
+    def test_update_clamps_as_the_separate_calls(self):
+        n, k = 3, 2
+        gen = RngStream(396).generator()
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        drawn = np.array([0.5, 0.0, 1e-310, 2.0, 1e-20])
+        st = _full_state(gen, n, k)
+        health = ChainHealth()
+        LassoHyper().update(st, data, ModelSpec(), gen, health, drawn.copy())
+        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.s.tolist() == [2.0, 1e-20]
+        assert health.positivity_clamps == 2
+        # t = 1 + x rounds x = 1e-20 to 0 before the clamp, which counts it
+        st = _full_state(gen, n, k)
+        health = ChainHealth()
+        ElasticNetHyper().update(st, data, ModelSpec(penalty=ElasticNetHyper()), gen, health,
+                                 drawn.copy())
+        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.t.tolist() == [3.0, 1.0]
+        assert health.positivity_clamps == 3
+
+    def test_wald_range_error_from_the_joint_block(self):
+        # c = sqrt(l1sq) = 1e150 and d = 1e-160 for one coefficient: c*d is
+        # interior but the Wald mean c/d overflows
+        gen = RngStream(394).generator()
+        n, k = 6, 3
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        st = _full_state(gen, n, k)
+        st.rho2, st.lam1_sq = 1.0, 1e300
+        st.beta = np.array([1e-160, 0.5, -1.0])
+        gen = RngStream(395).generator()
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=r"GIG\(1/2\) Wald mean c/d overflows to inf"):
+            update_v_and_latents(st, data, ModelSpec(penalty=LassoHyper()), gen)
+        assert gen.bit_generator.state == before
 
 
 class TestEtaUpdate:
