@@ -434,16 +434,17 @@ def cmd_cv(cfg: RunConfig) -> list:
     data, _, _, _ = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     folds = cfg.get_int("folds")
+    if folds < 2:
+        raise CliError("config-error", f"folds must be >= 2, got {folds}")
     outdir = _outdir(cfg)
     try:
         result = simbench.cross_validate(data, model, folds=folds)
     except ValueError as exc:
         raise CliError("data-error", str(exc)) from exc
     rows = [(
-        cfg.get("penalty"), cfg.get_float("tau"), folds,
+        cfg.get("penalty"), fmt(cfg.get_float("tau")), str(folds),
         result.mspe, result.mape, result.mhpe, result.medspe,
     )]
-    rows[0] = (rows[0][0], fmt(rows[0][1]), str(rows[0][2]), *rows[0][3:])
     _write_csv(outdir / "cv-metrics.csv",
                ["method", "tau", "folds", "mspe", "mape", "mhpe", "medspe"], rows)
     return [outdir / "cv-metrics.csv"]
@@ -514,7 +515,7 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
     for val in values:
         sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})
         models.append((f"{vary}={val:g}", _model_spec(sub)))
-    noise_sigma = cfg.get_float("noise_sigma")
+    noise_sigma = _noise_sigma(cfg)
     outdir = _outdir(cfg)
     curves = simbench.sensitivity_curve_study(
         models, master_seed=cfg.get_int("seed"), noise_sigma=noise_sigma,
@@ -527,25 +528,37 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
     return [outdir / "curve.csv"]
 
 
+def _noise_sigma(cfg: RunConfig) -> float:
+    sigma = cfg.get_float("noise_sigma")
+    if not 0.0 < sigma < float("inf"):
+        raise CliError("config-error", f"noise_sigma must be finite and > 0, got {sigma}")
+    return sigma
+
+
 def _toy_contour_data(cfg: RunConfig):
-    gen = RngStream(cfg.get_int("toy_seed")).generator()
     n = cfg.get_int("toy_n")
+    if n < 0:
+        raise CliError("config-error", f"toy_n must be >= 0, got {n}")
+    sigma = _noise_sigma(cfg)
+    gen = RngStream(cfg.get_int("toy_seed")).generator()
     x = gen.standard_normal(n)
-    y = x + ald_sample(gen, 0.0, cfg.get_float("noise_sigma"), 0.5, size=n)
+    y = x + ald_sample(gen, 0.0, sigma, 0.5, size=n)
     return x, y
 
 
 def cmd_contour(cfg: RunConfig) -> list:
     x, y = _toy_contour_data(cfg)
     size = cfg.get_int("grid_size")
+    if size < 2:
+        raise CliError("config-error", f"grid_size must be >= 2, got {size}")
     bgrid = np.exp(np.linspace(cfg.get_float("log_beta_min"), cfg.get_float("log_beta_max"), size))
     rgrid = np.exp(np.linspace(cfg.get_float("log_rho2_min"), cfg.get_float("log_rho2_max"), size))
     surface = _SURFACE_PENALTIES[cfg.get("penalty")]
-    penalty = surface(*(cfg.get_float(f.name) for f in fields(surface)))
     style = cfg.get("prior_style")
     if style not in ("unconditional", "conditional"):
         raise CliError("config-error", f"prior_style must be (un)conditional, got {style!r}")
     try:
+        penalty = surface(*(cfg.get_float(f.name) for f in fields(surface)))
         spec = PosteriorGridSpec(bgrid, rgrid, x, y, penalty, style,
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:

@@ -8,6 +8,10 @@ normal's latent mean/variance scale, generalised inverse Gaussian mixing
 on the global scale); :func:`scale_mixture_density` evaluates that
 representation by nested quadrature and serves as the independent oracle
 for the closed form.
+
+The joint (beta, rho2) log-posterior surface of a single-column design
+comes from one broadcasting kernel, which the grid and the pointwise
+view share; each penalty object supplies its own log prior.
 """
 
 from __future__ import annotations
@@ -231,6 +235,10 @@ class LassoPenalty:
         if self.lambda1 <= 0:
             raise ValueError("lambda1 must be > 0")
 
+    def log_prior(self, beta, l1_scale, l2_scale):
+        """-lambda1 |beta| l1_scale, up to a constant; l2_scale is unused."""
+        return -self.lambda1 * np.abs(beta) * l1_scale
+
 
 @dataclass(frozen=True)
 class ElasticNetPenalty:
@@ -240,6 +248,10 @@ class ElasticNetPenalty:
     def __post_init__(self):
         if self.lambda3 <= 0 or self.lambda4 <= 0:
             raise ValueError("lambda3 and lambda4 must be > 0")
+
+    def log_prior(self, beta, l1_scale, l2_scale):
+        """-lambda3 |beta| l1_scale - lambda4 beta^2 / l2_scale, up to a constant."""
+        return -self.lambda3 * np.abs(beta) * l1_scale - self.lambda4 * beta**2 / l2_scale
 
 
 @dataclass(frozen=True)
@@ -255,7 +267,7 @@ class PosteriorGridSpec:
     rho2_grid: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    penalty: object
+    penalty: LassoPenalty | ElasticNetPenalty
     prior_style: str
     eta: float
     tau: float
@@ -286,80 +298,43 @@ def _log_k0(arg: np.ndarray) -> np.ndarray:
     return np.log(_sp.k0e(arg)) - arg
 
 
-def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
-    """Unnormalised log posterior of (beta, rho2) with latents integrated out.
+def _log_posterior(spec: PosteriorGridSpec, beta: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Unnormalised log posterior at every (beta_i, rho2_j), latents
+    integrated out; shape (len(beta), len(rho2)).
 
-    The likelihood part is a product of Bessel-K_0 factors in the scaled
-    check losses rho_tau of the residuals; the prior part depends on
-    spec.penalty and spec.prior_style.
+    The likelihood is a product of Bessel-K_0 factors in the scaled check
+    losses rho_tau of the residuals.  Its argument keeps an eta^2 floor,
+    from the 1/sigma coefficient of the mixing prior, so it stays >= eta
+    and the surface has no residual-interpolation singularities.  The
+    prior style sets only the coefficient scale (1/sqrt(rho2) on the l1
+    term and rho2 under the l2 term, or 1 for both) and the rho2 exponent
+    (n + k/2 + 1 or n + 1, with k = 1 for the single-column design).
     """
-    if rho2 <= 0:
-        raise ValueError("rho2 must be > 0")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    n = spec.y.size
-    k = beta.size
-    resid = spec.y - spec.x @ beta
-    # the eta^2 floor comes from the 1/sigma coefficient of the mixing
-    # prior; it keeps the Bessel argument >= eta, so the surface has no
-    # residual-interpolation singularities
-    args = np.sqrt(spec.eta**2 + (spec.eta / rho2) * check_loss(resid, spec.tau))
-    loglik = float(np.sum(_log_k0(args)))
-
-    pen = spec.penalty
-    if spec.prior_style == "unconditional":
-        logprior = -(n + 1.0) * math.log(rho2)
-        if isinstance(pen, LassoPenalty):
-            logprior -= pen.lambda1 * np.sum(np.abs(beta))
-        else:
-            logprior -= pen.lambda3 * np.sum(np.abs(beta)) + pen.lambda4 * np.sum(beta**2)
-    else:
-        logprior = -(n + k / 2.0 + 1.0) * math.log(rho2)
-        if isinstance(pen, LassoPenalty):
-            logprior -= pen.lambda1 * np.sum(np.abs(beta)) / math.sqrt(rho2)
-        else:
-            logprior -= (
-                pen.lambda3 * np.sum(np.abs(beta)) / math.sqrt(rho2)
-                + pen.lambda4 * np.sum(beta**2) / rho2
-            )
-    return loglik + logprior
-
-
-def log_posterior_grid(spec: PosteriorGridSpec) -> np.ndarray:
-    """Evaluate :func:`joint_log_posterior` over the (beta, rho2) grid.
-
-    Returns an array of shape (len(beta_grid), len(rho2_grid)).
-    Vectorised: the Bessel argument factorises into a residual part and
-    a 1/sqrt(rho2) part.
-    """
-    beta = spec.beta_grid
-    rho2 = spec.rho2_grid
     n = spec.y.size
     resid = spec.y[None, :] - beta[:, None] * spec.x[:, 0][None, :]  # (B, n)
     eta_loss = spec.eta * check_loss(resid, spec.tau)
     args = np.sqrt(spec.eta**2 + eta_loss[:, :, None] / rho2[None, None, :])
     loglik = _log_k0(args).sum(axis=1)  # (B, R)
-
-    pen = spec.penalty
-    abs_b = np.abs(beta)
-    log_r = np.log(rho2)
     if spec.prior_style == "unconditional":
-        if isinstance(pen, LassoPenalty):
-            prior_b = -pen.lambda1 * abs_b
-        else:
-            prior_b = -pen.lambda3 * abs_b - pen.lambda4 * beta**2
-        prior = prior_b[:, None] - (n + 1.0) * log_r[None, :]
+        l1_scale, l2_scale, power = 1.0, 1.0, n + 1.0
     else:
-        inv_sqrt_r = 1.0 / np.sqrt(rho2)
-        if isinstance(pen, LassoPenalty):
-            prior = -pen.lambda1 * abs_b[:, None] * inv_sqrt_r[None, :]
-        else:
-            prior = (
-                -pen.lambda3 * abs_b[:, None] * inv_sqrt_r[None, :]
-                - pen.lambda4 * (beta**2)[:, None] / rho2[None, :]
-            )
-        # single-column design, so k = 1 in the rho2 exponent
-        prior = prior - (n + 0.5 + 1.0) * log_r[None, :]
+        l1_scale, l2_scale, power = 1.0 / np.sqrt(rho2), rho2, n + 0.5 + 1.0
+    prior = spec.penalty.log_prior(beta[:, None], l1_scale, l2_scale) - power * np.log(rho2)
     return loglik + prior
+
+
+def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
+    """:func:`log_posterior_grid`'s surface at one point (beta, rho2)."""
+    if rho2 <= 0:
+        raise ValueError("rho2 must be > 0")
+    beta = np.asarray(beta, dtype=float).reshape(1)
+    return float(_log_posterior(spec, beta, np.array([rho2], dtype=float))[0, 0])
+
+
+def log_posterior_grid(spec: PosteriorGridSpec) -> np.ndarray:
+    """Unnormalised log posterior of (beta, rho2) over the grid, shape
+    (len(beta_grid), len(rho2_grid)); see :func:`_log_posterior`."""
+    return _log_posterior(spec, spec.beta_grid, spec.rho2_grid)
 
 
 def count_strict_local_maxima(z: np.ndarray) -> int:

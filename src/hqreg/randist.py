@@ -43,7 +43,6 @@ __all__ = [
     "Cauchy",
     "Mixture",
     "NoiseLaw",
-    "noise_sample",
     "FactorizationError",
 ]
 
@@ -473,7 +472,7 @@ def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
     return None if y is None else (1.0 / y if nu < 0 else y) * (d / c)
 
 
-def gig_rvs(rng, nu, c, d, size=None, *, interior_only=False) -> np.ndarray:
+def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
     """Vectorised GIG sampling; nu, c, d broadcast against each other.
 
     Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).
@@ -485,8 +484,9 @@ def gig_rvs(rng, nu, c, d, size=None, *, interior_only=False) -> np.ndarray:
     takes its ``math``-module twin, which gives the same draw from the
     same stream.  A single order whose parameters pass one cheap interior
     test skips the full validation; any other input takes it, so errors
-    and limits do not depend on the test.  With ``interior_only``, such
-    other input returns None instead, having drawn nothing.
+    and limits do not depend on the test.  Limit draws come first, in
+    the order gamma limits, inverse-gamma limits, the rest, so one call
+    over pairs with a zero d orders its draws by kind, not by index.
 
     Raises ValueError when a Wald mean or shape of an order +-1/2 leaves
     the double range (overflows to inf or underflows to 0).
@@ -494,10 +494,8 @@ def gig_rvs(rng, nu, c, d, size=None, *, interior_only=False) -> np.ndarray:
     gen = as_generator(rng)
     if size is None and (isinstance(nu, float) or np.ndim(nu) == 0):
         out = _gig_plain_interior(gen, float(nu), c, d)
-        if out is not None or interior_only:
+        if out is not None:
             return out
-    elif interior_only:
-        return None
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -603,6 +601,7 @@ def ald_sample(rng, mu, sigma, tau, size=None):
 
 
 # --- noise laws for the simulation scenarios ---------------------------------
+# each law draws n variates from a Generator with sample(gen, n)
 
 
 @dataclass(frozen=True)
@@ -614,6 +613,9 @@ class Gaussian:
     def __post_init__(self):
         if self.sd <= 0:
             raise ValueError("sd must be > 0")
+
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return self.sd * gen.standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -634,6 +636,11 @@ class ContaminatedNormal:
         """Analytic standard deviation of the mixture."""
         return float(np.sqrt((1.0 - self.w) + self.w * self.s**2))
 
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        contaminated = gen.random(n) < self.w
+        z = gen.standard_normal(n)
+        return np.where(contaminated, self.s * z, z)
+
 
 @dataclass(frozen=True)
 class SkewT:
@@ -646,10 +653,18 @@ class SkewT:
         if self.df <= 0 or self.gamma <= 0:
             raise ValueError("df and gamma must be > 0")
 
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        t = np.abs(gen.standard_t(self.df, size=n))
+        pos = gen.random(n) < self.gamma**2 / (1.0 + self.gamma**2)
+        return np.where(pos, self.gamma * t, -t / self.gamma)
+
 
 @dataclass(frozen=True)
 class Cauchy:
     """Standard Cauchy(0, 1)."""
+
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return gen.standard_cauchy(n)
 
 
 @dataclass(frozen=True)
@@ -663,40 +678,17 @@ class Mixture:
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be positive and sum to 1")
 
-
-NoiseLaw = Union[Gaussian, ContaminatedNormal, SkewT, Cauchy, Mixture]
-
-
-def _skewt_rvs(gen: np.random.Generator, df: float, gamma: float, n: int) -> np.ndarray:
-    t = np.abs(gen.standard_t(df, size=n))
-    pos = gen.random(n) < gamma**2 / (1.0 + gamma**2)
-    return np.where(pos, gamma * t, -t / gamma)
-
-
-def noise_sample(rng, law: NoiseLaw, size=None):
-    """Draw from a noise law; mixtures pick a component by weight, then sample it."""
-    gen = as_generator(rng)
-    n = 1 if size is None else int(size)
-    if isinstance(law, Gaussian):
-        out = law.sd * gen.standard_normal(n)
-    elif isinstance(law, ContaminatedNormal):
-        contaminated = gen.random(n) < law.w
-        z = gen.standard_normal(n)
-        out = np.where(contaminated, law.s * z, z)
-    elif isinstance(law, SkewT):
-        out = _skewt_rvs(gen, law.df, law.gamma, n)
-    elif isinstance(law, Cauchy):
-        out = gen.standard_cauchy(n)
-    elif isinstance(law, Mixture):
-        weights = np.array([w for w, _ in law.components])
-        which = gen.choice(len(law.components), size=n, p=weights)
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """Pick a component by weight for each draw, then draw each
+        component's share from it, in component order."""
+        weights = np.array([w for w, _ in self.components])
+        which = gen.choice(len(self.components), size=n, p=weights)
         out = np.empty(n)
-        for j, (_, sub) in enumerate(law.components):
+        for j, (_, sub) in enumerate(self.components):
             idx = np.flatnonzero(which == j)
             if idx.size:
-                out[idx] = noise_sample(gen, sub, size=idx.size)
-    else:
-        raise ValueError(f"unknown noise law: {law!r}")
-    if size is None:
-        return float(out[0])
-    return out
+                out[idx] = sub.sample(gen, idx.size)
+        return out
+
+
+NoiseLaw = Union[Gaussian, ContaminatedNormal, SkewT, Cauchy, Mixture]

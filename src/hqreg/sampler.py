@@ -408,11 +408,13 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     of :func:`update_t` less one (elastic net).
 
     Given beta and sigma the two blocks are independent, and numpy draws
-    Wald variates element by element in index order, so one call over the
-    n + k pairs gives the variates of the two calls.  When some pair is
-    not plainly interior (a zero residual or coefficient, an underflow),
-    the boundary limits would order the joint draws by kind, so the two
-    calls are made instead.  ``resid`` is as in :func:`update_sigma`.
+    Wald variates element by element in index order, so when every pair
+    is plainly interior one call over the n + k pairs gives the variates
+    of the two calls.  A pair at a boundary (a zero residual or
+    coefficient, c*d below GIG_BOUNDARY_EPS) takes its limit law inside
+    the same call, which then orders the draws by kind (see
+    :func:`gig_rvs`); each draw keeps its law.  ``resid`` is as in
+    :func:`update_sigma`.
     """
     gen = as_generator(rng)
     if resid is None:
@@ -421,13 +423,8 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     c = np.empty(n + data.k)
     d = np.empty(n + data.k)
     _v_params(state, resid, c[:n], d[:n])
-    c_pen, _ = spec.penalty.latent_params(state, d[n:])
-    c[n:] = c_pen
-    drawn = gig_rvs(gen, 0.5, c, d, interior_only=True)
-    if drawn is None:
-        drawn = np.concatenate((gig_rvs(gen, 0.5, c[:n], d[:n]),
-                                gig_rvs(gen, 0.5, c_pen, d[n:])))
-    return drawn
+    c[n:], _ = spec.penalty.latent_params(state, d[n:])
+    return gig_rvs(gen, 0.5, c, d)
 
 
 def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:

@@ -28,7 +28,8 @@ from .randist import (
     NoiseLaw,
     RngStream,
     SkewT,
-    noise_sample,
+    ald_sample,
+    as_generator,
 )
 from .sampler import Dataset, ModelSpec, run_chain, summarize
 
@@ -128,7 +129,7 @@ def generate_scenario(spec: ScenarioSpec, rng) -> Dataset:
     Predictors are built by the AR(1) recursion x_j = r x_{j-1} +
     sqrt(1-r^2) z_j so that corr(x_i, x_j) = r^|i-j| exactly.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = as_generator(rng)
     n, k, r = spec.n, spec.k, spec.r
     z = gen.standard_normal((n, k))
     x = np.empty((n, k))
@@ -136,7 +137,7 @@ def generate_scenario(spec: ScenarioSpec, rng) -> Dataset:
     root = math.sqrt(1.0 - r * r)
     for j in range(1, k):
         x[:, j] = r * x[:, j - 1] + root * z[:, j]
-    eps = np.asarray(noise_sample(gen, spec.noise, size=n)) / spec.noise_divisor
+    eps = spec.noise.sample(gen, n) / spec.noise_divisor
     design = np.column_stack([np.ones(n), x])
     y = design @ spec.true_beta + spec.sigma * eps
     return Dataset(design, y)
@@ -320,8 +321,6 @@ def sensitivity_curve_study(models: Sequence[tuple], master_seed: int = 0,
     values at the 50 design points.  Returns a list of
     (label, grid, fitted, truth) tuples.
     """
-    from .randist import ald_sample
-
     grid, design = sensitivity_design()
     truth = design @ np.ones(4)
     gen = RngStream(master_seed).child(90).generator()
@@ -384,7 +383,7 @@ def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
     if data.n < folds:
         raise ValueError("need n >= folds")
     stream = rng if rng is not None else RngStream(model.seed).child(77)
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
+    gen = as_generator(stream)
     perm = gen.permutation(data.n)
     parts = np.array_split(perm, folds)
     if min(p.size for p in parts) < 2:

@@ -439,12 +439,18 @@ class TestFailedRunOutput:
         ("fit", "seed=x"),  # read after the input
         ("cv", "a=-1"),
         ("cv", "folds=x"),
+        ("cv", "folds=1"),
         ("simulate", "reps=0"),
         ("simulate", "seed=x"),
         ("sensitivity", "values="),
         ("sensitivity", "noise_sigma=x"),
+        ("sensitivity", "noise_sigma=-1"),
         ("contour", "prior_style=sideways"),
         ("contour", "tau=2"),
+        ("contour", "grid_size=-1"),
+        ("contour", "toy_n=-1"),
+        ("contour", "noise_sigma=0"),
+        ("contour", "lambda1=-1"),
     ])
     def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
                                               subcommand, config):

@@ -1,5 +1,7 @@
 """Loss kernels and density against closed forms and quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +164,31 @@ class TestScaleMixture:
             assert a == pytest.approx(b, rel=1e-8)
 
 
+def surface_oracle(spec, beta, rho2):
+    """Log posterior at one (beta, rho2), point by point from the formula: the
+    sum over i of log K_0(sqrt(eta^2 + eta rho_tau(y_i - beta x_i) / rho2)),
+    plus the log prior of beta and rho2 under the spec's penalty and style."""
+    eta, tau = spec.eta, spec.tau
+    loglik = 0.0
+    for xi, yi in zip(spec.x[:, 0], spec.y):
+        e = yi - beta * xi
+        loss = e * (tau - (e < 0))
+        loglik += math.log(k0(math.sqrt(eta**2 + eta * loss / rho2)))
+    pen = spec.penalty
+    if isinstance(pen, LassoPenalty):
+        l1, l2 = pen.lambda1, 0.0
+    else:
+        l1, l2 = pen.lambda3, pen.lambda4
+    n = spec.y.size
+    if spec.prior_style == "conditional":
+        # k = 1 coefficient
+        prior = (-l1 * abs(beta) / math.sqrt(rho2) - l2 * beta**2 / rho2
+                 - (n + 0.5 + 1) * math.log(rho2))
+    else:
+        prior = -l1 * abs(beta) - l2 * beta**2 - (n + 1) * math.log(rho2)
+    return loglik + prior
+
+
 class TestJointLogPosterior:
     def setup_method(self):
         x, y = toy_regression()
@@ -177,6 +204,17 @@ class TestJointLogPosterior:
             for j in (3, 60, 110):
                 direct = joint_log_posterior(self.bgrid[i], self.rgrid[j], self.spec)
                 assert z[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("penalty", [LassoPenalty(0.7), ElasticNetPenalty(0.7, 1.3)])
+    @pytest.mark.parametrize("style", ["unconditional", "conditional"])
+    def test_grid_matches_pointwise_oracle(self, penalty, style):
+        x, y = toy_regression()
+        bgrid = np.exp(np.linspace(-3.0, 2.0, 17))
+        rgrid = np.exp(np.linspace(-9.0, 1.0, 19))
+        spec = PosteriorGridSpec(bgrid, rgrid, x, y, penalty, style, 1.3, 0.3)
+        z = log_posterior_grid(spec)
+        expect = [[surface_oracle(spec, b, r) for r in rgrid] for b in bgrid]
+        np.testing.assert_allclose(z, expect, rtol=1e-12, atol=0)
 
     def test_likelihood_uses_check_loss_at_tau(self):
         # n = 1, x = 0, y = 1: the residual is 1 at every beta, so at tau = 0.25

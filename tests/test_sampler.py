@@ -728,10 +728,13 @@ class TestJointLatentBlock:
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     @pytest.mark.parametrize("zero_resid,zero_coef", [(True, True), (True, False), (False, True)])
-    def test_boundary_pairs_take_two_calls(self, penalty, zero_resid, zero_coef):
-        # a zero residual or coefficient sends its pair to the gamma limit,
-        # which orders a joint call's draws by kind; the block makes the two
-        # calls of update_v and update_s / update_t instead
+    def test_boundary_pairs_take_one_call(self, penalty, zero_resid, zero_coef, monkeypatch):
+        # a zero residual or coefficient sends its pair to the gamma limit
+        # inside the one joint call, which then orders its draws by kind
+        calls = []
+        draw = sampler.gig_rvs
+        monkeypatch.setattr(sampler, "gig_rvs",
+                            lambda *args, **kwargs: calls.append(args) or draw(*args, **kwargs))
         gen = RngStream(392).generator()
         n, k = 9, 4
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
@@ -743,14 +746,14 @@ class TestJointLatentBlock:
         if zero_resid:
             resid[4] = 0.0
         drawn = update_v_and_latents(st, data, spec, RngStream(393).generator(), resid)
-        gen = RngStream(393).generator()
-        v = update_v(st, data, spec, gen, resid)
-        if isinstance(penalty, LassoHyper):
-            assert drawn.tobytes() == np.concatenate((v, update_s(st, data, spec, gen))).tobytes()
-        else:
-            t = update_t(st, data, spec, gen)
-            assert drawn[:n].tobytes() == v.tobytes()
-            assert (1.0 + drawn[n:]).tobytes() == t.tobytes()
+        assert len(calls) == 1
+        c_v, d_v = sampler._v_params(st, resid)
+        c_pen, d_pen = penalty.latent_params(st)
+        c = np.concatenate((c_v, np.full(k, c_pen)))
+        d = np.concatenate((d_v, d_pen))
+        assert (d == 0.0).sum() == zero_resid + zero_coef
+        expect = gig_rvs(RngStream(393).generator(), 0.5, c, d)
+        assert drawn.tobytes() == expect.tobytes()
 
     @np.errstate(divide="ignore")  # t = 1 gives the ridge rate an infinite term
     def test_update_clamps_as_the_separate_calls(self):
