@@ -436,6 +436,10 @@ def cmd_cv(cfg: RunConfig) -> list:
     folds = cfg.get_int("folds")
     if folds < 2:
         raise CliError("config-error", f"folds must be >= 2, got {folds}")
+    try:
+        simbench.check_folds(data.n, folds)
+    except ValueError as exc:
+        raise CliError("data-error", str(exc)) from exc
     outdir = _outdir(cfg)
     try:
         result = simbench.cross_validate(data, model, folds=folds)

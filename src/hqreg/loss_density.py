@@ -275,8 +275,8 @@ class PosteriorGridSpec:
     def __post_init__(self):
         for name in ("beta_grid", "rho2_grid"):
             g = np.asarray(getattr(self, name), dtype=float)
-            if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-                raise ValueError(f"{name} must be strictly increasing, length >= 2")
+            if g.ndim != 1 or g.size < 2 or not np.isfinite(g).all() or np.any(np.diff(g) <= 0):
+                raise ValueError(f"{name} must be finite and strictly increasing, length >= 2")
             object.__setattr__(self, name, g)
         if np.any(self.rho2_grid <= 0):
             raise ValueError("rho2_grid must be positive")

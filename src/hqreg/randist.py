@@ -1,14 +1,15 @@
 """Reproducible random-variate generation for the samplers and simulators.
 
 The generalised inverse Gaussian (GIG) sampler is the workhorse: every
-latent block of the Gibbs scans is GIG-distributed.  Orders +-1/2 are an
-inverse Gaussian or its reciprocal and are drawn exactly, without
-rejection, by the transformation method of Michael, Schucany & Haas
-(1976) (``Generator.wald``).  Every other order goes through the
-uniformly fast rejection algorithm of Devroye (2014, Stat. Comput. 24),
-vectorised over parameter arrays, with a ``math``-module twin for single
-scalar draws.  Gamma / inverse-gamma limits are dispatched at the
-degenerate boundaries.
+latent block of the Gibbs scans is GIG-distributed.  Its one entry point,
+``gig_rvs``, takes one scalar order per call and arrays of c and d.
+Orders +-1/2 are an inverse Gaussian or its reciprocal and are drawn
+exactly, without rejection, by the transformation method of Michael,
+Schucany & Haas (1976) (``Generator.wald``).  Every other order goes
+through the uniformly fast rejection algorithm of Devroye (2014, Stat.
+Comput. 24), vectorised over parameter arrays, with a ``math``-module
+twin for single scalar draws.  Gamma / inverse-gamma limits are
+dispatched at the degenerate boundaries.
 
 Streams are derived from (seed, key-path) pairs via numpy's SeedSequence
 spawning, so parallel replications are reproducible regardless of
@@ -293,226 +294,162 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
 
 
-def _require_wald_range(negative: bool, mean_lo, mean_hi, shape_lo, shape_hi) -> None:
-    """Raise ValueError unless every Wald mean and shape lies in (0, inf).
+def _extremes(c, d) -> tuple:
+    """(min c, max c, min c*d, max c*d) as Python floats; NaN propagates,
+    and an empty array gives inf for its minimum and -inf for its maximum.
 
-    Interior GIG parameters can still put d/c, c/d, d^2 or c^2 outside
-    the double range, where ``Generator.wald`` raises on 0 and returns
-    NaN on inf.
+    For a float c, rounding x -> c*x is monotone, so the extremes of c*d
+    are c*min(d) and c*max(d) and no c*d array is built.
     """
-    for name, lo, hi in (("mean", mean_lo, mean_hi), ("shape", shape_lo, shape_hi)):
-        if not (lo > 0.0 and hi < math.inf):
-            if negative:
-                order, form = "-1/2", "d/c" if name == "mean" else "d^2"
-            else:
-                order, form = "1/2", "c/d" if name == "mean" else "c^2"
-            fate = "underflows to 0" if not lo > 0.0 else "overflows to inf"
-            raise ValueError(f"GIG({order}) Wald {name} {form} {fate}; "
-                             f"the parameters leave the double range")
+    if isinstance(c, float):
+        if isinstance(d, float):
+            return c, c, c * d, c * d
+        return (c, c, c * float(d.min(initial=math.inf)),
+                c * float(d.max(initial=-math.inf)))
+    cd = c * d
+    return (float(c.min(initial=math.inf)), float(c.max(initial=-math.inf)),
+            float(cd.min(initial=math.inf)), float(cd.max(initial=-math.inf)))
 
 
-def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d, checked=False):
+def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d, bounds):
     """Exact GIG(-1/2, c, d) draws when ``negative``, else GIG(1/2, c, d),
     by the Wald (inverse Gaussian) law.
 
     GIG(-1/2, c, d) is IG(mean d/c, shape d^2), and GIG(1/2, c, d) is the
-    reciprocal of IG(mean c/d, shape c^2).  Unless ``checked`` says the
-    caller has bounded them, the means and shapes are tested against the
-    double range first.
+    reciprocal of IG(mean c/d, shape c^2).  Interior pairs can still put a
+    mean or a shape outside the double range, where ``Generator.wald``
+    raises on 0 and returns NaN on inf, so they are bounded first from
+    ``bounds``, the (min c, max c, min c*d, max c*d) of :func:`_extremes`:
+    the mean c/d is c^2 / (c d), d is (c d) / c, and the bounds below lie
+    within a few roundings of the extremes of the arrays the draw builds,
+    a margin that 1e-300 and 1e300 leave wide.  Only when they do not
+    clear the draw are the arrays' own extremes tested; a ValueError then
+    names the mean or shape that leaves the range.
     """
-    if checked:
+    c_lo, c_hi, cd_lo, cd_hi = bounds
+    # Python floats: an overflow gives inf without a warning
+    if negative:
+        d_lo, d_hi = cd_lo / c_hi, cd_hi / c_lo
+        plain = (1e-300 <= d_lo / c_hi and 1e-300 <= d_lo * d_lo
+                 and d_hi / c_lo <= 1e300 and d_hi * d_hi <= 1e300)
+    else:
+        plain = (1e-300 <= c_lo * c_lo / cd_hi and 1e-300 <= c_lo * c_lo
+                 and c_hi * c_hi / cd_lo <= 1e300 and c_hi * c_hi <= 1e300)
+    if plain:
         mean, shape = (d / c, d * d) if negative else (c / d, c * c)
     else:
         with np.errstate(over="ignore", under="ignore"):
             mean, shape = (d / c, d * d) if negative else (c / d, c * c)
-        _require_wald_range(negative, _low(mean), _high(mean), _low(shape), _high(shape))
+        order, forms = ("-1/2", ("d/c", "d^2")) if negative else ("1/2", ("c/d", "c^2"))
+        for name, form, x in (("mean", forms[0], mean), ("shape", forms[1], shape)):
+            lo, hi = np.min(x, initial=math.inf), np.max(x, initial=-math.inf)
+            if not (lo > 0.0 and hi < math.inf):
+                fate = "underflows to 0" if not lo > 0.0 else "overflows to inf"
+                raise ValueError(f"GIG({order}) Wald {name} {form} {fate}; "
+                                 f"the parameters leave the double range")
     x = gen.wald(mean, shape)
     if negative:
         return x
     return np.divide(1.0, x, out=x) if isinstance(x, np.ndarray) else 1.0 / x
 
 
-def _wald_gig_half(gen: np.random.Generator, nu, c, d):
-    """As :func:`_wald_gig_half_order`, with orders +-1/2 mixed elementwise."""
-    neg = nu < 0
-    with np.errstate(over="ignore", under="ignore"):
-        mean, shape = np.where(neg, d / c, c / d), np.where(neg, d * d, c * c)
-    for negative in (True, False):
-        part = neg == negative
-        if part.any():
-            _require_wald_range(negative, mean[part].min(), mean[part].max(),
-                                shape[part].min(), shape[part].max())
-    x = gen.wald(mean, shape)
-    return np.where(neg, x, 1.0 / x)
+def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
+    """GIG draws for pairs away from the gamma / inverse-gamma limits.
+
+    Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
+    through its ``math`` twin when c and d are floats, else through the
+    array form, which also takes a float pair whose hat overflows in
+    ``math`` arithmetic.
+    """
+    if abs(nu) == 0.5:
+        return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
+    if isinstance(c, float) and isinstance(d, float):
+        y = _devroye_gig_scalar(gen, abs(nu), c * d)
+        if y is None:
+            y = float(_devroye_gig_two_param(gen, abs(nu), c * d))
+    else:
+        omega = c * d
+        y = _devroye_gig_two_param(gen, np.broadcast_to(abs(nu), omega.shape), omega)
+    return (1.0 / y if nu < 0 else y) * (d / c)
 
 
-def _devroye_gig(gen: np.random.Generator, nu, c, d):
-    """GIG(nu, c, d) draws by Devroye's sampler, through the two-parameter law."""
-    omega = c * d
-    y = _devroye_gig_two_param(gen, np.broadcast_to(np.abs(nu), omega.shape), omega)
-    return np.where(nu < 0, 1.0 / y, y) * (d / c)
+def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.ndarray):
+    """GIG draws when some pair sits at or near a degenerate boundary; c and
+    d are finite, non-negative arrays of one shape.
 
-
-def _gig_interior(gen: np.random.Generator, nu, c, d):
-    """GIG draws for parameters away from the gamma / inverse-gamma limits:
-    orders +-1/2 first, by Wald, then every other order, by Devroye."""
-    if nu.ndim == 0:
-        if abs(nu) == 0.5:
-            return _wald_gig_half_order(gen, nu < 0, c, d)
-        return _devroye_gig(gen, nu, c, d)
-    nu, c, d = np.broadcast_arrays(nu, c, d)
-    out = np.empty(nu.shape)
-    half = np.abs(nu) == 0.5
-    if half.any():
-        out[half] = _wald_gig_half(gen, nu[half], c[half], d[half])
-    rest = ~half
-    if rest.any():
-        out[rest] = _devroye_gig(gen, nu[rest], c[rest], d[rest])
-    return out
-
-
-def _gig_with_limits(gen: np.random.Generator, nu, c, d):
-    """GIG draws when some elements sit at or near a degenerate boundary."""
+    A pair with c*d below GIG_BOUNDARY_EPS takes the gamma limit when
+    nu > 0 and the inverse-gamma limit when nu < 0.  The limit draws come
+    first, in index order, then those of the other pairs.
+    """
     if np.any((c == 0) & (d == 0)):
         raise ValueError("GIG parameters need c > 0 or d > 0")
-    tiny = c * d < GIG_BOUNDARY_EPS
-    gamma_lim = (d == 0) | (tiny & (nu > 0))
-    invgamma_lim = ((c == 0) | (tiny & (nu < 0))) & ~gamma_lim
-    if np.any(gamma_lim & (nu <= 0)):
+    if nu <= 0 and np.any(d == 0):
         raise ValueError("gamma limit (d = 0) requires nu > 0")
-    if np.any(invgamma_lim & (nu >= 0)):
+    if nu >= 0 and np.any(c == 0):
         raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
 
-    out = np.empty(nu.shape)
-    # fixed mask order keeps the draw sequence reproducible
-    if np.any(gamma_lim):
-        cs = c[gamma_lim]
-        out[gamma_lim] = gen.gamma(nu[gamma_lim]) * (2.0 / (cs * cs))
-    if np.any(invgamma_lim):
-        ds = d[invgamma_lim]
-        out[invgamma_lim] = (ds * ds) / (2.0 * gen.gamma(-nu[invgamma_lim]))
-    general = ~(gamma_lim | invgamma_lim)
-    if np.any(general):
-        out[general] = _gig_interior(gen, nu[general], c[general], d[general])
+    out = np.empty(c.shape)
+    limit = (c * d < GIG_BOUNDARY_EPS) & (nu != 0)
+    count = np.count_nonzero(limit)
+    if count and nu > 0:
+        cs = c[limit]
+        out[limit] = gen.gamma(nu, size=count) * (2.0 / (cs * cs))
+    elif count:
+        ds = d[limit]
+        out[limit] = (ds * ds) / (2.0 * gen.gamma(-nu, size=count))
+    if count < limit.size:
+        rest = ~limit
+        c, d = c[rest], d[rest]
+        out[rest] = _gig_interior(gen, nu, c, d, _extremes(c, d))
     return out
 
 
-def _as_param(x):
-    """A float for a 0-d parameter, a float array otherwise."""
-    return float(x) if isinstance(x, float) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+def gig_rvs(rng, nu, c, d, size=None):
+    """GIG draws for one order nu; c and d broadcast against each other.
 
+    Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).  nu is
+    one scalar order: an array raises ValueError.  Scalar c and d with
+    ``size=None`` give a float.
 
-def _low(x):
-    return x.min(initial=math.inf) if isinstance(x, np.ndarray) else x
+    Every input is screened once by the extremes of c and c*d.  When nu
+    is finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf for every pair,
+    the pairs are interior: orders +-1/2 are drawn exactly by the Wald
+    law and every other order by Devroye's rejection sampler, whose
+    ``math``-module twin draws a single scalar pair with the same draw
+    from the same stream.  Any other input must be finite with c >= 0
+    and d >= 0.  Its pairs with c*d below GIG_BOUNDARY_EPS then draw
+    Gamma(nu, rate c^2/2) when nu > 0 (this is the d = 0 case too) and
+    the mirrored inverse-gamma limit when nu < 0, before the other pairs
+    are drawn, so one call over pairs with a zero d orders its draws by
+    kind, not by index.
 
-
-def _high(x):
-    return x.max(initial=-math.inf) if isinstance(x, np.ndarray) else x
-
-
-def _interior_extremes(nu: float, c, d):
-    """(min c, min c*d, max c*d) when nu is finite, c > 0 and
-    GIG_BOUNDARY_EPS <= c*d < inf for every pair, else None.  Together
-    these imply finite c, d > 0; c and d are as from :func:`_as_param`.
-
-    For a scalar c > 0, rounding x -> c*x is monotone, so the extremes of
-    c*d are c*min(d) and c*max(d) (NaN propagating through both) and no
-    c*d array is built.
-    """
-    if not math.isfinite(nu):
-        return None
-    c_lo = _low(c)
-    if not c_lo > 0.0:
-        return None
-    if isinstance(c, float):
-        cd_lo, cd_hi = c * _low(d), c * _high(d)
-    else:
-        cd = c * d
-        cd_lo, cd_hi = _low(cd), _high(cd)
-    if cd_lo >= GIG_BOUNDARY_EPS and cd_hi < math.inf:
-        return float(c_lo), float(cd_lo), float(cd_hi)
-    return None
-
-
-def _wald_plainly_in_range(negative: bool, c_lo, c_hi, cd_lo, cd_hi) -> bool:
-    """Whether every Wald mean and shape of interior pairs is far inside the
-    double range, judged from the extremes of c and c*d alone.
-
-    The mean c/d is c^2 / (c d), d is (c d) / c and d/c is d / c, so the
-    bounds below are within a few roundings of the extremes of the arrays
-    the draw builds; 1e-300 and 1e300 leave a wide margin for that.  The
-    arguments are Python floats, which overflow to inf without a warning.
-    """
-    if negative:
-        d_lo, d_hi = cd_lo / c_hi, cd_hi / c_lo
-        return (1e-300 <= d_lo / c_hi and 1e-300 <= d_lo * d_lo
-                and d_hi / c_lo <= 1e300 and d_hi * d_hi <= 1e300)
-    return (1e-300 <= c_lo * c_lo / cd_hi and 1e-300 <= c_lo * c_lo
-            and c_hi * c_hi / cd_lo <= 1e300 and c_hi * c_hi <= 1e300)
-
-
-def _gig_plain_interior(gen: np.random.Generator, nu: float, c, d):
-    """GIG draws for one order when every (c, d) pair is plainly interior.
-
-    Orders +-1/2 go straight to the Wald law, for any shapes of c and d;
-    any other order goes to the scalar Devroye sampler when c and d are
-    scalars too.  Returns None, having drawn nothing, in every other case.
-    """
-    c, d = _as_param(c), _as_param(d)
-    extremes = _interior_extremes(nu, c, d)
-    if extremes is None:
-        return None
-    if abs(nu) == 0.5:
-        c_lo, cd_lo, cd_hi = extremes
-        checked = _wald_plainly_in_range(nu < 0, c_lo, float(_high(c)), cd_lo, cd_hi)
-        return _wald_gig_half_order(gen, nu < 0, c, d, checked)
-    if not (isinstance(c, float) and isinstance(d, float)):
-        return None
-    y = _devroye_gig_scalar(gen, abs(nu), c * d)
-    return None if y is None else (1.0 / y if nu < 0 else y) * (d / c)
-
-
-def gig_rvs(rng, nu, c, d, size=None) -> np.ndarray:
-    """Vectorised GIG sampling; nu, c, d broadcast against each other.
-
-    Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).
-    Boundary dispatch: d = 0 (or c*d below GIG_BOUNDARY_EPS with nu > 0)
-    draws Gamma(nu, rate c^2/2); the mirrored case draws the
-    inverse-gamma limit.  Away from the boundaries, orders +-1/2 are drawn
-    exactly by the Wald law and every other order by Devroye's rejection
-    sampler; a single scalar draw of the latter kind (``size=None``)
-    takes its ``math``-module twin, which gives the same draw from the
-    same stream.  A single order whose parameters pass one cheap interior
-    test skips the full validation; any other input takes it, so errors
-    and limits do not depend on the test.  Limit draws come first, in
-    the order gamma limits, inverse-gamma limits, the rest, so one call
-    over pairs with a zero d orders its draws by kind, not by index.
-
-    Raises ValueError when a Wald mean or shape of an order +-1/2 leaves
-    the double range (overflows to inf or underflows to 0).
+    Raises ValueError for parameters outside that law (a zero d needs
+    nu > 0, a zero c needs nu < 0), or when a Wald mean or shape of an
+    order +-1/2 leaves the double range (overflows to inf or underflows
+    to 0).
     """
     gen = as_generator(rng)
-    if size is None and (isinstance(nu, float) or np.ndim(nu) == 0):
-        out = _gig_plain_interior(gen, float(nu), c, d)
-        if out is not None:
-            return out
-    nu = np.asarray(nu, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
+    if not isinstance(nu, float):
+        if np.ndim(nu):
+            raise ValueError("gig_rvs takes one scalar order nu")
+        nu = float(nu)
     if size is not None:
         shape = (size,) if np.isscalar(size) else tuple(size)
-        nu, c, d = (np.broadcast_to(a, shape) for a in (nu, c, d))
+        c, d = (np.broadcast_to(np.asarray(a, dtype=float), shape) for a in (c, d))
+    elif not (type(c) is float and type(d) is float):
+        c, d = (float(a) if isinstance(a, float) or np.ndim(a) == 0
+                else np.asarray(a, dtype=float) for a in (c, d))
+    bounds = _extremes(c, d)
+    c_lo, _, cd_lo, cd_hi = bounds
+    if math.isfinite(nu) and c_lo > 0.0 and cd_lo >= GIG_BOUNDARY_EPS and cd_hi < math.inf:
+        return _gig_interior(gen, nu, c, d, bounds)
 
-    if not (np.isfinite(nu).all() and np.isfinite(c).all() and np.isfinite(d).all()
+    c, d = np.broadcast_arrays(c, d)
+    if not (math.isfinite(nu) and np.isfinite(c).all() and np.isfinite(d).all()
             and (c >= 0).all() and (d >= 0).all()):
         raise ValueError("GIG parameters must be finite with c >= 0, d >= 0")
-    if (c * d >= GIG_BOUNDARY_EPS).all():
-        out = _gig_interior(gen, nu, c, d)
-    else:
-        out = _gig_with_limits(gen, *np.broadcast_arrays(nu, c, d))
-    if size is None and np.ndim(out) == 0:
-        return float(out)
-    return out
+    out = _gig_with_limits(gen, nu, c, d)
+    return float(out) if out.ndim == 0 else out
 
 
 def gig_moment(params: GigParams, order: float) -> float:

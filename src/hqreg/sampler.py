@@ -665,8 +665,7 @@ def summarize(samples: PosteriorSamples, level: float = 0.95):
         raise ValueError("need at least 2 retained draws to summarise")
     alpha = (1.0 - level) / 2.0
     med = np.median(samples.draws, axis=0)
-    lo = np.quantile(samples.draws, alpha, axis=0)
-    hi = np.quantile(samples.draws, 1.0 - alpha, axis=0)
+    lo, hi = np.quantile(samples.draws, [alpha, 1.0 - alpha], axis=0)
     return [
         (name, float(m), float(lw), float(up))
         for name, m, lw, up in zip(samples.columns, med, lo, hi)

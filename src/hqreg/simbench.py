@@ -46,6 +46,7 @@ __all__ = [
     "sensitivity_design",
     "sensitivity_curve_study",
     "CvResult",
+    "check_folds",
     "cross_validate",
     "worker_count",
 ]
@@ -370,6 +371,18 @@ def _default_fit(train: Dataset, model: ModelSpec, rng) -> np.ndarray:
     return np.median(samples.draws[:, : train.k], axis=0)
 
 
+def check_folds(n: int, folds: int) -> None:
+    """Raise ValueError unless n rows split into ``folds`` folds of at least
+    2 rows each, as :func:`cross_validate` splits them."""
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
+    if n < folds:
+        raise ValueError("need n >= folds")
+    # np.array_split gives folds of n // folds or n // folds + 1 rows
+    if n // folds < 2:
+        raise ValueError("fold too small: need at least 2 rows per fold")
+
+
 def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
                    fit: Optional[Callable] = None) -> CvResult:
     """Random-partition k-fold CV of held-out prediction error.
@@ -378,16 +391,10 @@ def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
     its complement (or by a caller-supplied ``fit(train, model, rng)``).
     Every row is predicted exactly once.
     """
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    if data.n < folds:
-        raise ValueError("need n >= folds")
+    check_folds(data.n, folds)
     stream = rng if rng is not None else RngStream(model.seed).child(77)
     gen = as_generator(stream)
-    perm = gen.permutation(data.n)
-    parts = np.array_split(perm, folds)
-    if min(p.size for p in parts) < 2:
-        raise ValueError("fold too small: need at least 2 rows per fold")
+    parts = np.array_split(gen.permutation(data.n), folds)
     fitter = fit if fit is not None else _default_fit
 
     sq, ab, hu = [], [], []

@@ -451,6 +451,7 @@ class TestFailedRunOutput:
         ("contour", "toy_n=-1"),
         ("contour", "noise_sigma=0"),
         ("contour", "lambda1=-1"),
+        ("contour", "log_beta_min=nan"),
     ])
     def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
                                               subcommand, config):
@@ -461,6 +462,15 @@ class TestFailedRunOutput:
             args += ["--input", toy_csv]
         assert run_cli(args) == 1
         assert capsys.readouterr().err.startswith("config-error: ")
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("folds", [31, 16])  # n = 30: n < folds, then one row a fold
+    def test_cv_partition_error_leaves_no_directory(self, toy_csv, tmp_path, capsys, folds):
+        out = tmp_path / "new" / "out"
+        assert run_cli(["cv", "--input", toy_csv, "--folds", folds, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data-error: ")
+        assert ("need n >= folds" if folds > 30 else "fold too small") in err
         assert not (tmp_path / "new").exists()
 
     def test_existing_directory_is_kept(self, tmp_path, capsys):

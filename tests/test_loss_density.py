@@ -295,6 +295,15 @@ class TestJointLogPosterior:
         with pytest.raises(ValueError):
             joint_log_posterior(1.0, -1.0, self.spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_grid_rejected(self, bad, which):
+        # np.diff of a grid holding NaN has no entry <= 0
+        grids = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])]
+        grids[which][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PosteriorGridSpec(*grids, [1.0], [1.0], LassoPenalty(1.0), "conditional", 1.0, 0.5)
+
 
 class TestLocalMaximaCounter:
     def test_single_peak(self):

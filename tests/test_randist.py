@@ -150,12 +150,14 @@ class TestGigHalfOrders:
         assert stats.kstest(sample, law.cdf).pvalue > 1e-3
 
     def test_draws_are_wald_draws(self):
+        # each half-order call is one Wald call over all its pairs
         c, d = np.array([0.3, 2.0, 1.1]), np.array([1.5, 0.2, 1.1])
-        out = gig_rvs(RngStream(32).generator(), np.array([-0.5, 0.5, -0.5]), c, d)
         gen = RngStream(32).generator()
-        ig = gen.wald(np.array([d[0] / c[0], c[1] / d[1], d[2] / c[2]]),
-                      np.array([d[0] ** 2, c[1] ** 2, d[2] ** 2]))
-        np.testing.assert_array_equal(out, [ig[0], 1.0 / ig[1], ig[2]])
+        neg, pos = gig_rvs(gen, -0.5, c, d), gig_rvs(gen, 0.5, c, d)
+        ref = RngStream(32).generator()
+        np.testing.assert_array_equal(neg, ref.wald(d / c, d * d))
+        np.testing.assert_array_equal(pos, 1.0 / ref.wald(c / d, c * c))
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_boundaries_keep_gamma_limits(self):
         # d = 0 and c*d below GIG_BOUNDARY_EPS draw the gamma limit, and the
@@ -184,12 +186,13 @@ class TestGigScalarPath:
         [(-110.5, 14.0, 9.0), (-2010.0, 45.0, 50.0), (0.0, 1.0, 1e-3), (3.0, 1e-4, 1e-4)],
     )
     def test_matches_array_path_draw_for_draw(self, nu, c, d):
+        # a one-element array c takes the array sampler
         g_scalar = RngStream(35).generator()
         g_array = RngStream(35).generator()
         for _ in range(500):
             x = gig_rvs(g_scalar, nu, c, d)
             assert isinstance(x, float)
-            y = gig_rvs(g_array, np.array([nu]), c, d)[0]
+            y = gig_rvs(g_array, nu, np.array([c]), d)[0]
             assert x == pytest.approx(y, rel=1e-13)
         # both streams consumed the same uniforms
         assert g_scalar.random() == g_array.random()
@@ -213,8 +216,8 @@ class TestGigScalarPath:
 
 
 class TestGigInteriorTest:
-    """A single order whose parameters pass one cheap interior test skips the
-    full validation; everything else still gets it."""
+    """Every input passes one interior screen; whatever fails it is checked
+    and keeps its limits."""
 
     @pytest.mark.parametrize("shape", ["scalar", "array"])
     @pytest.mark.parametrize(
@@ -234,6 +237,21 @@ class TestGigInteriorTest:
         with pytest.raises(ValueError):
             gig_rvs(RngStream(40).generator(), nu, c, d)
 
+    @pytest.mark.parametrize("c", [0.0, np.array([0.0, 1.0])])
+    def test_zero_c_needs_negative_order(self, c):
+        # d = 0 needs nu > 0 and c = 0 needs nu < 0: neither has a law otherwise
+        d = np.array([1.0, 2.0])
+        for nu in (0.0, 0.5, 2.0):
+            with pytest.raises(ValueError, match=r"inverse-gamma limit \(c = 0\)"):
+                gig_rvs(RngStream(40).generator(), nu, c, d)
+
+    def test_array_order_raises(self):
+        for nu in (np.array([0.5, -0.5]), np.array([0.5]), [0.5]):
+            with pytest.raises(ValueError, match="one scalar order"):
+                gig_rvs(RngStream(40).generator(), nu, 1.0, np.array([1.0, 2.0]))
+        x = gig_rvs(RngStream(40).generator(), np.array(0.5), 1.2, 0.4)
+        assert x == gig_rvs(RngStream(40).generator(), 0.5, 1.2, 0.4)
+
     def test_scalar_c_keeps_boundary_limits(self):
         # the sampler's shape: one order, scalar c, array d
         d = np.array([0.0, 1.3, 1e-13])
@@ -252,13 +270,18 @@ class TestGigInteriorTest:
 
     @pytest.mark.parametrize("nu", [-0.5, 0.5])
     def test_same_draws_as_full_path(self, nu):
-        # an order array takes the full validation and the per-order split
+        # a pair at its limit sends the call through the checked path, which
+        # draws the limit first and then every other pair as the screened
+        # call draws it
         gen = np.random.default_rng(43)
         c, d = gen.uniform(0.1, 3.0, 50), gen.uniform(1e-3, 3.0, 50)
         for cc in (c, 1.7):
-            fast = gig_rvs(RngStream(44).generator(), nu, cc, d)
-            full = gig_rvs(RngStream(44).generator(), np.full(50, nu), cc, d)
-            assert fast.tobytes() == full.tobytes()
+            full = gig_rvs(RngStream(44).generator(), nu, np.append(1.7, cc) if np.ndim(cc) else cc,
+                           np.append(1e-13, d))
+            ref = RngStream(44).generator()
+            limit = gig_rvs(ref, nu, 1.7, np.array([1e-13]))
+            fast = gig_rvs(ref, nu, cc, d)
+            assert full.tobytes() == np.append(limit, fast).tobytes()
 
     def test_scalar_half_order_is_one_wald_draw(self):
         x = gig_rvs(RngStream(45).generator(), -0.5, np.float64(1.2), np.array(0.4))
@@ -266,21 +289,75 @@ class TestGigInteriorTest:
         assert x == RngStream(45).generator().wald(0.4 / 1.2, 0.16)
 
     def test_empty_parameters(self):
-        out = gig_rvs(RngStream(46).generator(), 0.5, 1.0, np.array([]))
-        assert out.shape == (0,)
+        for nu in (-0.5, 0.5, 2.0):
+            for c in (1.0, 0.0, np.array([])):
+                out = gig_rvs(RngStream(46).generator(), nu, c, np.array([]))
+                assert out.shape == (0,)
 
 
 def _interior_by_product(nu, c, d):
-    """The interior test written on the c*d array itself."""
+    """The interior screen written on the c*d array itself."""
     cd = c * d
     return (math.isfinite(nu) and c > 0.0
             and cd.min(initial=math.inf) >= GIG_BOUNDARY_EPS
             and cd.max(initial=-math.inf) < math.inf)
 
 
+def _outcome(nu, c, d, seed=47):
+    """gig_rvs's draws as bytes, or the message of the ValueError it raises."""
+    try:
+        return gig_rvs(RngStream(seed).generator(), nu, c, d).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def _by_product(nu, c, d, seed=47):
+    """GIG(+-1/2) draws written on the c*d array itself, as bytes.
+
+    Pairs whose product is below GIG_BOUNDARY_EPS draw their limit law
+    first, in index order, and the others then one Wald draw each.  None
+    where the law has no draw: a non-finite order, a non-finite or
+    negative c or d, a zero d at nu < 0 or a zero c at nu > 0, or a Wald
+    mean or shape outside (0, inf).
+    """
+    c = np.full(d.shape, c)
+    with np.errstate(all="ignore"):
+        if not (math.isfinite(nu) and np.isfinite(c).all() and np.isfinite(d).all()
+                and (c >= 0).all() and (d >= 0).all()
+                and not np.any(d == 0 if nu < 0 else c == 0)):
+            return None
+        limit = c * d < GIG_BOUNDARY_EPS
+        rest = ~limit
+        mean, shape = (d / c, d * d) if nu < 0 else (c / d, c * c)
+        if not all(((x[rest] > 0) & (x[rest] < math.inf)).all() for x in (mean, shape)):
+            return None
+        gen = RngStream(seed).generator()
+        out = np.empty(d.shape)
+        g = gen.gamma(0.5, size=limit.sum())
+        out[limit] = g * (2.0 / c[limit] ** 2) if nu > 0 else d[limit] ** 2 / (2.0 * g)
+        x = gen.wald(mean[rest], shape[rest])
+        out[rest] = x if nu < 0 else 1.0 / x
+    return out.tobytes()
+
+
+# the messages of gig_rvs's own errors
+GIG_ERRORS = ("GIG parameters", "GIG(", "gamma limit", "inverse-gamma limit")
+
+
+def _check_by_product(nu, c, d) -> bool:
+    """Assert that gig_rvs gives the draws of :func:`_by_product`, or raises
+    one of its own errors where that has none; True if it drew."""
+    outcome, expect = _outcome(nu, c, d), _by_product(nu, c, d)
+    if expect is None:
+        assert isinstance(outcome, str) and outcome.startswith(GIG_ERRORS), outcome
+    else:
+        assert outcome == expect
+    return expect is not None
+
+
 class TestScalarCInteriorTest:
-    """A scalar c tests c*min(d) and c*max(d) instead of building c*d; it must
-    accept and reject exactly as the c*d array does."""
+    """Interior and limit pairs are told apart by the product c*d, for a
+    scalar c, whose screen builds no c*d array, as for an array c."""
 
     TINY = 5e-324  # the smallest subnormal
 
@@ -312,38 +389,36 @@ class TestScalarCInteriorTest:
     @np.errstate(all="ignore")
     def test_accepts_and_rejects_as_product(self, nu, c, d):
         d = np.array(d, dtype=float)
-        assert (randist._interior_extremes(nu, c, d) is not None) == _interior_by_product(nu, c, d)
+        _check_by_product(nu, c, d)
+        assert _outcome(nu, c, d) == _outcome(nu, np.full(d.shape, c), d)
 
     @np.errstate(all="ignore")
     def test_random_extremes(self):
         # c and d spread over the whole exponent range, with NaN, inf, 0 and
         # negative entries mixed in
         gen = np.random.default_rng(50)
-        accepted = 0
+        drawn = 0
         for _ in range(2000):
             c = 10.0 ** gen.uniform(-324, 308.2)
             d = 10.0 ** gen.uniform(-330, 330, size=gen.integers(1, 6))
             if gen.random() < 0.2:
                 d[gen.integers(d.size)] = gen.choice([np.nan, np.inf, 0.0, -1.0])
-            fast = randist._interior_extremes(0.5, c, d) is not None
-            assert fast == _interior_by_product(0.5, c, d)
-            accepted += fast
-        assert 0 < accepted < 2000
+            drawn += _check_by_product(0.5, c, d)
+        assert 0 < drawn < 2000
 
     def test_accepted_draws_match_array_c(self):
-        # an array c takes the c*d form of the test; the draws are the same
+        # an array c takes the c*d form of the screen; the draws are the same
         d = np.random.default_rng(48).uniform(1e-3, 3.0, 40)
         for nu in (-0.5, 0.5):
             for c in (1.7, 1e-10, 1e3):
-                scalar = randist._gig_plain_interior(RngStream(49).generator(), nu, c, d)
-                array = randist._gig_plain_interior(
-                    RngStream(49).generator(), nu, np.full(d.size, c), d)
-                assert scalar.tobytes() == array.tobytes()
+                scalar = gig_rvs(RngStream(49).generator(), nu, c, d)
+                array = gig_rvs(RngStream(49).generator(), nu, np.full(d.size, c), d)
+                assert scalar.tobytes() == array.tobytes() == _by_product(nu, c, d, seed=49)
 
 
 class TestWaldRange:
     """Interior pairs whose Wald mean or shape leaves the double range raise a
-    ValueError naming it, draw nothing and never give NaN."""
+    ValueError naming it and never give NaN."""
 
     CASES = [
         (0.5, 1e170, 1e-160, "mean c/d overflows to inf"),
@@ -359,8 +434,9 @@ class TestWaldRange:
     @pytest.mark.parametrize("nu,c,bad_d,message", CASES)
     @pytest.mark.parametrize("c_form", ["scalar", "array"])
     def test_fast_path_raises(self, nu, c, bad_d, message, c_form):
+        # every pair passes the interior screen, and the call draws nothing
         d = np.array([bad_d, bad_d * 2.0])
-        assert randist._interior_extremes(nu, c, d) is not None
+        assert _interior_by_product(nu, c, d)
         cc = c if c_form == "scalar" else np.full(d.size, c)
         gen = RngStream(51).generator()
         before = gen.bit_generator.state
@@ -371,17 +447,13 @@ class TestWaldRange:
 
     @pytest.mark.parametrize("nu,c,bad_d,message", CASES)
     def test_full_path_raises(self, nu, c, bad_d, message):
-        # a size or an order array takes the full validation and dispatch
-        for args, size in (((nu, c, bad_d), 3), ((np.full(2, nu), c, np.full(2, bad_d)), None)):
+        # with a size, and beside a pair at its limit, which sends the call
+        # through the checked path
+        limit_c, limit_d = (0.0, 1.0) if nu < 0 else (1.0, 0.0)
+        for args, size in (((nu, c, bad_d), 3),
+                           ((nu, np.array([limit_c, c]), np.array([limit_d, bad_d])), None)):
             with pytest.raises(ValueError, match="Wald " + message):
                 gig_rvs(RngStream(52).generator(), *args, size=size)
-
-    def test_mixed_orders_raise(self):
-        nu = np.array([0.5, -0.5])
-        with pytest.raises(ValueError, match=r"GIG\(-1/2\) Wald shape d\^2 overflows"):
-            gig_rvs(RngStream(55).generator(), nu, 1.0, np.array([1.0, 1e160]))
-        with pytest.raises(ValueError, match=r"GIG\(1/2\) Wald mean c/d overflows"):
-            gig_rvs(RngStream(55).generator(), nu, np.array([1e170, 1.0]), np.array([1e-160, 1.0]))
 
     @pytest.mark.parametrize("nu,c,d", [(0.5, 1e-151, 1e145), (-0.5, 1e150, 1e-155)])
     def test_extreme_pairs_in_range_draw(self, nu, c, d):
@@ -397,24 +469,17 @@ class TestWaldRange:
 
     @np.errstate(all="ignore")
     def test_screen_is_wide_of_the_range(self):
-        # the cheap bounds clear a state only when its Wald parameters sit
-        # far inside (0, inf)
+        # states on both sides of the double range's edges: a cheap bound
+        # that cleared a mean or shape outside (0, inf) would give NaN draws
+        # or numpy's own Wald error
         gen = np.random.default_rng(54)
-        cleared = 0
+        drawn = 0
         for _ in range(3000):
             c = 10.0 ** gen.uniform(-200, 200, size=gen.integers(1, 4))
             d = 10.0 ** gen.uniform(-200, 200, size=c.size)
             nu = gen.choice([-0.5, 0.5])
-            extremes = randist._interior_extremes(nu, c, d)
-            if extremes is None:
-                continue
-            c_lo, cd_lo, cd_hi = extremes
-            if randist._wald_plainly_in_range(nu < 0, c_lo, float(c.max()), cd_lo, cd_hi):
-                mean, shape = (d / c, d * d) if nu < 0 else (c / d, c * c)
-                for arr in (mean, shape):
-                    assert 1e-302 < arr.min() and arr.max() < 1e302
-                cleared += 1
-        assert 0 < cleared < 3000
+            drawn += _check_by_product(nu, c, d) + _check_by_product(nu, c[0], d)
+        assert 0 < drawn < 6000
 
 
 class TestGigShifted:
