@@ -488,6 +488,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
     table_rows = []
     eta_rows = []
+    failure_rows = []
     for cell in cells:
         table_rows.append((
             str(cell.scenario_id), cell.method, fmt(cell.tau), str(cell.n),
@@ -496,12 +497,21 @@ def cmd_simulate(cfg: RunConfig) -> list:
         ))
         for rep, eta in enumerate(cell.eta_medians):
             eta_rows.append((str(cell.scenario_id), fmt(cell.tau), str(cell.n), str(rep), eta))
+        for rep, message in cell.failures:
+            failure_rows.append((str(cell.scenario_id), fmt(cell.tau), str(cell.n), str(rep),
+                                 message))
     _write_csv(outdir / "tables.csv",
                ["scenario", "method", "tau", "n", "rmse", "mmad", "al", "cp",
                 "failures", "complete"], table_rows)
     _write_csv(outdir / "eta-medians.csv",
                ["scenario", "tau", "n", "replication", "eta_median"], eta_rows)
-    return [outdir / "tables.csv", outdir / "eta-medians.csv"]
+    written = [outdir / "tables.csv", outdir / "eta-medians.csv"]
+    # only a run with a failed replication has this file
+    if failure_rows:
+        _write_csv(outdir / "failures.csv",
+                   ["scenario", "tau", "n", "replication", "message"], failure_rows)
+        written.append(outdir / "failures.csv")
+    return written
 
 
 def cmd_sensitivity(cfg: RunConfig) -> list:

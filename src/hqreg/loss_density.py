@@ -25,9 +25,6 @@ from scipy import special as _sp
 __all__ = [
     "LossParams",
     "huber_loss",
-    "soft_huber",
-    "nonconvex_huber",
-    "hyperbolic_loss",
     "check_loss",
     "asym_loss",
     "asym_density",
@@ -73,35 +70,6 @@ def huber_loss(x, delta: float = 1.345):
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     return np.where(ax <= delta, 0.5 * x * x, delta * (ax - 0.5 * delta))
-
-
-def soft_huber(x, zeta1, zeta2):
-    """sqrt(zeta1*zeta2) (sqrt(1 + x^2/zeta2) - 1); bridges L2 and L1."""
-    if zeta1 <= 0 or zeta2 <= 0:
-        raise ValueError("zeta1 and zeta2 must be > 0")
-    x = np.asarray(x, dtype=float)
-    z = x * x / zeta2
-    # sqrt(1+z)-1 written division-free in z to avoid cancellation
-    return np.sqrt(zeta1 * zeta2) * (z / (np.sqrt(1.0 + z) + 1.0))
-
-
-def nonconvex_huber(x, zeta1, zeta2):
-    """sqrt(zeta1*zeta2) (sqrt(1 + |x|/zeta2) - 1); bridges L1 and L1/2."""
-    if zeta1 <= 0 or zeta2 <= 0:
-        raise ValueError("zeta1 and zeta2 must be > 0")
-    x = np.asarray(x, dtype=float)
-    z = np.abs(x) / zeta2
-    return np.sqrt(zeta1 * zeta2) * (z / (np.sqrt(1.0 + z) + 1.0))
-
-
-def hyperbolic_loss(x, eta, rho2):
-    """sqrt(eta (eta + x^2/rho2)) - eta; equals soft_huber under
-    eta = sqrt(zeta1 zeta2), rho2 = sqrt(zeta2/zeta1)."""
-    if eta <= 0 or rho2 <= 0:
-        raise ValueError("eta and rho2 must be > 0")
-    x = np.asarray(x, dtype=float)
-    z = x * x / (eta * rho2)
-    return eta * (z / (np.sqrt(1.0 + z) + 1.0))
 
 
 def check_loss(x, tau):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import specfun
 
@@ -50,6 +50,11 @@ __all__ = [
 # Below this value of c*d the Bessel-ratio regime is numerically void and
 # draws dispatch to the gamma (nu > 0) or inverse-gamma (nu < 0) limit.
 GIG_BOUNDARY_EPS = 1e-12
+
+# Devroye's sampler accepts within two rounds on average for every (nu, omega)
+# its hat can be built for; a draw still pending after this many rounds comes
+# from a hat that float arithmetic broke (omega near 1e150 or more).
+_DEVROYE_MAX_ROUNDS = 1000
 
 
 class FactorizationError(RuntimeError):
@@ -112,6 +117,12 @@ class GigParams:
             raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
 
 
+def _no_acceptance(lam, omega):
+    raise ValueError(f"GIG rejection sampler accepted nothing in {_DEVROYE_MAX_ROUNDS} "
+                     f"rounds at |nu| = {float(lam):g}, omega = c*d = {float(omega):g}; "
+                     f"the parameters leave the range it can draw from")
+
+
 def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Draw from the two-parameter GIG density ~ y^(lam-1) exp(-omega (y + 1/y)/2).
 
@@ -121,16 +132,18 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
     """
     lam = np.asarray(lam, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    alpha = np.sqrt(omega * omega + lam * lam) - lam
-
-    def psi(x):
-        return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
-
-    def dpsi(x):
-        return -alpha * np.sinh(x) - lam * np.expm1(x)
-
-    one = np.ones_like(alpha)
+    # a hat that float arithmetic breaks (omega near 1e150 or more) gives
+    # inf or NaN here, and the bounded rounds below then raise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = np.sqrt(omega * omega + lam * lam) - lam
+
+        def psi(x):
+            return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
+
+        def dpsi(x):
+            return -alpha * np.sinh(x) - lam * np.expm1(x)
+
+        one = np.ones_like(alpha)
         m = -psi(one)
         t = np.where(
             (m >= 0.5) & (m <= 2.0),
@@ -148,16 +161,16 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
             np.where(m > 2.0, np.sqrt(4.0 / (alpha * np.cosh(1.0) + lam)), s_small),
         )
 
-    eta = -psi(t)
-    zeta = -dpsi(t)
-    theta = -psi(-s)
-    xi = dpsi(-s)
-    p = 1.0 / xi
-    r = 1.0 / zeta
-    td = t - r * eta
-    sd = s - p * theta
-    q = td + sd
-    total = p + q + r
+        eta = -psi(t)
+        zeta = -dpsi(t)
+        theta = -psi(-s)
+        xi = dpsi(-s)
+        p = 1.0 / xi
+        r = 1.0 / zeta
+        td = t - r * eta
+        sd = s - p * theta
+        q = td + sd
+        total = p + q + r
 
     out = np.empty_like(alpha)
     pending = np.arange(alpha.size)
@@ -177,7 +190,9 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
     tot_f = total.ravel()
     out_f = out.ravel()
 
-    while pending.size:
+    for _ in range(_DEVROYE_MAX_ROUNDS):
+        if not pending.size:
+            break
         u = gen.random(pending.size)
         v = gen.random(pending.size)
         w = gen.random(pending.size)
@@ -212,6 +227,8 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
         idx = pending[acc]
         out_f[idx] = cand[acc]
         pending = pending[~acc]
+    if pending.size:
+        _no_acceptance(lam_f[pending[0]], omega.ravel()[pending[0]])
 
     # undo the log / mode-centering transform
     return np.exp(out) * (lam / omega + np.sqrt(1.0 + (lam / omega) ** 2))
@@ -263,7 +280,7 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     q = td + sd
     total = p + q + r
 
-    while True:
+    for _ in range(_DEVROYE_MAX_ROUNDS):
         u = gen.random()
         v = gen.random()
         w = gen.random()
@@ -289,6 +306,8 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
         log_upper = math.log(upper) if upper > 0.0 else -math.inf
         if log_w + log_upper <= logf:
             break
+    else:
+        _no_acceptance(lam, omega)
 
     ratio = lam / omega
     return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
@@ -359,7 +378,7 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
     Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
     through its ``math`` twin when c and d are floats, else through the
     array form, which also takes a float pair whose hat overflows in
-    ``math`` arithmetic.
+    ``math`` arithmetic.  A draw that overflows raises ValueError.
     """
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
@@ -367,10 +386,18 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
         y = _devroye_gig_scalar(gen, abs(nu), c * d)
         if y is None:
             y = float(_devroye_gig_two_param(gen, abs(nu), c * d))
+        x = (1.0 / y if nu < 0 else y) * (d / c)
+        finite = math.isfinite(x)
     else:
         omega = c * d
         y = _devroye_gig_two_param(gen, np.broadcast_to(abs(nu), omega.shape), omega)
-    return (1.0 / y if nu < 0 else y) * (d / c)
+        with np.errstate(divide="ignore", over="ignore"):
+            x = (1.0 / y if nu < 0 else y) * (d / c)
+        finite = np.isfinite(x).all()
+    if not finite:
+        raise ValueError(f"GIG({nu:g}) draw overflows to inf; "
+                         f"the scale d/c leaves the double range")
+    return x
 
 
 def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.ndarray):
@@ -378,8 +405,9 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
     d are finite, non-negative arrays of one shape.
 
     A pair with c*d below GIG_BOUNDARY_EPS takes the gamma limit when
-    nu > 0 and the inverse-gamma limit when nu < 0.  The limit draws come
-    first, in index order, then those of the other pairs.
+    nu > 0 and the inverse-gamma limit when nu < 0; order 0 has no limit
+    law there and raises, as does a limit draw that overflows.  The limit
+    draws come first, in index order, then those of the other pairs.
     """
     if np.any((c == 0) & (d == 0)):
         raise ValueError("GIG parameters need c > 0 or d > 0")
@@ -389,14 +417,24 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
         raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
 
     out = np.empty(c.shape)
-    limit = (c * d < GIG_BOUNDARY_EPS) & (nu != 0)
+    limit = c * d < GIG_BOUNDARY_EPS
     count = np.count_nonzero(limit)
-    if count and nu > 0:
-        cs = c[limit]
-        out[limit] = gen.gamma(nu, size=count) * (2.0 / (cs * cs))
-    elif count:
-        ds = d[limit]
-        out[limit] = (ds * ds) / (2.0 * gen.gamma(-nu, size=count))
+    if count and nu == 0:
+        raise ValueError("GIG order 0 has no limit law: it needs c*d >= GIG_BOUNDARY_EPS")
+    if count:
+        # the scale 2/c^2 or d^2/2 can leave the double range
+        with np.errstate(divide="ignore", over="ignore"):
+            if nu > 0:
+                cs = c[limit]
+                draws = gen.gamma(nu, size=count) * (2.0 / (cs * cs))
+            else:
+                ds = d[limit]
+                draws = (ds * ds) / (2.0 * gen.gamma(-nu, size=count))
+        if not np.isfinite(draws).all():
+            law = "gamma" if nu > 0 else "inverse-gamma"
+            raise ValueError(f"GIG({nu:g}) {law} limit overflows to inf; "
+                             f"the parameters leave the double range")
+        out[limit] = draws
     if count < limit.size:
         rest = ~limit
         c, d = c[rest], d[rest]
@@ -424,9 +462,12 @@ def gig_rvs(rng, nu, c, d, size=None):
     kind, not by index.
 
     Raises ValueError for parameters outside that law (a zero d needs
-    nu > 0, a zero c needs nu < 0), or when a Wald mean or shape of an
-    order +-1/2 leaves the double range (overflows to inf or underflows
-    to 0).
+    nu > 0, a zero c needs nu < 0, order 0 needs c*d >= GIG_BOUNDARY_EPS),
+    when a Wald mean or shape of an order +-1/2 or a limit draw leaves the
+    double range (overflows to inf or underflows to 0), or when Devroye's
+    sampler accepts nothing in a bounded number of rounds, which happens
+    only where float arithmetic breaks its hat (c*d near 1e150 or more).
+    So every input returns or raises.
     """
     gen = as_generator(rng)
     if not isinstance(nu, float):
@@ -491,34 +532,53 @@ def mvn_from_precision(rng, precision, linear_term) -> np.ndarray:
     return mean + noise
 
 
-def mvn_low_rank(rng, phi, prior_var, alpha) -> np.ndarray:
-    """Draw from N(P^-1 phi' alpha, P^-1) with P = phi' phi + diag(1 / prior_var).
+def mvn_low_rank(rng, x, row_scale, prior_var, alpha) -> np.ndarray:
+    """Draw from N(P^-1 phi' alpha, P^-1) with P = phi' phi + diag(1 / prior_var)
+    and phi = diag(row_scale) x, an n x k matrix; phi is never formed.
 
     The algorithm of Bhattacharya, Chakraborty & Mallick (2016,
-    Biometrika 103) for an n x k matrix phi: draw u ~ N(0, diag(prior_var))
-    and delta ~ N(0, I_n), solve (phi diag(prior_var) phi' + I_n) w =
-    alpha - (phi u + delta), and return u + prior_var * phi' w.  It costs
-    O(n^2 k) and never forms the k x k precision, so it is the cheaper
-    exact draw when k > n.  Takes k + n standard normals, u's first.
+    Biometrika 103): draw u ~ N(0, diag(prior_var)) and delta ~ N(0, I_n),
+    solve (phi diag(prior_var) phi' + I_n) w = alpha - (phi u + delta),
+    and return u + prior_var * phi' w.  With xs = x diag(sqrt(prior_var)),
+    the one n x k temporary, the system matrix is diag(row_scale) xs xs'
+    diag(row_scale) + I_n: about n^2 k flops for the lower triangle of
+    xs xs' by a symmetric rank-k update (dsyrk), and n^3 / 3 for its
+    Cholesky factor.  The k x k precision is never formed, so this is the
+    cheaper exact draw when k > n.  Takes k + n standard normals, u's
+    first.  A zero prior variance pins its coefficient at 0; a negative
+    one raises FactorizationError.
     """
     gen = as_generator(rng)
-    phi = np.asarray(phi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    row_scale = np.asarray(row_scale, dtype=float)
     prior_var = np.asarray(prior_var, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if not (np.isfinite(phi).all() and np.isfinite(prior_var).all()
+    if not (np.isfinite(prior_var).all() and np.isfinite(row_scale).all()
             and np.isfinite(alpha).all()):
         raise ValueError("Gaussian draw needs finite inputs")
-    n, k = phi.shape
-    scaled = phi * prior_var
-    gram = scaled @ phi.T
+    if prior_var.min(initial=math.inf) < 0.0:
+        raise FactorizationError("low-rank Gaussian draw needs prior variances >= 0")
+    n, k = x.shape
+    sd = np.sqrt(prior_var)
+    xs = x * sd
+    # xs.T is Fortran-ordered, so dsyrk reads it in place; the result is
+    # Fortran-ordered with its lower triangle filled, as potrf wants it
+    gram = blas.dsyrk(1.0, xs.T, trans=1, lower=1)
+    gram *= row_scale[:, None]
+    gram *= row_scale
     gram.flat[:: n + 1] += 1.0
-    # gram is symmetric, so its transpose is the Fortran-ordered matrix
-    # that potrf can factor in place
-    lower = _cholesky_lower(gram.T, overwrite=True)
+    # a non-finite x shows up here too
+    if not np.isfinite(gram).all():
+        raise ValueError("Gaussian draw needs finite inputs")
+    lower = _cholesky_lower(gram, overwrite=True)
     z = gen.standard_normal(k + n)
-    u = np.sqrt(prior_var) * z[:k]
-    w, _ = lapack.dpotrs(lower, alpha - phi @ u - z[k:], lower=1)
-    return u + scaled.T @ w
+    u = z[:k]
+    w, _ = lapack.dpotrs(lower, alpha - row_scale * (xs @ u) - z[k:], lower=1)
+    w *= row_scale
+    out = xs.T @ w
+    out += u
+    out *= sd
+    return out
 
 
 def ald_sample(rng, mu, sigma, tau, size=None):

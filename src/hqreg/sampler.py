@@ -329,8 +329,8 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     Precision P = X' V^-1 X + prior diagonal, linear term
     h = X' V^-1 (y - (1-2 tau) v), with V = diag(4 sigma_i v_i).  The
     shape picks the exact draw: when k > n, the O(n^2 k) low-rank form
-    on phi = V^-1/2 X (k + n normals); otherwise the O(k^3) precision
-    form (k normals).
+    on phi = V^-1/2 X, which it is given as X and the row scale V^-1/2
+    (k + n normals); otherwise the O(k^3) precision form (k normals).
     """
     gen = as_generator(rng)
     # the product of two floored latents can still underflow; keep 1/V finite
@@ -343,7 +343,7 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     prior_precision = spec.penalty.prior_precision(state)
     if data.k > data.n:
         root = np.sqrt(winv)
-        return mvn_low_rank(gen, data.X * root[:, None], 1.0 / prior_precision, root * target)
+        return mvn_low_rank(gen, data.X, root, 1.0 / prior_precision, root * target)
     xw = data.X * winv[:, None]
     precision = xw.T @ data.X
     precision.flat[:: data.k + 1] += prior_precision

@@ -221,13 +221,17 @@ class StudyCell:
     n: int
     method: str
     n_replications: int
-    n_failures: int
+    failures: tuple  # (replication index, "ErrorClass: message") per failed replication
     rmse_mean: float
     mmad: float
     al_mean: float
     cp_mean: float
     eta_medians: np.ndarray
     complete: bool
+
+    @property
+    def n_failures(self) -> int:
+        return len(self.failures)
 
 
 def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
@@ -240,7 +244,7 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
     aggregation is ordered by (cell, replication index) regardless of
     scheduling.  All cells share one process pool.
     A cell is marked incomplete when more than 5% of its replications
-    fail.
+    fail, and keeps each failed replication's index and error message.
 
     The headline tables in the source studies average 300 replications;
     that is hours of compute, so desk-scale runs use 20 by default and
@@ -264,7 +268,8 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
     for i, scen in enumerate(scenarios):
         cell_outcomes = outcomes[i * n_replications:(i + 1) * n_replications]
         done = [res for status, res in cell_outcomes if status == "ok"]
-        failures = n_replications - len(done)
+        failed = tuple((rep, res) for rep, (status, res) in enumerate(cell_outcomes)
+                       if status == "err")
         cells.append(
             StudyCell(
                 scenario_id=scen.id,
@@ -272,13 +277,13 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
                 n=scen.n,
                 method=model.penalty.method,
                 n_replications=n_replications,
-                n_failures=failures,
+                failures=failed,
                 rmse_mean=float(np.mean([r.rmse for r in done])) if done else float("nan"),
                 mmad=float(np.median([r.mad for r in done])) if done else float("nan"),
                 al_mean=float(np.mean([r.al for r in done])) if done else float("nan"),
                 cp_mean=float(np.mean([r.cp for r in done])) if done else float("nan"),
                 eta_medians=np.array([r.eta_median for r in done]),
-                complete=failures <= 0.05 * n_replications,
+                complete=len(failed) <= 0.05 * n_replications,
             )
         )
     return cells

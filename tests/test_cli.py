@@ -325,6 +325,32 @@ class TestOtherCommands:
         assert len(rows) == 2
         eta_rows = list(csv.reader(open(out / "eta-medians.csv")))
         assert len(eta_rows) == 1 + 2  # header + one row per replication
+        assert not (out / "failures.csv").exists()  # no replication failed
+
+    def test_simulate_writes_failed_replications(self, tmp_path, monkeypatch):
+        # one worker: the study runs serially, in this process
+        import hqreg.simbench as sb
+
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        original = sb._fit_metrics
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sb, "_fit_metrics", flaky)
+        out = tmp_path / "sim"
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("scenarios=1\nn=30\nreps=3\niters=60\nburnin=20\n")
+        assert run_cli(["simulate", "--config", cfg, "--out", out, "--seed", 2]) == 0
+        rows = list(csv.reader(open(out / "failures.csv")))
+        assert rows == [["scenario", "tau", "n", "replication", "message"],
+                        ["1", "0.5", "30", "1", "RuntimeError: synthetic failure"]]
+        table = list(csv.reader(open(out / "tables.csv")))[1:]
+        assert table[0][8:] == ["1", "false"]
 
     def test_simulate_tau_list(self, tmp_path, capsys):
         out = tmp_path / "sim"

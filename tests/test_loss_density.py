@@ -20,12 +20,9 @@ from hqreg.loss_density import (
     check_loss,
     count_strict_local_maxima,
     huber_loss,
-    hyperbolic_loss,
     joint_log_posterior,
     log_posterior_grid,
-    nonconvex_huber,
     scale_mixture_density,
-    soft_huber,
 )
 from hqreg.randist import RngStream, ald_sample
 
@@ -58,25 +55,6 @@ class TestHuberLoss:
 
 
 class TestLossFamily:
-    def test_soft_huber_zero(self):
-        for a, b in [(0.5, 2.0), (3.0, 0.1)]:
-            assert soft_huber(0.0, a, b) == 0.0
-
-    def test_hyperbolic_equals_soft_reparameterised(self):
-        gen = RngStream(60).generator()
-        for _ in range(100):
-            x = gen.normal(scale=3)
-            z1, z2 = gen.uniform(0.05, 5, size=2)
-            eta = np.sqrt(z1 * z2)
-            rho2 = np.sqrt(z2 / z1)
-            assert hyperbolic_loss(x, eta, rho2) == pytest.approx(
-                soft_huber(x, z1, z2), rel=1e-12, abs=1e-300
-            )
-
-    def test_nonconvex_value(self):
-        # sqrt(1*1) * (sqrt(1 + 3/1) - 1) = 1
-        assert nonconvex_huber(3.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
     def test_asym_loss_zero_at_origin(self):
         p = LossParams(eta=1.3, rho2=0.7, tau=0.3)
         assert asym_loss(0.0, p) == 0.0

@@ -1,6 +1,7 @@
 """Random-variate generators against moment, CDF and closure oracles."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -317,8 +318,8 @@ def _by_product(nu, c, d, seed=47):
     Pairs whose product is below GIG_BOUNDARY_EPS draw their limit law
     first, in index order, and the others then one Wald draw each.  None
     where the law has no draw: a non-finite order, a non-finite or
-    negative c or d, a zero d at nu < 0 or a zero c at nu > 0, or a Wald
-    mean or shape outside (0, inf).
+    negative c or d, a zero d at nu < 0 or a zero c at nu > 0, a Wald
+    mean or shape outside (0, inf), or a limit draw that overflows.
     """
     c = np.full(d.shape, c)
     with np.errstate(all="ignore"):
@@ -335,6 +336,8 @@ def _by_product(nu, c, d, seed=47):
         out = np.empty(d.shape)
         g = gen.gamma(0.5, size=limit.sum())
         out[limit] = g * (2.0 / c[limit] ** 2) if nu > 0 else d[limit] ** 2 / (2.0 * g)
+        if not np.isfinite(out[limit]).all():
+            return None
         x = gen.wald(mean[rest], shape[rest])
         out[rest] = x if nu < 0 else 1.0 / x
     return out.tobytes()
@@ -482,6 +485,40 @@ class TestWaldRange:
         assert 0 < drawn < 6000
 
 
+class TestGigAlwaysReturns:
+    """Every finite input returns a draw or raises ValueError.  An alarm
+    turns a sampler that loops into a failure instead of a hang."""
+
+    CASES = [
+        # Devroye's hat breaks in float arithmetic at c*d = 1e157
+        (1.0, 1e-13, 1e170, r"accepted nothing in 1000 rounds at \|nu\| = 1, omega = c\*d = 1e\+157"),
+        # order 0 has no limit law below GIG_BOUNDARY_EPS
+        (0.0, 1e-13, 1e-300, "order 0 has no limit law"),
+        # the gamma limit's scale 2/c^2 and the inverse-gamma's d^2/2 overflow
+        (2.0, 1e-170, 1.0, r"GIG\(2\) gamma limit overflows to inf"),
+        (-2.0, 1e-180, 1e160, r"GIG\(-2\) inverse-gamma limit overflows to inf"),
+        # the interior scale d/c overflows
+        (1.0, 1e-300, 1e300, r"GIG\(1\) draw overflows to inf"),
+    ]
+
+    @staticmethod
+    def _alarm(signum, frame):
+        raise TimeoutError("gig_rvs did not return within 5 s")
+
+    @pytest.mark.parametrize("nu,c,d,message", CASES)
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_raises_within_time(self, nu, c, d, message, form):
+        args = (c, d) if form == "scalar" else (np.full(2, c), np.full(2, d))
+        previous = signal.signal(signal.SIGALRM, self._alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(ValueError, match=message):
+                gig_rvs(RngStream(55).generator(), nu, *args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+
 class TestGigShifted:
     """1 + X with X ~ GIG, as the elastic-net latents t_j > 1 are drawn."""
 
@@ -531,53 +568,72 @@ class TestMvnFromPrecision:
 
 
 def _low_rank_system(n=4, k=7, seed=34):
+    """(x, row_scale, prior_var, alpha) of a low-rank draw, then the
+    precision P and linear term h of the same law, built from phi =
+    diag(row_scale) x."""
     gen = RngStream(seed).generator()
-    phi = gen.standard_normal((n, k))
+    x = gen.standard_normal((n, k))
+    row_scale = gen.uniform(0.5, 2.0, n)
     prior_var = gen.uniform(0.5, 2.0, k)
     alpha = gen.standard_normal(n)
+    phi = x * row_scale[:, None]
     precision = phi.T @ phi + np.diag(1.0 / prior_var)
-    return phi, prior_var, alpha, precision, phi.T @ alpha
+    return x, row_scale, prior_var, alpha, precision, phi.T @ alpha
 
 
 class TestGaussianDrawsExact:
     """Both exact Gaussian draws, checked through their linear map."""
 
     def test_precision_form(self, linear_map):
-        _, _, _, p, h = _low_rank_system(n=9, k=5)
+        *_, p, h = _low_rank_system(n=9, k=5)
         mean, g = linear_map(lambda gen: mvn_from_precision(gen, p, h), 5)
         cov = np.linalg.inv(p)
         np.testing.assert_allclose(mean, np.linalg.solve(p, h), rtol=0, atol=1e-10)
         np.testing.assert_allclose(g @ g.T, cov, rtol=0, atol=1e-10)
 
     def test_low_rank_form(self, linear_map):
-        phi, pv, alpha, p, h = _low_rank_system()
-        mean, g = linear_map(lambda gen: mvn_low_rank(gen, phi, pv, alpha), 4 + 7)
+        *args, p, h = _low_rank_system()
+        mean, g = linear_map(lambda gen: mvn_low_rank(gen, *args), 4 + 7)
         np.testing.assert_allclose(mean, np.linalg.solve(p, h), rtol=0, atol=1e-10)
         np.testing.assert_allclose(g @ g.T, np.linalg.inv(p), rtol=0, atol=1e-10)
 
     def test_forms_agree(self, linear_map):
-        phi, pv, alpha, p, h = _low_rank_system(n=3, k=8)
-        m_lr, g_lr = linear_map(lambda gen: mvn_low_rank(gen, phi, pv, alpha), 3 + 8)
+        *args, p, h = _low_rank_system(n=3, k=8)
+        m_lr, g_lr = linear_map(lambda gen: mvn_low_rank(gen, *args), 3 + 8)
         m_p, g_p = linear_map(lambda gen: mvn_from_precision(gen, p, h), 8)
         np.testing.assert_allclose(m_lr, m_p, rtol=0, atol=1e-10)
         np.testing.assert_allclose(g_lr @ g_lr.T, g_p @ g_p.T, rtol=0, atol=1e-10)
 
     def test_low_rank_takes_k_plus_n_normals(self, fixed_normals):
-        phi, pv, alpha, _, _ = _low_rank_system()
-        out = mvn_low_rank(RngStream(35).generator(), phi, pv, alpha)
+        args = _low_rank_system()[:4]
+        out = mvn_low_rank(RngStream(35).generator(), *args)
         z = RngStream(35).generator().standard_normal(4 + 7)
-        np.testing.assert_array_equal(out, mvn_low_rank(fixed_normals(z), phi, pv, alpha))
+        np.testing.assert_array_equal(out, mvn_low_rank(fixed_normals(z), *args))
+
+    def test_low_rank_zero_prior_variance_pins_coefficient(self, linear_map):
+        # rho2 * s underflowing to 0 gives a zero prior variance; the law is
+        # then the (k-1)-coefficient one with beta_0 = 0
+        x, row_scale, prior_var, alpha, _, _ = _low_rank_system()
+        prior_var[0] = 0.0
+        mean, g = linear_map(lambda gen: mvn_low_rank(gen, x, row_scale, prior_var, alpha),
+                             4 + 7)
+        assert mean[0] == 0.0 and np.all(g[0] == 0.0)
+        phi = x[:, 1:] * row_scale[:, None]
+        p = phi.T @ phi + np.diag(1.0 / prior_var[1:])
+        np.testing.assert_allclose(mean[1:], np.linalg.solve(p, phi.T @ alpha),
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(g[1:] @ g[1:].T, np.linalg.inv(p), rtol=0, atol=1e-10)
 
     def test_low_rank_indefinite_raises(self):
-        # a negative prior variance makes phi D phi' + I indefinite
+        # a negative prior variance: diag(prior_var) is no covariance
         with pytest.raises(FactorizationError):
-            mvn_low_rank(RngStream(36), np.array([[1.0, 0.0]]), np.array([-5.0, 1.0]),
-                         np.zeros(1))
+            mvn_low_rank(RngStream(36), np.array([[1.0, 0.0]]), np.ones(1),
+                         np.array([-5.0, 1.0]), np.zeros(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("where", [0, 1, 2, 3])
     def test_low_rank_non_finite_input_raises(self, bad, where):
-        args = list(_low_rank_system()[:3])
+        args = list(_low_rank_system()[:4])
         args[where].flat[0] = bad
         with pytest.raises(ValueError):
             mvn_low_rank(RngStream(37), *args)

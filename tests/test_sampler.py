@@ -201,6 +201,35 @@ class TestUpdateBetaForms:
         assert taken == [form]
 
 
+    @staticmethod
+    def _phi_form_draw(rng, x, row_scale, prior_var, alpha):
+        """Oracle: the low-rank draw written plainly, phi = diag(row_scale) x
+        formed and its gram built by a product of two matrices."""
+        phi = x * row_scale[:, None]
+        n, k = phi.shape
+        scaled = phi * prior_var
+        gram = scaled @ phi.T + np.eye(n)
+        z = rng.standard_normal(k + n)
+        u = np.sqrt(prior_var) * z[:k]
+        w = np.linalg.solve(gram, alpha - phi @ u - z[k:])
+        return u + scaled.T @ w
+
+    def test_wide_chain_matches_phi_form_oracle(self, monkeypatch):
+        # the two forms differ only in rounding, and a k > n chain does not
+        # amplify rounding: the chains stay together draw for draw
+        gen = RngStream(307).generator()
+        n, k = 30, 60
+        x = gen.standard_normal((n, k))
+        beta = np.zeros(k)
+        beta[:4] = [2.0, -1.5, 1.0, 0.5]
+        data = Dataset(x, x @ beta + 0.5 * gen.standard_normal(n))
+        spec = ModelSpec(tau=0.5, n_iter=60, burn_in=0)
+        kernel = run_chain(data, spec, rng=RngStream(308).generator()).draws
+        monkeypatch.setattr(sampler, "mvn_low_rank", self._phi_form_draw)
+        oracle = run_chain(data, spec, rng=RngStream(308).generator()).draws
+        np.testing.assert_allclose(kernel, oracle, rtol=1e-6, atol=0)
+
+
 class TestUpdateSigmaV:
     def test_v_coefficient_identity(self):
         # (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma == 1/(4 sigma)
@@ -544,7 +573,8 @@ class TestLeanBlocks:
         monkeypatch.setattr(sampler, "mvn_from_precision",
                             lambda rng, p, h: calls.append((p, h)) or np.zeros(k))
         monkeypatch.setattr(sampler, "mvn_low_rank",
-                            lambda rng, phi, var, a: calls.append((phi, var, a)) or np.zeros(k))
+                            lambda rng, x, scale, var, a: calls.append((x, scale, var, a))
+                            or np.zeros(k))
         gen = RngStream(381).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=0.3)
@@ -555,7 +585,7 @@ class TestLeanBlocks:
         prior = spec.penalty.prior_precision(st)
         if k > n:
             root = np.sqrt(winv)
-            want = (data.X * root[:, None], 1.0 / prior, root * target)
+            want = (data.X, root, 1.0 / prior, root * target)
         else:
             xw = data.X * winv[:, None]
             precision = xw.T @ data.X

@@ -179,6 +179,8 @@ class TestRunStudy:
         cell = run_study([scen], self._tiny_model(), 3, master_seed=5, parallel=False)[0]
         assert cell.n_failures == 1
         assert not cell.complete  # 1/3 > 5%
+        assert cell.failures == ((0, "RuntimeError: synthetic failure"),)
+        assert cell.eta_medians.shape == (2,)
 
     def test_worker_count_obeys_env(self, monkeypatch):
         monkeypatch.setenv("HQREG_THREADS", "2")
