@@ -233,8 +233,6 @@ _DEFAULTS = {
     "b2": "1.0",
     "a3": "1.0",
     "b3": "1.0",
-    "eta_iters": "10",
-    "eta_tol": "1e-8",
     "input": "",
     "folds": "10",
     "reps": "20",
@@ -256,6 +254,10 @@ _DEFAULTS = {
     "log_rho2_min": "-9.0",
     "log_rho2_max": "1.0",
 }
+
+# keys that manifests held before their values became sampler constants;
+# a config may still give them, at these values only
+_RETIRED = {"eta_iters": "10", "eta_tol": "1e-8"}
 
 _SUBCOMMANDS = ("fit", "simulate", "sensitivity", "contour", "cv")
 # the penalty key picks the sampler's penalty family and the surface's prior
@@ -311,6 +313,15 @@ def parse_config_file(path) -> dict:
         if key == "subcommand" or key == "version":
             out[key] = value
             continue
+        if key in _RETIRED:
+            try:
+                retired = float(value) == float(_RETIRED[key])
+            except ValueError:
+                retired = False
+            if not retired:
+                raise CliError("config-error", f"{path}:{lineno}: key '{key}' is fixed at "
+                                               f"{_RETIRED[key]}")
+            continue
         if key not in _DEFAULTS:
             raise CliError("config-error", f"{path}:{lineno}: unknown key '{key}'")
         out[key] = value
@@ -353,8 +364,6 @@ def _model_spec(cfg: RunConfig, tau: float = None) -> ModelSpec:
             n_iter=cfg.get_int("iters"),
             burn_in=cfg.get_int("burnin"),
             thin=cfg.get_int("thin"),
-            eta_inner_iters=cfg.get_int("eta_iters"),
-            eta_tol=cfg.get_float("eta_tol"),
             seed=cfg.get_int("seed"),
         )
     except ValueError as exc:
@@ -423,7 +432,7 @@ def cmd_fit(cfg: RunConfig) -> list:
     _write_csv(outdir / "samples.csv", columns, samples.draws)
     rows = [
         (rename.get(name, name), med, lo, hi)
-        for name, med, lo, hi in summarize(samples, level=0.95)
+        for name, med, lo, hi in summarize(samples)
     ]
     _write_csv(outdir / "summary.csv", ["parameter", "median", "lower", "upper"], rows)
     (outdir / "chain-health.txt").write_text("\n".join(samples.health.as_lines()) + "\n")
@@ -484,6 +493,10 @@ def cmd_simulate(cfg: RunConfig) -> list:
         raise CliError("config-error", str(exc)) from exc
     # run_study sets each cell's tau; the model takes the first for validation
     model = _model_spec(cfg, tau=taus[0])
+    try:
+        simbench.worker_count(len(scenarios) * reps)
+    except ValueError as exc:
+        raise CliError("config-error", str(exc)) from exc
     outdir = _outdir(cfg)
     cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
     table_rows = []

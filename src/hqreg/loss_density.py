@@ -45,20 +45,15 @@ _K0_ARG_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class LossParams:
-    """Shape eta > 0, scale rho2 > 0, quantile level tau in (0,1).
-
-    delta is the threshold of the classic quadratic/linear Huber loss
-    used by the prediction-error metrics.
-    """
+    """Shape eta > 0, scale rho2 > 0, quantile level tau in (0,1)."""
 
     eta: float
     rho2: float
     tau: float
-    delta: float = 1.345
 
     def __post_init__(self):
-        if not (self.eta > 0 and self.rho2 > 0 and self.delta > 0):
-            raise ValueError("eta, rho2 and delta must be > 0")
+        if not (self.eta > 0 and self.rho2 > 0):
+            raise ValueError("eta and rho2 must be > 0")
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
 
@@ -117,7 +112,7 @@ def _ald_kernel_density(e, scale, tau):
     return tau * (1.0 - tau) / scale * np.exp(-check_loss(np.asarray(e) / scale, tau))
 
 
-def scale_mixture_density(x, mu, p: LossParams, rel_tol: float = 1e-9) -> float:
+def scale_mixture_density(x, mu, p: LossParams) -> float:
     """Evaluate the normal scale-mixture representation by 2-D quadrature.
 
     Composes, for e = x - mu,
@@ -171,7 +166,7 @@ def scale_mixture_density(x, mu, p: LossParams, rel_tol: float = 1e-9) -> float:
 
         lo = math.log(v_scale) - 46.0
         hi = math.log(v_scale) + 46.0
-        val, _ = quad(f, lo, hi, epsabs=1e-14, epsrel=rel_tol, limit=200)
+        val, _ = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-9, limit=200)
         return val
 
     def outer(w: float) -> float:
@@ -186,7 +181,7 @@ def scale_mixture_density(x, mu, p: LossParams, rel_tol: float = 1e-9) -> float:
     s_scale = math.sqrt(d2 / c2)  # = rho2, the GIG scale
     lo = math.log(s_scale) - 42.0
     hi = math.log(s_scale) + 42.0
-    val, err = quad(outer, lo, hi, epsabs=1e-14, epsrel=rel_tol, limit=200)
+    val, err = quad(outer, lo, hi, epsabs=1e-14, epsrel=1e-9, limit=200)
     if not np.isfinite(val) or (val > 0 and err > 1e-3 * val):
         raise RuntimeError(f"mixture quadrature failed to converge: value={val}, err={err}")
     return val

@@ -378,21 +378,32 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
     Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
     through its ``math`` twin when c and d are floats, else through the
     array form, which also takes a float pair whose hat overflows in
-    ``math`` arithmetic.  A draw that overflows raises ValueError.
+    ``math`` arithmetic.  A scale d/c that underflows to 0 raises
+    ValueError before anything is drawn; a draw that overflows raises
+    after.
     """
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
-    if isinstance(c, float) and isinstance(d, float):
+    scalar = isinstance(c, float) and isinstance(d, float)
+    if scalar:
+        scale = d / c
+    else:
+        with np.errstate(over="ignore"):
+            scale = d / c
+    if (scale if scalar else scale.min(initial=math.inf)) == 0.0:
+        raise ValueError(f"GIG({nu:g}) scale d/c underflows to 0; "
+                         f"the parameters leave the double range")
+    if scalar:
         y = _devroye_gig_scalar(gen, abs(nu), c * d)
         if y is None:
             y = float(_devroye_gig_two_param(gen, abs(nu), c * d))
-        x = (1.0 / y if nu < 0 else y) * (d / c)
+        x = (1.0 / y if nu < 0 else y) * scale
         finite = math.isfinite(x)
     else:
         omega = c * d
         y = _devroye_gig_two_param(gen, np.broadcast_to(abs(nu), omega.shape), omega)
         with np.errstate(divide="ignore", over="ignore"):
-            x = (1.0 / y if nu < 0 else y) * (d / c)
+            x = (1.0 / y if nu < 0 else y) * scale
         finite = np.isfinite(x).all()
     if not finite:
         raise ValueError(f"GIG({nu:g}) draw overflows to inf; "
@@ -406,8 +417,10 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
 
     A pair with c*d below GIG_BOUNDARY_EPS takes the gamma limit when
     nu > 0 and the inverse-gamma limit when nu < 0; order 0 has no limit
-    law there and raises, as does a limit draw that overflows.  The limit
-    draws come first, in index order, then those of the other pairs.
+    law there and raises, as does a limit draw that overflows or a limit
+    scale (2/c^2 for the gamma, d^2/2 for the inverse gamma) that
+    underflows to 0.  The limit draws come first, in index order, then
+    those of the other pairs.
     """
     if np.any((c == 0) & (d == 0)):
         raise ValueError("GIG parameters need c > 0 or d > 0")
@@ -422,16 +435,18 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
     if count and nu == 0:
         raise ValueError("GIG order 0 has no limit law: it needs c*d >= GIG_BOUNDARY_EPS")
     if count:
-        # the scale 2/c^2 or d^2/2 can leave the double range
+        # the scale 2/c^2 or d^2/2 can leave the double range; one that
+        # underflows raises before anything is drawn
+        law, form = ("gamma", "2/c^2") if nu > 0 else ("inverse-gamma", "d^2/2")
         with np.errstate(divide="ignore", over="ignore"):
-            if nu > 0:
-                cs = c[limit]
-                draws = gen.gamma(nu, size=count) * (2.0 / (cs * cs))
-            else:
-                ds = d[limit]
-                draws = (ds * ds) / (2.0 * gen.gamma(-nu, size=count))
+            square = np.square(c[limit] if nu > 0 else d[limit])
+            scale = 2.0 / square if nu > 0 else square / 2.0
+            if scale.min() == 0.0:
+                raise ValueError(f"GIG({nu:g}) {law} limit scale {form} underflows to 0; "
+                                 f"the parameters leave the double range")
+            draws = (gen.gamma(nu, size=count) * scale if nu > 0
+                     else square / (2.0 * gen.gamma(-nu, size=count)))
         if not np.isfinite(draws).all():
-            law = "gamma" if nu > 0 else "inverse-gamma"
             raise ValueError(f"GIG({nu:g}) {law} limit overflows to inf; "
                              f"the parameters leave the double range")
         out[limit] = draws
@@ -463,11 +478,17 @@ def gig_rvs(rng, nu, c, d, size=None):
 
     Raises ValueError for parameters outside that law (a zero d needs
     nu > 0, a zero c needs nu < 0, order 0 needs c*d >= GIG_BOUNDARY_EPS),
-    when a Wald mean or shape of an order +-1/2 or a limit draw leaves the
-    double range (overflows to inf or underflows to 0), or when Devroye's
-    sampler accepts nothing in a bounded number of rounds, which happens
-    only where float arithmetic breaks its hat (c*d near 1e150 or more).
-    So every input returns or raises.
+    when a Wald mean or shape of an order +-1/2 leaves the double range
+    (overflows to inf or underflows to 0), when the scale of a draw
+    underflows to 0 (d/c for Devroye's sampler, 2/c^2 for the gamma
+    limit, d^2/2 for the inverse-gamma limit), when a draw overflows to
+    inf, or when Devroye's sampler accepts nothing in a bounded number of
+    rounds, which happens only where float arithmetic breaks its hat
+    (c*d near 1e150 or more).  So every input returns or raises.  A scale
+    that underflows raises before its pairs are drawn.  The scale is
+    tested, not the draw: a draw can still be 0 when the variate it
+    scales underflows, as a gamma variate of a small order does (order
+    1e-3 at unit scale gives 0.0 in about half its draws).
     """
     gen = as_generator(rng)
     if not isinstance(nu, float):

@@ -20,8 +20,10 @@ It names its config ``keys``, study ``method`` label and retained rate
 ``update`` (which takes the joint draw back, sets v and its latents and
 draws its rates).  Every latent block has a generalised inverse Gaussian
 full conditional; the robustness parameter eta is updated by a gamma
-approximation whose (shape, rate) pair is refined by a short
-fixed-point iteration before a single draw is taken.
+approximation whose (shape, rate) pair is refined by a fixed-point
+iteration, at most 10 passes to a relative tolerance of 1e-8, before a
+single draw is taken.  The block updates draw from the
+``np.random.Generator`` that :func:`run_chain` passes them.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-300
+_ETA_REFINE_ITERS = 10
+_ETA_REFINE_TOL = 1e-8
 
 
 class ChainError(RuntimeError):
@@ -236,8 +240,6 @@ class ModelSpec:
     n_iter: int = 2500
     burn_in: int = 500
     thin: int = 1
-    eta_inner_iters: int = 10
-    eta_tol: float = 1e-8
     seed: int = 0
     rho2_invgamma: Optional[tuple] = None
 
@@ -248,8 +250,6 @@ class ModelSpec:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.eta_inner_iters < 1 or self.eta_tol <= 0:
-            raise ValueError("eta refinement needs positive iteration budget and tolerance")
         if self.rho2_invgamma is not None:
             a0, g0 = self.rho2_invgamma
             if a0 <= 0 or g0 <= 0:
@@ -323,7 +323,7 @@ def initial_state(data: Dataset, spec: ModelSpec) -> ChainState:
     return state
 
 
-def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
+def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
     """Multivariate-normal block draw, N(P^-1 h, P^-1).
 
     Precision P = X' V^-1 X + prior diagonal, linear term
@@ -332,7 +332,6 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     on phi = V^-1/2 X, which it is given as X and the row scale V^-1/2
     (k + n normals); otherwise the O(k^3) precision form (k normals).
     """
-    gen = as_generator(rng)
     # the product of two floored latents can still underflow; keep 1/V finite
     winv = 4.0 * state.sigma
     winv *= state.v
@@ -350,17 +349,13 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.nd
     return mvn_from_precision(gen, precision, xw.T @ target)
 
 
-def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng,
-                 resid: Optional[np.ndarray] = None) -> np.ndarray:
+def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
+                 resid: np.ndarray) -> np.ndarray:
     """Per-observation GIG(-1/2) draws for the global mixing latents.
 
-    ``resid`` is y - X beta at the state, computed here when not given;
-    it is only read.
+    ``resid`` is y - X beta at the state; it is only read.
     """
-    gen = as_generator(rng)
     tau = spec.tau
-    if resid is None:
-        resid = data.y - data.X @ state.beta
     # d^2 = (resid - (1 - 2 tau) v)^2 / (4 v) + tau (1 - tau) v + eta rho2,
     # built in place in d and one scratch array
     d = (1.0 - 2.0 * tau) * state.v
@@ -376,8 +371,8 @@ def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     return gig_rvs(gen, -0.5, c, d)
 
 
-def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng,
-             resid: Optional[np.ndarray] = None) -> np.ndarray:
+def update_v(state: ChainState, data: Dataset, spec: ModelSpec, gen,
+             resid: np.ndarray) -> np.ndarray:
     """Per-observation GIG(1/2) draws for the asymmetry latents.
 
     The x-coefficient (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma collapses
@@ -385,9 +380,6 @@ def update_v(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     GIG sampler rather than being jittered.  ``resid`` is as in
     :func:`update_sigma`.
     """
-    gen = as_generator(rng)
-    if resid is None:
-        resid = data.y - data.X @ state.beta
     return gig_rvs(gen, 0.5, *_v_params(state, resid))
 
 
@@ -401,8 +393,8 @@ def _v_params(state: ChainState, resid: np.ndarray, c=None, d=None) -> tuple:
     return c, d
 
 
-def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
-                         resid: Optional[np.ndarray] = None) -> np.ndarray:
+def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, gen,
+                         resid: np.ndarray) -> np.ndarray:
     """v and the penalty family's latents in one GIG(1/2) call: the n
     draws of :func:`update_v`, then the k of :func:`update_s` (lasso) or
     of :func:`update_t` less one (elastic net).
@@ -416,9 +408,6 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     :func:`gig_rvs`); each draw keeps its law.  ``resid`` is as in
     :func:`update_sigma`.
     """
-    gen = as_generator(rng)
-    if resid is None:
-        resid = data.y - data.X @ state.beta
     n = data.n
     c = np.empty(n + data.k)
     d = np.empty(n + data.k)
@@ -427,13 +416,12 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, rng,
     return gig_rvs(gen, 0.5, c, d)
 
 
-def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
+def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
     """Single GIG draw for the scale; order -(n + k/2) under the invariant prior.
 
     A proper inverse-gamma prior (shape a0, rate g0) shifts the order by
     -a0 and adds 2 g0 to the 1/x coefficient.
     """
-    gen = as_generator(rng)
     n, k = data.n, data.k
     c_sq = state.eta * float((1.0 / state.sigma).sum())
     d_sq = state.eta * float(state.sigma.sum()) + spec.penalty.rho2_quadratic(state)
@@ -445,30 +433,26 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float
     return float(gig_rvs(gen, nu, math.sqrt(c_sq), math.sqrt(d_sq)))
 
 
-def update_s(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
+def update_s(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
     """Lasso coefficient-scale latents: GIG(1/2, l1sq, beta_j^2/rho2)."""
-    gen = as_generator(rng)
     return gig_rvs(gen, 0.5, *LassoHyper.latent_params(state))
 
 
-def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
+def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
     """Gamma(a + k, b + sum(s)/2) draw for the squared l1 rate."""
-    gen = as_generator(rng)
     hyper = spec.penalty
     shape = hyper.a + data.k
     rate = hyper.b + 0.5 * float(state.s.sum())
     return float(gen.gamma(shape) / rate)
 
 
-def update_t(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> np.ndarray:
+def update_t(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
     """Elastic-net latents t_j > 1; t_j - 1 is GIG(1/2, 2 l3t, 2 l4 beta_j^2/rho2)."""
-    gen = as_generator(rng)
     return 1.0 + gig_rvs(gen, 0.5, *ElasticNetHyper.latent_params(state))
 
 
-def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, rng) -> float:
+def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
     """Gamma(k/2 + a2, sum(t beta^2 / (rho2 (t-1))) + b2) draw for the ridge rate."""
-    gen = as_generator(rng)
     hyper = spec.penalty
     shape = data.k / 2.0 + hyper.a2
     quad = state.beta**2
@@ -509,7 +493,7 @@ def lambda3_log_accept_ratio(current: float, proposal: float, k: int, sum_t: flo
     )
 
 
-def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, rng,
+def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, gen,
                             health: Optional[ChainHealth] = None) -> float:
     """One Metropolis-Hastings step for the reparameterised l1 rate.
 
@@ -517,7 +501,6 @@ def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, r
     matches the target; the acceptance ratio is assembled entirely in
     log space (the incomplete-gamma factor via its stable logarithm).
     """
-    gen = as_generator(rng)
     hyper = spec.penalty
     k = data.k
     sum_t = float(state.t.sum())
@@ -535,7 +518,7 @@ def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, r
 
 
 def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
-                            max_iter: int, tol: float, eta_fallback: float):
+                            eta_fallback: float):
     """Fixed-point refinement of the Gamma(shape A, rate B) approximation
     to the eta full conditional.
 
@@ -543,7 +526,9 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
     asymptotics of the Bessel normaliser); each pass matches the first
     two log-density derivatives at eta = A/B, both taken from one
     :func:`specfun.log_k1_derivs` call.  If the initial B is not
-    positive, the iteration starts from ``eta_fallback`` instead.
+    positive, the iteration starts from ``eta_fallback`` instead.  It
+    runs at most _ETA_REFINE_ITERS passes and stops once the gap is below
+    _ETA_REFINE_TOL.
 
     Returns (A, B, gaps) where gaps is the per-iteration convergence
     criterion |eta / (A/B) - 1|.
@@ -552,7 +537,7 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
     B = s_sum + b - n
     eta = eta_fallback if B <= 0 else None
     gaps = []
-    for _ in range(max_iter):
+    for _ in range(_ETA_REFINE_ITERS):
         if B > 0:
             eta = A / B
         d1, d2 = specfun.log_k1_derivs(eta)
@@ -561,29 +546,26 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
         if B > 0:
             gap = abs(eta / (A / B) - 1.0)
             gaps.append(gap)
-            if gap < tol:
+            if gap < _ETA_REFINE_TOL:
                 break
         else:
             gaps.append(float("inf"))
     return A, B, gaps
 
 
-def update_eta_approx(state: ChainState, spec: ModelSpec, rng,
+def update_eta_approx(state: ChainState, spec: ModelSpec, gen,
                       health: Optional[ChainHealth] = None) -> float:
     """Approximate Gibbs step for eta: refine (A, B), then draw Gamma(A, B).
 
     If the rate stays nonpositive after the full refinement budget the
     update is skipped (eta retained) and the diagnostic counter bumps.
     """
-    gen = as_generator(rng)
     a, b = spec.penalty.eta_prior
     n = state.sigma.size
     ratio = state.sigma / state.rho2
     ratio += state.rho2 / state.sigma
     s_sum = 0.5 * float(ratio.sum())
-    A, B, _ = refine_eta_gamma_params(
-        a, b, s_sum, n, spec.eta_inner_iters, spec.eta_tol, state.eta
-    )
+    A, B, _ = refine_eta_gamma_params(a, b, s_sum, n, state.eta)
     if not (B > 0 and A > 0):
         if health is not None:
             health.eta_update_skips += 1
@@ -654,16 +636,15 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     return PosteriorSamples(draws=draws, columns=columns, health=health)
 
 
-def summarize(samples: PosteriorSamples, level: float = 0.95):
-    """Column-wise median and equal-tailed interval at the given level.
+def summarize(samples: PosteriorSamples):
+    """Column-wise median and equal-tailed 95% interval.
 
     Returns a list of (name, median, lower, upper) tuples.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
     if samples.draws.shape[0] < 2:
         raise ValueError("need at least 2 retained draws to summarise")
-    alpha = (1.0 - level) / 2.0
+    # (1 - 0.95) / 2 rounds to a double just above 0.025; outputs are written with it
+    alpha = (1.0 - 0.95) / 2.0
     med = np.median(samples.draws, axis=0)
     lo, hi = np.quantile(samples.draws, [alpha, 1.0 - alpha], axis=0)
     return [

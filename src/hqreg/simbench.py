@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,8 +78,6 @@ class ScenarioSpec:
     sigma: float
     noise: NoiseLaw
     noise_divisor: float = 1.0
-    k: int = 20
-    true_beta: np.ndarray = field(default_factory=lambda: TRUE_BETA.copy())
 
     def __post_init__(self):
         if not (abs(self.r) < 1.0):
@@ -88,10 +86,6 @@ class ScenarioSpec:
             raise ValueError("need n >= 1, sigma > 0, noise_divisor > 0")
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
-        tb = np.asarray(self.true_beta, dtype=float)
-        if tb.shape != (self.k + 1,):
-            raise ValueError("true_beta must have length k + 1 (intercept first)")
-        object.__setattr__(self, "true_beta", tb)
 
 
 def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:
@@ -125,13 +119,13 @@ def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:
 
 
 def generate_scenario(spec: ScenarioSpec, rng) -> Dataset:
-    """Simulate one dataset; design includes the leading intercept column.
+    """Simulate one dataset from TRUE_BETA; design includes the leading intercept column.
 
     Predictors are built by the AR(1) recursion x_j = r x_{j-1} +
     sqrt(1-r^2) z_j so that corr(x_i, x_j) = r^|i-j| exactly.
     """
     gen = as_generator(rng)
-    n, k, r = spec.n, spec.k, spec.r
+    n, k, r = spec.n, TRUE_BETA.size - 1, spec.r
     z = gen.standard_normal((n, k))
     x = np.empty((n, k))
     x[:, 0] = z[:, 0]
@@ -140,7 +134,7 @@ def generate_scenario(spec: ScenarioSpec, rng) -> Dataset:
         x[:, j] = r * x[:, j - 1] + root * z[:, j]
     eps = spec.noise.sample(gen, n) / spec.noise_divisor
     design = np.column_stack([np.ones(n), x])
-    y = design @ spec.true_beta + spec.sigma * eps
+    y = design @ TRUE_BETA + spec.sigma * eps
     return Dataset(design, y)
 
 
@@ -174,14 +168,13 @@ def metrics(beta_hat, beta_true, intervals) -> ReplicationResult:
     return ReplicationResult(rmse=rmse, mad=mad, al=al, cp=cp)
 
 
-def _fit_metrics(data: Dataset, true_beta: np.ndarray, model: ModelSpec,
-                 rng) -> ReplicationResult:
+def _fit_metrics(data: Dataset, model: ModelSpec, rng) -> ReplicationResult:
     samples = run_chain(data, model, rng=rng)
-    summary = summarize(samples, level=0.95)
-    kp1 = true_beta.size
+    summary = summarize(samples)
+    kp1 = TRUE_BETA.size
     beta_hat = np.array([row[1] for row in summary[:kp1]])
     intervals = np.array([[row[2], row[3]] for row in summary[:kp1]])
-    base = metrics(beta_hat, true_beta, intervals)
+    base = metrics(beta_hat, TRUE_BETA, intervals)
     return replace(base, eta_median=float(np.median(samples.column("eta"))))
 
 
@@ -190,7 +183,7 @@ def _one_replication(args):
     data_stream = RngStream(master_seed).child(scenario.id, rep, 0)
     chain_stream = RngStream(master_seed).child(scenario.id, rep, 1)
     data = generate_scenario(scenario, data_stream)
-    return _fit_metrics(data, scenario.true_beta, model, chain_stream.generator())
+    return _fit_metrics(data, model, chain_stream.generator())
 
 
 def _one_replication_guarded(args):
@@ -201,14 +194,18 @@ def _one_replication_guarded(args):
 
 
 def worker_count(n_tasks: int) -> int:
-    """Parallel width: HQREG_THREADS caps os.cpu_count()."""
+    """Parallel width: HQREG_THREADS, an integer >= 1, caps os.cpu_count(),
+    and 1 runs a study serially.  Any other value raises ValueError."""
     cap = os.cpu_count() or 1
     env = os.environ.get("HQREG_THREADS")
     if env:
         try:
-            cap = min(cap, max(1, int(env)))
+            threads = int(env)
         except ValueError:
-            pass
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"HQREG_THREADS must be an integer >= 1, got {env!r}")
+        cap = min(cap, threads)
     return max(1, min(cap, n_tasks))
 
 
@@ -235,14 +232,14 @@ class StudyCell:
 
 
 def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
-              n_replications: int, master_seed: int = 0,
-              parallel: bool = True) -> list:
+              n_replications: int, master_seed: int = 0) -> list:
     """Run seeded replications of each scenario and aggregate the metrics.
 
     Deterministic for a given master seed: every replication owns streams
     derived from (master_seed, scenario id, replication index), and the
     aggregation is ordered by (cell, replication index) regardless of
-    scheduling.  All cells share one process pool.
+    scheduling.  All cells share one pool of :func:`worker_count`
+    processes, or run in this process when that is 1.
     A cell is marked incomplete when more than 5% of its replications
     fail, and keeps each failed replication's index and error message.
 
@@ -259,7 +256,7 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
         for rep in range(n_replications)
     ]
     width = worker_count(len(tasks))
-    if parallel and width > 1:
+    if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
             outcomes = list(pool.map(_one_replication_guarded, tasks))
     else:
@@ -303,10 +300,10 @@ def sensitivity_true_curve(x) -> np.ndarray:
     )
 
 
-def sensitivity_design(n_points: int = 50) -> tuple:
+def sensitivity_design() -> tuple:
     """Design for the sensitivity study: 50 grid points on [-2, 2], four
     logistic features, unit coefficients, no intercept."""
-    grid = np.linspace(-2.0, 2.0, n_points)
+    grid = np.linspace(-2.0, 2.0, 50)
     design = np.column_stack(
         [
             1.0 / (1.0 + np.exp(-4.0 * (grid - 0.3))),
@@ -336,7 +333,7 @@ def sensitivity_curve_study(models: Sequence[tuple], master_seed: int = 0,
     for label, model in models:
         samples = run_chain(data, model, rng=RngStream(master_seed).child(91).generator())
         beta_hat = np.array(
-            [row[1] for row in summarize(samples, level=0.95)[: design.shape[1]]]
+            [row[1] for row in summarize(samples)[: design.shape[1]]]
         )
         out.append((label, grid, design @ beta_hat, truth))
     return out

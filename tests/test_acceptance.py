@@ -253,7 +253,7 @@ def test_criterion_10_eta_approximation_step():
     gen2 = RngStream(70).generator()
     sigma = gig_rvs(gen2, 1.0, 1.0, 1.0, size=20)
     s_sum = 0.5 * float(np.sum(sigma + 1.0 / sigma))
-    _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 10, 1e-8, 1.0)
+    _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 1.0)
     monotone = len(gaps) >= 2 and all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     ok = z1 < 3.0 and z2 < 3.0 and monotone
     report(10, ok,

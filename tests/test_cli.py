@@ -274,6 +274,37 @@ class TestFitCommand:
         m2 = [l for l in (out2 / "manifest.txt").read_text().splitlines() if not skip(l)]
         assert m1 == m2
 
+    # manifests written before the eta refinement budget became fixed hold
+    # both keys at their fixed values; the values are compared as numbers
+    @pytest.mark.parametrize("retired", [("eta_iters=10", "eta_tol=1e-8"),
+                                         ("eta_iters=10.0", "eta_tol=1.0E-08")])
+    def test_manifest_with_retired_keys_replays(self, toy_csv, tmp_path, retired):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["fit", "--input", toy_csv, "--out", out1,
+                        "--iters", 80, "--burnin", 20, "--seed", 12]) == 0
+        old = tmp_path / "old-manifest.txt"
+        lines = (out1 / "manifest.txt").read_text().splitlines()
+        old.write_text("\n".join(sorted(lines + list(retired))) + "\n")
+        assert run_cli(["fit", "--config", old, "--out", out2]) == 0
+        for name in ("samples.csv", "summary.csv", "chain-health.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        manifest = (out2 / "manifest.txt").read_text().splitlines()
+        assert not [line for line in manifest if line.startswith(("eta_iters=", "eta_tol="))]
+
+    @pytest.mark.parametrize("setting,fixed", [
+        ("eta_iters=5", "10"), ("eta_iters=ten", "10"), ("eta_tol=1e-6", "1e-8"),
+    ])
+    def test_retired_key_at_another_value_is_config_error(self, toy_csv, tmp_path, capsys,
+                                                          setting, fixed):
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{setting}\n")
+        out = tmp_path / "o"
+        assert run_cli(["fit", "--config", cfgfile, "--input", toy_csv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        key = setting.partition("=")[0]
+        assert err.startswith("config-error: ") and f"key '{key}' is fixed at {fixed}" in err
+        assert not out.exists()
+
     def test_no_standardise_flag(self, toy_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(["fit", "--input", toy_csv, "--out", out1, "--iters", 60,
@@ -365,6 +396,17 @@ class TestOtherCommands:
         ]
         eta_rows = list(csv.reader(open(out / "eta-medians.csv")))
         assert len(eta_rows) == 1 + 4 * 2
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_simulate_bad_thread_count_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       threads):
+        monkeypatch.setenv("HQREG_THREADS", threads)
+        out = tmp_path / "sim"
+        assert run_cli(["simulate", "--out", out, "--reps", 1, "--iters", 30,
+                        "--burnin", 10]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: HQREG_THREADS must be an integer >= 1")
+        assert not out.exists()
 
     def test_simulate_tau_out_of_range(self, tmp_path, capsys):
         code = run_cli(["simulate", "--out", tmp_path / "sim", "--tau", "0.5,1.5"])

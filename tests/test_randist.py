@@ -319,7 +319,8 @@ def _by_product(nu, c, d, seed=47):
     first, in index order, and the others then one Wald draw each.  None
     where the law has no draw: a non-finite order, a non-finite or
     negative c or d, a zero d at nu < 0 or a zero c at nu > 0, a Wald
-    mean or shape outside (0, inf), or a limit draw that overflows.
+    mean or shape outside (0, inf), or a limit draw that overflows or
+    whose scale (2/c^2 or d^2/2) underflows to 0.
     """
     c = np.full(d.shape, c)
     with np.errstate(all="ignore"):
@@ -336,7 +337,8 @@ def _by_product(nu, c, d, seed=47):
         out = np.empty(d.shape)
         g = gen.gamma(0.5, size=limit.sum())
         out[limit] = g * (2.0 / c[limit] ** 2) if nu > 0 else d[limit] ** 2 / (2.0 * g)
-        if not np.isfinite(out[limit]).all():
+        scale = 2.0 / c[limit] ** 2 if nu > 0 else d[limit] ** 2 / 2.0
+        if not (np.isfinite(out[limit]).all() and (scale > 0).all()):
             return None
         x = gen.wald(mean[rest], shape[rest])
         out[rest] = x if nu < 0 else 1.0 / x
@@ -499,6 +501,10 @@ class TestGigAlwaysReturns:
         (-2.0, 1e-180, 1e160, r"GIG\(-2\) inverse-gamma limit overflows to inf"),
         # the interior scale d/c overflows
         (1.0, 1e-300, 1e300, r"GIG\(1\) draw overflows to inf"),
+        # a scale that underflows to 0 would give a draw of 0, outside the support
+        (1.0, 1e300, 1e-300, r"GIG\(1\) scale d/c underflows to 0"),
+        (2.0, 1e160, 1e-180, r"GIG\(2\) gamma limit scale 2/c\^2 underflows to 0"),
+        (-3.0, 1e-300, 1e-200, r"GIG\(-3\) inverse-gamma limit scale d\^2/2 underflows to 0"),
     ]
 
     @staticmethod
@@ -517,6 +523,21 @@ class TestGigAlwaysReturns:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_underflowing_scale_beside_a_plain_pair(self):
+        with pytest.raises(ValueError, match=r"GIG\(1\) scale d/c underflows to 0"):
+            gig_rvs(RngStream(56).generator(), 1.0, np.array([1e300, 1.0]),
+                    np.array([1e-300, 1.0]))
+
+    @pytest.mark.parametrize("nu,c,d,message", CASES[-3:])
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_underflowing_scale_raises_before_drawing(self, nu, c, d, message, form):
+        args = (c, d) if form == "scalar" else (np.full(2, c), np.full(2, d))
+        gen = RngStream(57).generator()
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            gig_rvs(gen, nu, *args)
+        assert gen.bit_generator.state == before
 
 
 class TestGigShifted:

@@ -249,7 +249,9 @@ class TestUpdateSigmaV:
         )
         p = GigParams(-0.5, 1.0, math.sqrt(1.3125))
         gen = RngStream(310).generator()
-        draws = np.array([update_sigma(state, data, spec, gen)[0] for _ in range(100_000)])
+        resid = data.y - data.X @ state.beta
+        draws = np.array([update_sigma(state, data, spec, gen, resid)[0]
+                          for _ in range(100_000)])
         mean = gig_moment(p, 1.0)
         var = gig_moment(p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
@@ -261,7 +263,8 @@ class TestUpdateSigmaV:
             beta=np.zeros(1), v=np.full(1, 1e-12), sigma=np.ones(1), rho2=2.0, eta=0.5,
             s=np.ones(1), lam1_sq=1.0,
         )
-        draws = update_sigma(state, data, spec, RngStream(311).generator())
+        resid = data.y - data.X @ state.beta
+        draws = update_sigma(state, data, spec, RngStream(311).generator(), resid)
         assert np.all(draws > 0)
 
     def test_v_zero_residual_gamma_dispatch(self):
@@ -272,7 +275,8 @@ class TestUpdateSigmaV:
             beta=np.array([0.7]), v=np.ones(2), sigma=np.ones(2), rho2=1.0, eta=1.0,
             s=np.ones(1), lam1_sq=1.0,
         )
-        draws = update_v(state, data, spec, RngStream(312).generator())
+        resid = data.y - data.X @ state.beta
+        draws = update_v(state, data, spec, RngStream(312).generator(), resid)
         assert np.all(draws > 0)
 
     def test_v_fixture_moments(self):
@@ -286,7 +290,8 @@ class TestUpdateSigmaV:
         d = 1.2 * c
         p = GigParams(0.5, c, d)
         gen = RngStream(313).generator()
-        draws = np.array([update_v(state, data, spec, gen)[0] for _ in range(100_000)])
+        resid = data.y - data.X @ state.beta
+        draws = np.array([update_v(state, data, spec, gen, resid)[0] for _ in range(100_000)])
         mean = gig_moment(p, 1.0)
         var = gig_moment(p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
@@ -538,11 +543,11 @@ class TestLeanBlocks:
             spec = ModelSpec(tau=tau, penalty=penalty)
             st = _full_state(gen, n, k)
             calls.clear()
-            update_sigma(st, data, spec, gen)
-            update_v(st, data, spec, gen)
+            resid = data.y - data.X @ st.beta
+            update_sigma(st, data, spec, gen, resid)
+            update_v(st, data, spec, gen, resid)
             (update_s if isinstance(penalty, LassoHyper) else update_t)(st, data, spec, gen)
             update_rho2(st, data, spec, gen)
-            resid = data.y - data.X @ st.beta
             r_sig = resid - (1.0 - 2.0 * tau) * st.v
             d_sq = r_sig * r_sig / (4.0 * st.v) + tau * (1.0 - tau) * st.v + st.eta * st.rho2
             c_v = 0.5 / np.sqrt(st.sigma)
@@ -622,10 +627,11 @@ class TestLeanBlocks:
         st = _full_state(gen, n, k)
         before = {f: np.copy(getattr(st, f)) for f in ("beta", "v", "sigma", "s", "t")}
         X, y = data.X.copy(), data.y.copy()
+        resid = data.y - data.X @ st.beta
         update_beta(st, data, spec, gen)
-        update_sigma(st, data, spec, gen)
-        update_v(st, data, spec, gen)
-        update_v_and_latents(st, data, spec, gen)
+        update_sigma(st, data, spec, gen, resid)
+        update_v(st, data, spec, gen, resid)
+        update_v_and_latents(st, data, spec, gen, resid)
         update_rho2(st, data, spec, gen)
         update_eta_approx(st, spec, gen)
         penalty.rho2_quadratic(st)
@@ -683,10 +689,10 @@ class TestLeanBlocks:
         for name in ("update_sigma", "update_v_and_latents"):
             block = getattr(sampler, name)
 
-            def spy(state, data, spec, rng, resid=None, block=block, name=name):
+            def spy(state, data, spec, gen, resid, block=block, name=name):
                 seen.append((name, resid.tobytes(),
                              (data.y - data.X @ state.beta).tobytes()))
-                return block(state, data, spec, rng, resid)
+                return block(state, data, spec, gen, resid)
 
             monkeypatch.setattr(sampler, name, spy)
         gen = RngStream(387).generator()
@@ -753,7 +759,8 @@ class TestJointLatentBlock:
         n, k = 12, 5
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         st = _full_state(gen, n, k)
-        drawn = update_v_and_latents(st, data, ModelSpec(penalty=penalty), gen)
+        resid = data.y - data.X @ st.beta
+        drawn = update_v_and_latents(st, data, ModelSpec(penalty=penalty), gen, resid)
         assert len(calls) == 1 and drawn.shape == (n + k,)
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
@@ -816,7 +823,8 @@ class TestJointLatentBlock:
         gen = RngStream(395).generator()
         before = gen.bit_generator.state
         with pytest.raises(ValueError, match=r"GIG\(1/2\) Wald mean c/d overflows to inf"):
-            update_v_and_latents(st, data, ModelSpec(penalty=LassoHyper()), gen)
+            update_v_and_latents(st, data, ModelSpec(penalty=LassoHyper()), gen,
+                                 data.y - data.X @ st.beta)
         assert gen.bit_generator.state == before
 
 
@@ -834,7 +842,7 @@ class TestEtaUpdate:
         gen = RngStream(70).generator()
         sigma = gig_rvs(gen, 1.0, 1.0, 1.0, size=20)
         s_sum = 0.5 * float(np.sum(sigma + 1.0 / sigma))
-        _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 10, 1e-8, 1.0)
+        _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 1.0)
         assert len(gaps) >= 2
         assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
         assert gaps[-1] < 1e-8
@@ -864,7 +872,7 @@ class TestEtaUpdate:
             if gaps[-1] < 1e-8:
                 break
 
-        A_new, B_new, gaps_new = refine_eta_gamma_params(a, b, s_sum, n, 10, 1e-8, eta_fallback)
+        A_new, B_new, gaps_new = refine_eta_gamma_params(a, b, s_sum, n, eta_fallback)
         assert A_new == pytest.approx(A, rel=1e-13)
         assert B_new == pytest.approx(B, rel=1e-13)
         assert len(gaps_new) == len(gaps)
@@ -887,7 +895,7 @@ class TestEtaUpdate:
         # up), which is unreachable from chain states; the refinement must
         # stay finite, keep iterating from the fallback value, and report
         # a nonpositive rate so the caller skips the draw
-        A, B, gaps = refine_eta_gamma_params(1.0, 1.0, 2.0, 20, 10, 1e-8, 0.5)
+        A, B, gaps = refine_eta_gamma_params(1.0, 1.0, 2.0, 20, 0.5)
         assert np.isfinite(A) and np.isfinite(B)
         assert B <= 0
         assert len(gaps) == 10
@@ -902,7 +910,7 @@ class TestEtaUpdate:
         state = ChainState(beta=np.zeros(1), v=np.ones(2), sigma=np.ones(2),
                            rho2=1.0, eta=0.77, s=np.ones(1), lam1_sq=1.0)
         health = ChainHealth()
-        out = sampler_mod.update_eta_approx(state, spec, RngStream(352), health)
+        out = sampler_mod.update_eta_approx(state, spec, RngStream(352).generator(), health)
         assert out == 0.77
         assert health.eta_update_skips == 1
 
@@ -988,7 +996,7 @@ class TestSummarize:
     def test_standard_normal_interval(self):
         gen = RngStream(360).generator()
         s = self._samples(gen.standard_normal((100_000, 1)))
-        (_, med, lo, hi), = summarize(s, level=0.95)
+        (_, med, lo, hi), = summarize(s)
         assert med == pytest.approx(0.0, abs=0.02)
         assert lo == pytest.approx(-1.96, abs=0.03)
         assert hi == pytest.approx(1.96, abs=0.03)
@@ -1000,8 +1008,6 @@ class TestSummarize:
     def test_insufficient_draws(self):
         with pytest.raises(ValueError):
             summarize(self._samples(np.ones((1, 2))))
-        with pytest.raises(ValueError):
-            summarize(self._samples(np.ones((10, 2))), level=1.5)
 
 
 class TestPriorConsistency:
@@ -1054,8 +1060,9 @@ class TestPriorConsistency:
                  + np.sqrt(4.0 * state.sigma * state.v) * gen.standard_normal(n))
             data = Dataset(X, y)
             state.beta = update_beta(state, data, spec, gen)
-            state.sigma = update_sigma(state, data, spec, gen)
-            state.v = update_v(state, data, spec, gen)
+            resid = data.y - data.X @ state.beta
+            state.sigma = update_sigma(state, data, spec, gen, resid)
+            state.v = update_v(state, data, spec, gen, resid)
             state.s = update_s(state, data, spec, gen)
             state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
             state.rho2 = float(update_rho2(state, data, spec, gen))

@@ -79,7 +79,7 @@ class TestScenarios:
     def test_contaminated_noise_standardised(self):
         spec = scenario_by_id(2, n=200_000)
         data = generate_scenario(spec, RngStream(503))
-        resid = data.y - data.X @ spec.true_beta
+        resid = data.y - data.X @ TRUE_BETA
         # standardised noise scaled by sigma: sd ~ sigma
         assert np.std(resid) == pytest.approx(spec.sigma, rel=0.02)
 
@@ -133,25 +133,29 @@ class TestRunStudy:
 
     def test_single_replication_equals_its_metrics(self):
         scen = scenario_by_id(1, n=30)
-        cells = run_study([scen], self._tiny_model(), 1, master_seed=3, parallel=False)
+        cells = run_study([scen], self._tiny_model(), 1, master_seed=3)
         cell = cells[0]
         assert cell.n_replications == 1 and cell.n_failures == 0
         assert cell.eta_medians.shape == (1,)
         assert cell.complete
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         scen = scenario_by_id(1, n=30)
-        a = run_study([scen], self._tiny_model(), 3, master_seed=5, parallel=False)[0]
-        b = run_study([scen], self._tiny_model(), 3, master_seed=5, parallel=True)[0]
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        a = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
+        monkeypatch.setenv("HQREG_THREADS", "2")
+        b = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
         assert a.rmse_mean == b.rmse_mean
         assert a.mmad == b.mmad
         np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
 
-    def test_parallel_matches_serial_across_cells(self):
+    def test_parallel_matches_serial_across_cells(self, monkeypatch):
         # one pool serves every cell; each cell keeps its own replications
         scens = [scenario_by_id(1, n=30, tau=0.5), scenario_by_id(5, n=30, tau=0.25)]
-        serial = run_study(scens, self._tiny_model(), 2, master_seed=8, parallel=False)
-        pooled = run_study(scens, self._tiny_model(), 2, master_seed=8, parallel=True)
+        monkeypatch.setenv("HQREG_THREADS", "2")
+        pooled = run_study(scens, self._tiny_model(), 2, master_seed=8)
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        serial = run_study(scens, self._tiny_model(), 2, master_seed=8)
         assert len(serial) == len(pooled) == 2
         for a, b in zip(serial, pooled):
             assert (a.scenario_id, a.tau, a.n_failures) == (b.scenario_id, b.tau, b.n_failures)
@@ -159,7 +163,7 @@ class TestRunStudy:
                 b.rmse_mean, b.mmad, b.al_mean, b.cp_mean)
             np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
         # a cell's results do not depend on the cells run beside it
-        alone = run_study(scens[1:], self._tiny_model(), 2, master_seed=8, parallel=False)[0]
+        alone = run_study(scens[1:], self._tiny_model(), 2, master_seed=8)[0]
         np.testing.assert_array_equal(alone.eta_medians, serial[1].eta_medians)
 
     def test_failures_mark_cell_incomplete(self, monkeypatch):
@@ -175,8 +179,10 @@ class TestRunStudy:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(sb, "_fit_metrics", flaky)
+        # the call counter lives in this process
+        monkeypatch.setenv("HQREG_THREADS", "1")
         scen = scenario_by_id(1, n=30)
-        cell = run_study([scen], self._tiny_model(), 3, master_seed=5, parallel=False)[0]
+        cell = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
         assert cell.n_failures == 1
         assert not cell.complete  # 1/3 > 5%
         assert cell.failures == ((0, "RuntimeError: synthetic failure"),)
@@ -185,8 +191,12 @@ class TestRunStudy:
     def test_worker_count_obeys_env(self, monkeypatch):
         monkeypatch.setenv("HQREG_THREADS", "2")
         assert worker_count(16) <= 2
-        monkeypatch.setenv("HQREG_THREADS", "not-a-number")
-        assert worker_count(1) == 1
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        assert worker_count(16) == 1
+        for bad in ("not-a-number", "0", "-2", "1.5"):
+            monkeypatch.setenv("HQREG_THREADS", bad)
+            with pytest.raises(ValueError, match="HQREG_THREADS must be an integer >= 1"):
+                worker_count(1)
 
 
 class TestSensitivity:
