@@ -11,10 +11,10 @@ Comput. 24), vectorised over parameter arrays, with a ``math``-module
 twin for single scalar draws.  Gamma / inverse-gamma limits are
 dispatched at the degenerate boundaries.
 
-Streams are derived from (seed, key-path) pairs via numpy's SeedSequence
-spawning, so parallel replications are reproducible regardless of
-scheduling: unit of work (rep r, stage s) always draws from
-``RngStream(seed).child(r, s)``.
+Every draw takes a ``np.random.Generator``.  Streams are derived from
+(seed, key-path) pairs via numpy's SeedSequence spawning, so parallel
+replications are reproducible regardless of scheduling: unit of work
+(rep r, stage s) always draws from ``RngStream(seed).child(r, s).generator()``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from . import specfun
 
 __all__ = [
     "RngStream",
-    "as_generator",
-    "GigParams",
     "GIG_BOUNDARY_EPS",
     "gig_rvs",
     "gig_moment",
@@ -78,43 +76,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.key)
         return np.random.default_rng(ss)
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a Generator, or a plain int seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
-    raise TypeError(f"cannot interpret {type(rng).__name__} as a random stream")
-
-
-@dataclass(frozen=True)
-class GigParams:
-    """Parameters of the density proportional to x^(nu-1) exp(-(c^2 x + d^2/x)/2).
-
-    c and d enter squared, i.e. they are the square roots of the
-    quadratic-form coefficients.  Degenerate boundaries: d = 0 needs
-    nu > 0 (gamma limit), c = 0 needs nu < 0 (inverse-gamma limit).
-    """
-
-    nu: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.nu) and np.isfinite(self.c) and np.isfinite(self.d)):
-            raise ValueError("GigParams must be finite")
-        if self.c < 0 or self.d < 0:
-            raise ValueError("GigParams requires c >= 0 and d >= 0")
-        if self.c == 0 and self.d == 0:
-            raise ValueError("GigParams requires c > 0 or d > 0")
-        if self.d == 0 and self.nu <= 0:
-            raise ValueError("gamma limit (d = 0) requires nu > 0")
-        if self.c == 0 and self.nu >= 0:
-            raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
 
 
 def _no_acceptance(lam, omega):
@@ -238,9 +199,10 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     """Scalar twin of :func:`_devroye_gig_two_param` in the ``math`` module.
 
     Same hat, same arithmetic and the same uniforms in the same order, so
-    one stream gives the array path's draw.  Returns None, having drawn
-    nothing, when the hat cannot be built in float arithmetic (a zero
-    divisor or an overflow); the caller then takes the array path.
+    one stream gives the array path's draw.  Where float arithmetic cannot
+    build the hat (a zero divisor or an overflow) it raises, having drawn
+    nothing, the ValueError that the array path raises after its bounded
+    rounds.
     """
     def psi(x):
         return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
@@ -263,9 +225,12 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
         elif m > 2.0:
             s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
         else:
+            # alpha rounds to 0 where omega is tiny beside lam; 1/alpha is
+            # then inf, as in the array path
             s = min(
                 1.0 / lam if lam > 0 else math.inf,
-                math.log1p(1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha)),
+                math.log1p(1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha))
+                if alpha > 0.0 else math.inf,
             )
         eta = -psi(t)
         zeta = -dpsi(t)
@@ -274,7 +239,7 @@ def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
         p = 1.0 / xi
         r = 1.0 / zeta
     except (ZeroDivisionError, OverflowError, ValueError):
-        return None
+        _no_acceptance(lam, omega)
     td = t - r * eta
     sd = s - p * theta
     q = td + sd
@@ -377,10 +342,8 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
 
     Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
     through its ``math`` twin when c and d are floats, else through the
-    array form, which also takes a float pair whose hat overflows in
-    ``math`` arithmetic.  A scale d/c that underflows to 0 raises
-    ValueError before anything is drawn; a draw that overflows raises
-    after.
+    array form.  A scale d/c that underflows to 0 raises ValueError
+    before anything is drawn; a draw that overflows raises after.
     """
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
@@ -395,8 +358,6 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
                          f"the parameters leave the double range")
     if scalar:
         y = _devroye_gig_scalar(gen, abs(nu), c * d)
-        if y is None:
-            y = float(_devroye_gig_two_param(gen, abs(nu), c * d))
         x = (1.0 / y if nu < 0 else y) * scale
         finite = math.isfinite(x)
     else:
@@ -457,12 +418,12 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
     return out
 
 
-def gig_rvs(rng, nu, c, d, size=None):
+def gig_rvs(gen: np.random.Generator, nu, c, d):
     """GIG draws for one order nu; c and d broadcast against each other.
 
     Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).  nu is
-    one scalar order: an array raises ValueError.  Scalar c and d with
-    ``size=None`` give a float.
+    one scalar order: an array raises ValueError.  Scalar c and d give a
+    float.
 
     Every input is screened once by the extremes of c and c*d.  When nu
     is finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf for every pair,
@@ -490,15 +451,11 @@ def gig_rvs(rng, nu, c, d, size=None):
     scales underflows, as a gamma variate of a small order does (order
     1e-3 at unit scale gives 0.0 in about half its draws).
     """
-    gen = as_generator(rng)
     if not isinstance(nu, float):
         if np.ndim(nu):
             raise ValueError("gig_rvs takes one scalar order nu")
         nu = float(nu)
-    if size is not None:
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        c, d = (np.broadcast_to(np.asarray(a, dtype=float), shape) for a in (c, d))
-    elif not (type(c) is float and type(d) is float):
+    if not (type(c) is float and type(d) is float):
         c, d = (float(a) if isinstance(a, float) or np.ndim(a) == 0
                 else np.asarray(a, dtype=float) for a in (c, d))
     bounds = _extremes(c, d)
@@ -514,16 +471,16 @@ def gig_rvs(rng, nu, c, d, size=None):
     return float(out) if out.ndim == 0 else out
 
 
-def gig_moment(params: GigParams, order: float) -> float:
-    """E[X^order] for X ~ GIG(params), via scaled Bessel ratios.
+def gig_moment(nu: float, c: float, d: float, order: float) -> float:
+    """E[X^order] for X ~ GIG(nu, c, d), via scaled Bessel ratios.
 
     Only valid away from the degenerate boundaries (c > 0 and d > 0).
     """
-    if params.c <= 0 or params.d <= 0:
+    if c <= 0 or d <= 0:
         raise ValueError("moments via Bessel ratios need c > 0 and d > 0")
-    w = params.c * params.d
-    log_ratio = specfun.log_bessel_k(params.nu + order, w) - specfun.log_bessel_k(params.nu, w)
-    return (params.d / params.c) ** order * np.exp(log_ratio)
+    w = c * d
+    log_ratio = specfun.log_bessel_k(nu + order, w) - specfun.log_bessel_k(nu, w)
+    return (d / c) ** order * np.exp(log_ratio)
 
 
 def _cholesky_lower(matrix, overwrite=False):
@@ -535,14 +492,13 @@ def _cholesky_lower(matrix, overwrite=False):
     return lower
 
 
-def mvn_from_precision(rng, precision, linear_term) -> np.ndarray:
+def mvn_from_precision(gen: np.random.Generator, precision, linear_term) -> np.ndarray:
     """Draw from N(P^-1 h, P^-1) given precision P and linear term h.
 
     One Cholesky factorisation P = L L', then the mean from the two
     triangular solves of potrs and the noise L'^-1 z from one of trtrs,
     with z ~ N(0, I_k); the covariance is never formed.  O(k^3).
     """
-    gen = as_generator(rng)
     precision = np.asarray(precision, dtype=float)
     h = np.asarray(linear_term, dtype=float)
     if not (np.isfinite(precision).all() and np.isfinite(h).all()):
@@ -553,7 +509,7 @@ def mvn_from_precision(rng, precision, linear_term) -> np.ndarray:
     return mean + noise
 
 
-def mvn_low_rank(rng, x, row_scale, prior_var, alpha) -> np.ndarray:
+def mvn_low_rank(gen: np.random.Generator, x, row_scale, prior_var, alpha) -> np.ndarray:
     """Draw from N(P^-1 phi' alpha, P^-1) with P = phi' phi + diag(1 / prior_var)
     and phi = diag(row_scale) x, an n x k matrix; phi is never formed.
 
@@ -569,7 +525,6 @@ def mvn_low_rank(rng, x, row_scale, prior_var, alpha) -> np.ndarray:
     first.  A zero prior variance pins its coefficient at 0; a negative
     one raises FactorizationError.
     """
-    gen = as_generator(rng)
     x = np.asarray(x, dtype=float)
     row_scale = np.asarray(row_scale, dtype=float)
     prior_var = np.asarray(prior_var, dtype=float)
@@ -602,7 +557,7 @@ def mvn_low_rank(rng, x, row_scale, prior_var, alpha) -> np.ndarray:
     return out
 
 
-def ald_sample(rng, mu, sigma, tau, size=None):
+def ald_sample(gen: np.random.Generator, mu, sigma, tau, size=None):
     """Asymmetric Laplace draw with density (tau(1-tau)/sigma) exp(-rho_tau((x-mu)/sigma)).
 
     P(X <= mu) = tau exactly.  Constructed as mu + sigma (E1/tau - E2/(1-tau))
@@ -612,7 +567,6 @@ def ald_sample(rng, mu, sigma, tau, size=None):
         raise ValueError("tau must lie in (0, 1)")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    gen = as_generator(rng)
     e1 = gen.exponential(size=size)
     e2 = gen.exponential(size=size)
     return mu + sigma * (e1 / tau - e2 / (1.0 - tau))

@@ -35,7 +35,7 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 
 from . import specfun
-from .randist import RngStream, as_generator, gig_rvs, mvn_from_precision, mvn_low_rank
+from .randist import RngStream, gig_rvs, mvn_from_precision, mvn_low_rank
 
 __all__ = [
     "Dataset",
@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-300
+# 1 + 2^-52 is the double next above 1: the floor of t - 1 keeps t > 1
+_T_GAP_FLOOR = 2.0**-52
 _ETA_REFINE_ITERS = 10
 _ETA_REFINE_TOL = 1e-8
 
@@ -216,8 +218,9 @@ class ElasticNetHyper:
         """Take v and t - 1 from ``drawn`` (v's n draws, then the k of
         t - 1), then draw the rates."""
         state.v = _clamp_positive(drawn[: data.n], health)
-        # the clamp sees (1 + x) - 1: an x below 2^-53 becomes 0 and is counted
-        state.t = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health)
+        # the clamp sees (1 + x) - 1, which is 0 or at least 2^-52: an x
+        # below 2^-53 becomes 0, is counted and floored at 2^-52, so t > 1
+        state.t = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health, _T_GAP_FLOOR)
         state.lam4 = update_lambda4(state, data, spec, gen)
         if self.fixed_lambda3_tilde is None:
             state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
@@ -494,7 +497,7 @@ def lambda3_log_accept_ratio(current: float, proposal: float, k: int, sum_t: flo
 
 
 def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, gen,
-                            health: Optional[ChainHealth] = None) -> float:
+                            health: ChainHealth) -> float:
     """One Metropolis-Hastings step for the reparameterised l1 rate.
 
     Independence proposal Gamma(k + a1, b1 + sum(t_j - 1)), whose tail
@@ -511,9 +514,8 @@ def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, g
     )
     u = gen.random()
     accept = math.log(u) < log_ratio if u > 0 else True
-    if health is not None:
-        health.mh_proposals += 1
-        health.mh_accepts += int(accept)
+    health.mh_proposals += 1
+    health.mh_accepts += int(accept)
     return proposal if accept else state.lam3_tilde
 
 
@@ -554,7 +556,7 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
 
 
 def update_eta_approx(state: ChainState, spec: ModelSpec, gen,
-                      health: Optional[ChainHealth] = None) -> float:
+                      health: ChainHealth) -> float:
     """Approximate Gibbs step for eta: refine (A, B), then draw Gamma(A, B).
 
     If the rate stays nonpositive after the full refinement budget the
@@ -567,22 +569,22 @@ def update_eta_approx(state: ChainState, spec: ModelSpec, gen,
     s_sum = 0.5 * float(ratio.sum())
     A, B, _ = refine_eta_gamma_params(a, b, s_sum, n, state.eta)
     if not (B > 0 and A > 0):
-        if health is not None:
-            health.eta_update_skips += 1
+        health.eta_update_skips += 1
         return state.eta
     return float(gen.gamma(A) / B)
 
 
-def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
-    """Floor a latent array at _POSITIVITY_FLOOR, counting the floored entries.
+def _clamp_positive(arr: np.ndarray, health: ChainHealth,
+                    floor: float = _POSITIVITY_FLOOR) -> np.ndarray:
+    """Floor a latent array at ``floor``, counting the floored entries.
 
     Returns ``arr`` itself when nothing is below the floor; NaN entries
     pass through uncounted.
     """
-    if arr.min(initial=math.inf) >= _POSITIVITY_FLOOR:
+    if arr.min(initial=math.inf) >= floor:
         return arr
-    health.positivity_clamps += int((arr < _POSITIVITY_FLOOR).sum())
-    return np.maximum(arr, _POSITIVITY_FLOOR)
+    health.positivity_clamps += int((arr < floor).sum())
+    return np.maximum(arr, floor)
 
 
 def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
@@ -591,10 +593,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     Scan order: beta, sigma, v with the penalty latents, the penalty
     rates, rho2, eta.  Retains
     floor((n_iter - burn_in)/thin) rows of (beta, rho2, eta, penalty
-    rates).  Deterministic given the stream (spec.seed when ``rng`` is
-    not supplied).
+    rates).  Draws from the Generator ``rng``, or from spec.seed's stream
+    when ``rng`` is None.
     """
-    gen = as_generator(rng) if rng is not None else RngStream(spec.seed).generator()
+    gen = rng if rng is not None else RngStream(spec.seed).generator()
     state = initial_state(data, spec)
     health = ChainHealth()
     penalty = spec.penalty

@@ -29,7 +29,6 @@ from .randist import (
     RngStream,
     SkewT,
     ald_sample,
-    as_generator,
 )
 from .sampler import Dataset, ModelSpec, run_chain, summarize
 
@@ -118,13 +117,12 @@ def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:
     raise ValueError(f"unknown scenario id {sim_id}")
 
 
-def generate_scenario(spec: ScenarioSpec, rng) -> Dataset:
+def generate_scenario(spec: ScenarioSpec, gen: np.random.Generator) -> Dataset:
     """Simulate one dataset from TRUE_BETA; design includes the leading intercept column.
 
     Predictors are built by the AR(1) recursion x_j = r x_{j-1} +
     sqrt(1-r^2) z_j so that corr(x_i, x_j) = r^|i-j| exactly.
     """
-    gen = as_generator(rng)
     n, k, r = spec.n, TRUE_BETA.size - 1, spec.r
     z = gen.standard_normal((n, k))
     x = np.empty((n, k))
@@ -182,7 +180,7 @@ def _one_replication(args):
     scenario, model, master_seed, rep = args
     data_stream = RngStream(master_seed).child(scenario.id, rep, 0)
     chain_stream = RngStream(master_seed).child(scenario.id, rep, 1)
-    data = generate_scenario(scenario, data_stream)
+    data = generate_scenario(scenario, data_stream.generator())
     return _fit_metrics(data, model, chain_stream.generator())
 
 
@@ -391,12 +389,13 @@ def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
 
     Each fold is predicted by the posterior-median coefficients fitted on
     its complement (or by a caller-supplied ``fit(train, model, rng)``).
-    Every row is predicted exactly once.
+    Every row is predicted exactly once.  ``rng`` is an RngStream (by
+    default model.seed's child 77): it draws the partition, and fold j
+    fits on its child j.
     """
     check_folds(data.n, folds)
     stream = rng if rng is not None else RngStream(model.seed).child(77)
-    gen = as_generator(stream)
-    parts = np.array_split(gen.permutation(data.n), folds)
+    parts = np.array_split(stream.generator().permutation(data.n), folds)
     fitter = fit if fit is not None else _default_fit
 
     sq, ab, hu = [], [], []
@@ -404,10 +403,7 @@ def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
         mask = np.ones(data.n, dtype=bool)
         mask[test_idx] = False
         train = Dataset(data.X[mask], data.y[mask])
-        fold_rng = (
-            stream.child(j).generator() if isinstance(stream, RngStream) else gen
-        )
-        beta_hat = fitter(train, model, fold_rng)
+        beta_hat = fitter(train, model, stream.child(j).generator())
         resid = data.y[test_idx] - data.X[test_idx] @ beta_hat
         sq.append(float(np.mean(resid**2)))
         ab.append(float(np.mean(np.abs(resid))))

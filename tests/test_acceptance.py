@@ -27,8 +27,9 @@ from hqreg.loss_density import (
     log_posterior_grid,
     scale_mixture_density,
 )
-from hqreg.randist import GigParams, RngStream, ald_sample, gig_moment, gig_rvs
+from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
+    ChainHealth,
     ChainState,
     Dataset,
     ElasticNetHyper,
@@ -107,11 +108,11 @@ def test_criterion_04_gig_moment_tests():
     ]
     worst = 0.0
     for i, (nu, c, d) in enumerate(fixtures):
-        p = GigParams(nu, c, d)
-        x = gig_rvs(RngStream(9003, (i,)).generator(), nu, c, d, size=1_000_000)
+        x = gig_rvs(RngStream(9003, (i,)).generator(), nu, np.full(1_000_000, c),
+                    np.full(1_000_000, d))
         for order in (1.0, -1.0):
-            mean = gig_moment(p, order)
-            var = gig_moment(p, 2 * order) - mean**2
+            mean = gig_moment(nu, c, d, order)
+            var = gig_moment(nu, c, d, 2 * order) - mean**2
             z = abs(np.mean(x**order) - mean) / math.sqrt(var / x.size)
             worst = max(worst, z)
     elapsed = time.perf_counter() - t0
@@ -189,7 +190,8 @@ def test_criterion_07_eta_adaptivity():
 def test_criterion_08_quantile_level_ordering():
     from hqreg.simbench import generate_scenario
 
-    data = generate_scenario(scenario_by_id(1, n=100, tau=0.5), RngStream(1).child(1, 0, 0))
+    data = generate_scenario(scenario_by_id(1, n=100, tau=0.5),
+                             RngStream(1).child(1, 0, 0).generator())
     intercepts = []
     for tau in (0.25, 0.5, 0.75):
         samples = run_chain(data, ModelSpec(tau=tau, n_iter=2500, burn_in=500, seed=77))
@@ -211,7 +213,7 @@ def test_criterion_09_mh_long_run_marginal():
     n_steps = 100_000
     draws = np.empty(n_steps)
     for i in range(n_steps):
-        state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen)
+        state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
         draws[i] = state.lam3_tilde
 
     def target(lam):
@@ -244,14 +246,15 @@ def test_criterion_10_eta_approximation_step():
     state = ChainState(beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
                        rho2=1.0, eta=1.0, s=np.ones(1), lam1_sq=1.0)
     gen = RngStream(9200).generator()
-    draws = np.array([update_eta_approx(state, spec, gen) for _ in range(100_000)])
+    draws = np.array([update_eta_approx(state, spec, gen, ChainHealth())
+                      for _ in range(100_000)])
     mean, second = a / b, a * (a + 1) / b**2
     z1 = abs(draws.mean() - mean) / math.sqrt((a / b**2) / draws.size)
     var2 = a * (a + 1) * (a + 2) * (a + 3) / b**4 - second**2
     z2 = abs(np.mean(draws**2) - second) / math.sqrt(var2 / draws.size)
 
     gen2 = RngStream(70).generator()
-    sigma = gig_rvs(gen2, 1.0, 1.0, 1.0, size=20)
+    sigma = gig_rvs(gen2, 1.0, np.full(20, 1.0), np.full(20, 1.0))
     s_sum = 0.5 * float(np.sum(sigma + 1.0 / sigma))
     _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 1.0)
     monotone = len(gaps) >= 2 and all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))

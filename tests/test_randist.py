@@ -15,7 +15,6 @@ from hqreg.randist import (
     GIG_BOUNDARY_EPS,
     FactorizationError,
     Gaussian,
-    GigParams,
     Mixture,
     RngStream,
     SkewT,
@@ -43,26 +42,10 @@ class TestRngStream:
         assert RngStream(7, (1,)).child(4).key == (1, 4)
 
 
-class TestGigParams:
-    def test_invariant_violations(self):
-        with pytest.raises(ValueError):
-            GigParams(0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            GigParams(-0.5, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            GigParams(-0.5, 1.0, 0.0)  # gamma limit needs nu > 0
-        with pytest.raises(ValueError):
-            GigParams(0.5, 0.0, 1.0)  # inverse-gamma limit needs nu < 0
-
-    def test_boundaries_accepted(self):
-        GigParams(2.0, 1.0, 0.0)
-        GigParams(-2.0, 0.0, 1.0)
-
-
 class TestGigSampling:
     def test_determinism(self):
-        x = gig_rvs(RngStream(5).generator(), -0.5, 1.0, 2.0, size=1000)
-        y = gig_rvs(RngStream(5).generator(), -0.5, 1.0, 2.0, size=1000)
+        x = gig_rvs(RngStream(5).generator(), -0.5, np.full(1000, 1.0), np.full(1000, 2.0))
+        y = gig_rvs(RngStream(5).generator(), -0.5, np.full(1000, 1.0), np.full(1000, 2.0))
         np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize(
@@ -70,11 +53,11 @@ class TestGigSampling:
         [(-0.5, 1.0, 1.0), (0.5, 2.0, 0.7), (1.0, 2.0, 3.0), (-21.0, 5.0, 2.0)],
     )
     def test_moments_match_bessel_ratio_oracle(self, nu, c, d):
-        p = GigParams(nu, c, d)
-        x = gig_rvs(RngStream(1001, (int(10 * nu) & 0xFF,)).generator(), nu, c, d, size=200_000)
+        x = gig_rvs(RngStream(1001, (int(10 * nu) & 0xFF,)).generator(), nu,
+                    np.full(200_000, c), np.full(200_000, d))
         for order in (1.0, -1.0):
-            mean = gig_moment(p, order)
-            var = gig_moment(p, 2 * order) - mean**2
+            mean = gig_moment(nu, c, d, order)
+            var = gig_moment(nu, c, d, 2 * order) - mean**2
             z = (np.mean(x**order) - mean) / np.sqrt(var / x.size)
             assert abs(z) < 4.0
 
@@ -83,27 +66,29 @@ class TestGigSampling:
         c, d = 1.3, 0.8
         w = c * d
         expect = (d / c) * (1.0 + 1.0 / w)  # K_{3/2}/K_{1/2} = 1 + 1/w
-        assert gig_moment(GigParams(0.5, c, d), 1.0) == pytest.approx(expect, rel=1e-12)
-        x = gig_rvs(RngStream(77).generator(), 0.5, c, d, size=1_000_000)
-        var = gig_moment(GigParams(0.5, c, d), 2.0) - expect**2
+        assert gig_moment(0.5, c, d, 1.0) == pytest.approx(expect, rel=1e-12)
+        x = gig_rvs(RngStream(77).generator(), 0.5, np.full(1_000_000, c), np.full(1_000_000, d))
+        var = gig_moment(0.5, c, d, 2.0) - expect**2
         assert abs(np.mean(x) - expect) < 3.0 * np.sqrt(var / x.size)
 
     def test_gamma_limit(self):
         # d = 0, nu = 2, c = sqrt(2): Gamma(shape 2, rate 1)
-        x = gig_rvs(RngStream(9).generator(), 2.0, np.sqrt(2.0), 0.0, size=400_000)
+        x = gig_rvs(RngStream(9).generator(), 2.0, np.full(400_000, np.sqrt(2.0)),
+                    np.full(400_000, 0.0))
         assert np.mean(x) == pytest.approx(2.0, abs=0.02)
         assert np.var(x) == pytest.approx(2.0, abs=0.05)
 
     def test_inverse_gamma_limit(self):
         # c = 0, nu = -3, d = 2: 1/X ~ Gamma(3, rate 2), E[X] = 2/(3-1) = ... rate d^2/2 = 2
-        x = gig_rvs(RngStream(10).generator(), -3.0, 0.0, 2.0, size=400_000)
+        x = gig_rvs(RngStream(10).generator(), -3.0, np.full(400_000, 0.0), np.full(400_000, 2.0))
         assert np.mean(1.0 / x) == pytest.approx(3.0 / 2.0, abs=0.01)
 
     def test_empirical_cdf_vs_quadrature(self):
         nu, c, d = -0.5, 1.0, 1.0
         pdf = lambda t: t ** (nu - 1.0) * np.exp(-0.5 * (c * c * t + d * d / t))
         norm, _ = quad(pdf, 0, np.inf, limit=200)
-        x = np.sort(gig_rvs(RngStream(12).generator(), nu, c, d, size=1_000_000))
+        x = np.sort(gig_rvs(RngStream(12).generator(), nu, np.full(1_000_000, c),
+                               np.full(1_000_000, d)))
         # KS statistic on a stratified subsample of support points
         probe = x[:: x.size // 400]
         cdf = np.array([quad(pdf, 0, t, limit=200)[0] / norm for t in probe])
@@ -112,23 +97,23 @@ class TestGigSampling:
 
     def test_reciprocal_closure(self):
         # X ~ GIG(1, 2, 3)  =>  1/X ~ GIG(-1, 3, 2)
-        x = gig_rvs(RngStream(13).generator(), 1.0, 2.0, 3.0, size=1_000_000)
-        inv = GigParams(-1.0, 3.0, 2.0)
+        x = gig_rvs(RngStream(13).generator(), 1.0, np.full(1_000_000, 2.0),
+                    np.full(1_000_000, 3.0))
         for order in (1.0, 2.0):
-            mean = gig_moment(inv, order)
-            var = gig_moment(inv, 2 * order) - mean**2
+            mean = gig_moment(-1.0, 3.0, 2.0, order)
+            var = gig_moment(-1.0, 3.0, 2.0, 2 * order) - mean**2
             z = (np.mean((1.0 / x) ** order) - mean) / np.sqrt(var / x.size)
             assert abs(z) < 3.0
 
     def test_tiny_omega_dispatch(self):
         # below the boundary threshold the sampler must not error
-        out = gig_rvs(RngStream(14).generator(), 0.5, 1e-8, 1e-8, size=100)
+        out = gig_rvs(RngStream(14).generator(), 0.5, np.full(100, 1e-8), np.full(100, 1e-8))
         assert np.all(out > 0)
-        out = gig_rvs(RngStream(15).generator(), -4.0, 1e-8, 1e-8, size=100)
+        out = gig_rvs(RngStream(15).generator(), -4.0, np.full(100, 1e-8), np.full(100, 1e-8))
         assert np.all(out > 0)
 
     def test_scalar_api(self):
-        val = gig_rvs(RngStream(16), 0.5, 1.0, 1.0)
+        val = gig_rvs(RngStream(16).generator(), 0.5, 1.0, 1.0)
         assert isinstance(val, float) and val > 0
 
 
@@ -140,7 +125,7 @@ class TestGigHalfOrders:
     def test_ks_against_invgauss(self, nu, cd):
         c, d = 0.7 * np.sqrt(cd), np.sqrt(cd) / 0.7
         x = gig_rvs(RngStream(31, (int(np.log10(cd)) + 10, int(nu > 0))).generator(),
-                    nu, c, d, size=20_000)
+                    nu, np.full(20_000, c), np.full(20_000, d))
         # GIG(-1/2, c, d) = IG(mean d/c, shape d^2); scipy's invgauss(mu, scale)
         # has mean mu * scale and shape scale
         if nu < 0:
@@ -197,6 +182,33 @@ class TestGigScalarPath:
             assert x == pytest.approx(y, rel=1e-13)
         # both streams consumed the same uniforms
         assert g_scalar.random() == g_array.random()
+
+    @pytest.mark.parametrize("nu,c,d", [
+        # alpha = sqrt(omega^2 + nu^2) - |nu| rounds to 0 at omega = c*d tiny
+        # beside |nu|; the scalar hat then takes 1/alpha as inf
+        (1.0, 1e-5, 1e-5),
+        (-1.0, 1e-6, 1e-4),
+        (0.3, 1e-10, 1.0),
+        (-1.3, 1e-3, 1e-6),
+        # alpha = 0 and a hat that neither form can draw from
+        (0.001, 1e-12, 1.0),
+    ])
+    def test_hat_at_zero_alpha_matches_array_path(self, nu, c, d):
+        omega = c * d
+        assert omega >= GIG_BOUNDARY_EPS
+        assert math.sqrt(omega * omega + nu * nu) - abs(nu) == 0.0
+
+        def outcome(cc):
+            try:
+                return float(np.squeeze(gig_rvs(RngStream(58).generator(), nu, cc, d)))
+            except ValueError as err:
+                return str(err)
+
+        scalar, array = outcome(c), outcome(np.array([c]))
+        if isinstance(array, str):
+            assert scalar == array and "accepted nothing" in array
+        else:
+            assert scalar == pytest.approx(array, rel=1e-15)
 
     def test_boundaries_fall_back(self):
         # d = 0: gamma limit
@@ -452,13 +464,13 @@ class TestWaldRange:
 
     @pytest.mark.parametrize("nu,c,bad_d,message", CASES)
     def test_full_path_raises(self, nu, c, bad_d, message):
-        # with a size, and beside a pair at its limit, which sends the call
+        # with array c, and beside a pair at its limit, which sends the call
         # through the checked path
         limit_c, limit_d = (0.0, 1.0) if nu < 0 else (1.0, 0.0)
-        for args, size in (((nu, c, bad_d), 3),
-                           ((nu, np.array([limit_c, c]), np.array([limit_d, bad_d])), None)):
+        for args in ((nu, np.full(3, c), np.full(3, bad_d)),
+                     (nu, np.array([limit_c, c]), np.array([limit_d, bad_d]))):
             with pytest.raises(ValueError, match="Wald " + message):
-                gig_rvs(RngStream(52).generator(), *args, size=size)
+                gig_rvs(RngStream(52).generator(), *args)
 
     @pytest.mark.parametrize("nu,c,d", [(0.5, 1e-151, 1e145), (-0.5, 1e150, 1e-155)])
     def test_extreme_pairs_in_range_draw(self, nu, c, d):
@@ -544,18 +556,18 @@ class TestGigShifted:
     """1 + X with X ~ GIG, as the elastic-net latents t_j > 1 are drawn."""
 
     def test_always_above_one(self):
-        out = 1.0 + gig_rvs(RngStream(20), 0.5, 2.0, 1.0, size=5000)
+        out = 1.0 + gig_rvs(RngStream(20).generator(), 0.5, np.full(5000, 2.0), np.full(5000, 1.0))
         assert np.all(out > 1.0)
 
     def test_zero_d_gamma_limit_no_error(self):
-        out = 1.0 + gig_rvs(RngStream(21), 0.5, 2.0, 0.0, size=5000)
+        out = 1.0 + gig_rvs(RngStream(21).generator(), 0.5, np.full(5000, 2.0), np.full(5000, 0.0))
         assert np.all(out > 1.0)
 
     def test_shift_moments_match_oracle(self):
-        p = GigParams(0.5, 1.5, 0.9)
-        out = 1.0 + gig_rvs(RngStream(22), p.nu, p.c, p.d, size=400_000)
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        out = 1.0 + gig_rvs(RngStream(22).generator(), 0.5, np.full(400_000, 1.5),
+                            np.full(400_000, 0.9))
+        mean = gig_moment(0.5, 1.5, 0.9, 1.0)
+        var = gig_moment(0.5, 1.5, 0.9, 2.0) - mean**2
         z = (np.mean(out - 1.0) - mean) / np.sqrt(var / out.size)
         assert abs(z) < 3.0
 
@@ -585,7 +597,8 @@ class TestMvnFromPrecision:
 
     def test_indefinite_matrix_raises(self):
         with pytest.raises(FactorizationError):
-            mvn_from_precision(RngStream(33), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+            mvn_from_precision(RngStream(33).generator(), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                               np.zeros(2))
 
 
 def _low_rank_system(n=4, k=7, seed=34):
@@ -648,7 +661,7 @@ class TestGaussianDrawsExact:
     def test_low_rank_indefinite_raises(self):
         # a negative prior variance: diag(prior_var) is no covariance
         with pytest.raises(FactorizationError):
-            mvn_low_rank(RngStream(36), np.array([[1.0, 0.0]]), np.ones(1),
+            mvn_low_rank(RngStream(36).generator(), np.array([[1.0, 0.0]]), np.ones(1),
                          np.array([-5.0, 1.0]), np.zeros(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -657,7 +670,7 @@ class TestGaussianDrawsExact:
         args = list(_low_rank_system()[:4])
         args[where].flat[0] = bad
         with pytest.raises(ValueError):
-            mvn_low_rank(RngStream(37), *args)
+            mvn_low_rank(RngStream(37).generator(), *args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [0, 1])
@@ -665,29 +678,29 @@ class TestGaussianDrawsExact:
         args = [np.eye(3), np.zeros(3)]
         args[where].flat[0] = bad
         with pytest.raises(ValueError):
-            mvn_from_precision(RngStream(38), *args)
+            mvn_from_precision(RngStream(38).generator(), *args)
 
 
 class TestAldSample:
     def test_symmetric_at_half(self):
-        x = ald_sample(RngStream(40), 0.0, 1.0, 0.5, size=400_000)
+        x = ald_sample(RngStream(40).generator(), 0.0, 1.0, 0.5, size=400_000)
         skew = np.mean((x - x.mean()) ** 3) / np.std(x) ** 3
         assert abs(skew) < 0.02
 
     def test_quantile_property(self):
-        x = ald_sample(RngStream(41), 0.0, 1.0, 0.25, size=1_000_000)
+        x = ald_sample(RngStream(41).generator(), 0.0, 1.0, 0.25, size=1_000_000)
         assert np.mean(x <= 0.0) == pytest.approx(0.25, abs=0.005)
 
     def test_location_shift_equivariance(self):
-        a = ald_sample(RngStream(42), 0.0, 2.0, 0.3, size=1000)
-        b = ald_sample(RngStream(42), 3.0, 2.0, 0.3, size=1000)
+        a = ald_sample(RngStream(42).generator(), 0.0, 2.0, 0.3, size=1000)
+        b = ald_sample(RngStream(42).generator(), 3.0, 2.0, 0.3, size=1000)
         np.testing.assert_allclose(b, a + 3.0, rtol=0, atol=1e-12)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            ald_sample(RngStream(43), 0.0, -1.0, 0.5)
+            ald_sample(RngStream(43).generator(), 0.0, -1.0, 0.5)
         with pytest.raises(ValueError):
-            ald_sample(RngStream(43), 0.0, 1.0, 1.5)
+            ald_sample(RngStream(43).generator(), 0.0, 1.0, 1.5)
 
 
 class TestNoiseLaws:

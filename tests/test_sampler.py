@@ -2,6 +2,7 @@
 joint prior-consistency (successive-conditional) check."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import kve
 
 from hqreg import sampler
-from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs, GigParams
+from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
     ChainError,
     ChainHealth,
@@ -247,13 +248,13 @@ class TestUpdateSigmaV:
             beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
             s=np.ones(1), lam1_sq=1.0,
         )
-        p = GigParams(-0.5, 1.0, math.sqrt(1.3125))
+        p = (-0.5, 1.0, math.sqrt(1.3125))
         gen = RngStream(310).generator()
         resid = data.y - data.X @ state.beta
         draws = np.array([update_sigma(state, data, spec, gen, resid)[0]
                           for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
     def test_sigma_positive_under_zero_residual_and_tiny_v(self):
@@ -288,12 +289,12 @@ class TestUpdateSigmaV:
         )
         c = 0.5 / math.sqrt(0.7)
         d = 1.2 * c
-        p = GigParams(0.5, c, d)
+        p = (0.5, c, d)
         gen = RngStream(313).generator()
         resid = data.y - data.X @ state.beta
         draws = np.array([update_v(state, data, spec, gen, resid)[0] for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
 
@@ -309,22 +310,22 @@ class TestUpdateRho2:
         spec = ModelSpec(tau=0.5)
         state = self._state()
         # order -(1 + 1/2), c^2 = 0.7/2, d^2 = 0.7*2 + 0.09/1.5
-        p = GigParams(-1.5, math.sqrt(0.35), math.sqrt(1.4 + 0.06))
+        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 0.06))
         gen = RngStream(320).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
     def test_zero_beta_drops_penalty_term(self):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
         state = self._state(beta=np.zeros(1))
-        p = GigParams(-1.5, math.sqrt(0.35), math.sqrt(1.4))
+        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4))
         gen = RngStream(321).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
     def test_elastic_large_t_limit(self):
@@ -335,11 +336,11 @@ class TestUpdateRho2:
             beta=np.array([0.6]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
             eta=0.7, t=np.array([1e9]), lam3_tilde=1.0, lam4=1.2,
         )
-        p = GigParams(-1.5, math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
+        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
         gen = RngStream(322).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
 
@@ -351,11 +352,11 @@ class TestLassoBlock:
             beta=np.array([0.8]), v=np.ones(1), sigma=np.ones(1), rho2=4.0, eta=1.0,
             s=np.ones(1), lam1_sq=2.25,
         )
-        p = GigParams(0.5, 1.5, 0.4)  # c = lam1, d = |beta|/sqrt(rho2)
+        p = (0.5, 1.5, 0.4)  # c = lam1, d = |beta|/sqrt(rho2)
         gen = RngStream(330).generator()
         draws = np.array([update_s(state, data, spec, gen)[0] for _ in range(100_000)])
-        mean = gig_moment(p, 1.0)
-        var = gig_moment(p, 2.0) - mean**2
+        mean = gig_moment(*p, 1.0)
+        var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
     def test_lambda1_gamma_moments(self):
@@ -444,7 +445,7 @@ class TestElasticBlock:
         gen = RngStream(343).generator()
         draws = np.empty(30_000)
         for i in range(draws.size):
-            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen)
+            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
             draws[i] = state.lam3_tilde
 
         from hqreg.specfun import log_upper_gamma_half
@@ -531,7 +532,7 @@ class TestLeanBlocks:
     def test_gig_arguments_match_plain_expressions(self, tau, monkeypatch):
         calls = []
 
-        def capture(rng, nu, c, d, size=None):
+        def capture(gen, nu, c, d):
             calls.append((nu, c, d))
             return np.ones(np.shape(d)) if np.ndim(d) else 1.0
 
@@ -615,7 +616,7 @@ class TestLeanBlocks:
         seen = []
         monkeypatch.setattr(sampler, "refine_eta_gamma_params",
                             lambda a, b, s_sum, *rest: seen.append(s_sum) or (1.0, 1.0, []))
-        update_eta_approx(st, spec, gen)
+        update_eta_approx(st, spec, gen, ChainHealth())
         assert seen == [0.5 * float(np.sum(st.sigma / st.rho2 + st.rho2 / st.sigma))]
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
@@ -633,7 +634,7 @@ class TestLeanBlocks:
         update_v(st, data, spec, gen, resid)
         update_v_and_latents(st, data, spec, gen, resid)
         update_rho2(st, data, spec, gen)
-        update_eta_approx(st, spec, gen)
+        update_eta_approx(st, spec, gen, ChainHealth())
         penalty.rho2_quadratic(st)
         penalty.prior_precision(st)
         if isinstance(penalty, LassoHyper):
@@ -642,7 +643,7 @@ class TestLeanBlocks:
         else:
             update_t(st, data, spec, gen)
             update_lambda4(st, data, spec, gen)
-            mh_update_lambda3_tilde(st, data, spec, gen)
+            mh_update_lambda3_tilde(st, data, spec, gen, ChainHealth())
         for f, arr in before.items():
             assert getattr(st, f).tobytes() == arr.tobytes(), f
         assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
@@ -652,7 +653,7 @@ class TestLeanBlocks:
     def test_shared_residual_gives_plain_gig_arguments(self, tau, n, k, monkeypatch):
         calls = []
         monkeypatch.setattr(sampler, "gig_rvs",
-                            lambda rng, nu, c, d, size=None: calls.append((nu, c, d)) or 1.0)
+                            lambda gen, nu, c, d: calls.append((nu, c, d)) or 1.0)
         gen = RngStream(386).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=tau)
@@ -719,7 +720,8 @@ def _scan_in_separate_calls(data, spec):
             state.s = sampler._clamp_positive(update_s(state, data, spec, gen), health)
             state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
         else:
-            state.t = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0, health)
+            state.t = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0, health,
+                                                    sampler._T_GAP_FLOOR)
             state.lam4 = update_lambda4(state, data, spec, gen)
             state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
         state.rho2 = update_rho2(state, data, spec, gen)
@@ -792,7 +794,6 @@ class TestJointLatentBlock:
         expect = gig_rvs(RngStream(393).generator(), 0.5, c, d)
         assert drawn.tobytes() == expect.tobytes()
 
-    @np.errstate(divide="ignore")  # t = 1 gives the ridge rate an infinite term
     def test_update_clamps_as_the_separate_calls(self):
         n, k = 3, 2
         gen = RngStream(396).generator()
@@ -804,12 +805,33 @@ class TestJointLatentBlock:
         assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.s.tolist() == [2.0, 1e-20]
         assert health.positivity_clamps == 2
         # t = 1 + x rounds x = 1e-20 to 0 before the clamp, which counts it
+        # and floors it at 2^-52
         st = _full_state(gen, n, k)
         health = ChainHealth()
         ElasticNetHyper().update(st, data, ModelSpec(penalty=ElasticNetHyper()), gen, health,
                                  drawn.copy())
-        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.t.tolist() == [3.0, 1.0]
+        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.t.tolist() == [3.0, 1.0 + 2.0**-52]
         assert health.positivity_clamps == 3
+
+    def test_latent_below_half_an_ulp_keeps_t_above_one(self):
+        # a t - 1 draw of 1e-17 rounds t to 1; the floor keeps t > 1, so the
+        # blocks that divide by t - 1 stay finite and warn of nothing
+        n, k = 5, 3
+        gen = RngStream(397).generator()
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        spec = ModelSpec(penalty=ElasticNetHyper())
+        st = _full_state(gen, n, k)
+        drawn = np.concatenate((st.v, [1e-17, 0.4, 2.0]))
+        health = ChainHealth()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ElasticNetHyper().update(st, data, spec, gen, health, drawn)
+            assert np.all(st.t > 1.0) and st.t[0] == 1.0 + 2.0**-52
+            assert health.positivity_clamps == 1
+            assert np.isfinite(st.lam4) and st.lam4 > 0
+            assert np.isfinite(update_beta(st, data, spec, gen)).all()
+            assert np.isfinite(update_lambda4(st, data, spec, gen))
+            assert np.isfinite(update_rho2(st, data, spec, gen))
 
     def test_wald_range_error_from_the_joint_block(self):
         # c = sqrt(l1sq) = 1e150 and d = 1e-160 for one coefficient: c*d is
@@ -834,13 +856,14 @@ class TestEtaUpdate:
         state = ChainState(beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
                            rho2=1.0, eta=1.0, s=np.ones(1), lam1_sq=1.0)
         gen = RngStream(350).generator()
-        draws = np.array([update_eta_approx(state, spec, gen) for _ in range(50_000)])
+        draws = np.array([update_eta_approx(state, spec, gen, ChainHealth())
+                          for _ in range(50_000)])
         assert draws.mean() == pytest.approx(2.0 / 3.0, abs=0.012)
         assert draws.var() == pytest.approx(2.0 / 9.0, rel=0.06)
 
     def test_refinement_gap_decreases_on_frozen_fixture(self):
         gen = RngStream(70).generator()
-        sigma = gig_rvs(gen, 1.0, 1.0, 1.0, size=20)
+        sigma = gig_rvs(gen, 1.0, np.full(20, 1.0), np.full(20, 1.0))
         s_sum = 0.5 * float(np.sum(sigma + 1.0 / sigma))
         _, _, gaps = refine_eta_gamma_params(1.0, 1.0, s_sum, 20, 1.0)
         assert len(gaps) >= 2

@@ -56,7 +56,7 @@ class TestScenarios:
     def test_uncorrelated_predictors(self):
         spec = scenario_by_id(1, n=4000)
         spec = type(spec)(**{**spec.__dict__, "r": 0.0})
-        data = generate_scenario(spec, RngStream(500))
+        data = generate_scenario(spec, RngStream(500).generator())
         x = data.X[:, 1:]
         corr = np.corrcoef(x.T)
         off = corr[~np.eye(20, dtype=bool)]
@@ -64,13 +64,13 @@ class TestScenarios:
 
     def test_neighbour_correlation(self):
         spec = scenario_by_id(1, n=10_000)
-        data = generate_scenario(spec, RngStream(501))
+        data = generate_scenario(spec, RngStream(501).generator())
         x = data.X[:, 1:]
         assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] == pytest.approx(0.5, abs=0.03)
 
     def test_covariance_matches_ar_profile(self):
         spec = scenario_by_id(1, n=10_000)
-        data = generate_scenario(spec, RngStream(502))
+        data = generate_scenario(spec, RngStream(502).generator())
         x = data.X[:, 1:]
         emp = np.cov(x.T)
         expect = 0.5 ** np.abs(np.subtract.outer(np.arange(20), np.arange(20)))
@@ -78,13 +78,13 @@ class TestScenarios:
 
     def test_contaminated_noise_standardised(self):
         spec = scenario_by_id(2, n=200_000)
-        data = generate_scenario(spec, RngStream(503))
+        data = generate_scenario(spec, RngStream(503).generator())
         resid = data.y - data.X @ TRUE_BETA
         # standardised noise scaled by sigma: sd ~ sigma
         assert np.std(resid) == pytest.approx(spec.sigma, rel=0.02)
 
     def test_intercept_column(self):
-        data = generate_scenario(scenario_by_id(1, n=50), RngStream(504))
+        data = generate_scenario(scenario_by_id(1, n=50), RngStream(504).generator())
         np.testing.assert_array_equal(data.X[:, 0], np.ones(50))
 
 
