@@ -107,11 +107,6 @@ def asym_density(x, mu, p: LossParams):
     return np.exp(asym_log_density(x, mu, p))
 
 
-def _ald_kernel_density(e, scale, tau):
-    """Asymmetric Laplace density tau(1-tau)/scale * exp(-check_loss(e/scale, tau))."""
-    return tau * (1.0 - tau) / scale * np.exp(-check_loss(np.asarray(e) / scale, tau))
-
-
 def scale_mixture_density(x, mu, p: LossParams) -> float:
     """Evaluate the normal scale-mixture representation by 2-D quadrature.
 

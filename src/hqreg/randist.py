@@ -198,11 +198,16 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
 def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
     """Scalar twin of :func:`_devroye_gig_two_param` in the ``math`` module.
 
-    Same hat, same arithmetic and the same uniforms in the same order, so
-    one stream gives the array path's draw.  Where float arithmetic cannot
-    build the hat (a zero divisor or an overflow) it raises, having drawn
-    nothing, the ValueError that the array path raises after its bounded
-    rounds.
+    Same hat, same arithmetic and the same uniforms in the same order, but
+    the ``math`` functions and numpy's ufuncs can round differently in the
+    last bit, and the gap grows with omega = c*d.  So one stream gives
+    the array path's draw to within 1e-13 relative up to omega near 1e5,
+    about 1.5e-12 at 1e7 and 1.6e-10 at 1e11 (sweeps of 32,000 inputs);
+    from omega near 1e12 (first seen at 4e12) a flipped accept test can
+    make the two forms accept on different rounds and give different
+    draws.  Where float arithmetic cannot build the hat (a zero divisor
+    or an overflow) it raises, having drawn nothing, the ValueError that
+    the array path raises after its bounded rounds.
     """
     def psi(x):
         return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
@@ -290,7 +295,9 @@ def _extremes(c, d) -> tuple:
             return c, c, c * d, c * d
         return (c, c, c * float(d.min(initial=math.inf)),
                 c * float(d.max(initial=-math.inf)))
-    cd = c * d
+    # an inf product is screened as out of range by the caller
+    with np.errstate(over="ignore"):
+        cd = c * d
     return (float(c.min(initial=math.inf)), float(c.max(initial=-math.inf)),
             float(cd.min(initial=math.inf)), float(cd.max(initial=-math.inf)))
 
@@ -351,8 +358,10 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
     if scalar:
         scale = d / c
     else:
+        # an omega = c*d of inf breaks the hat, and the bounded rounds raise
         with np.errstate(over="ignore"):
             scale = d / c
+            omega = c * d
     if (scale if scalar else scale.min(initial=math.inf)) == 0.0:
         raise ValueError(f"GIG({nu:g}) scale d/c underflows to 0; "
                          f"the parameters leave the double range")
@@ -361,7 +370,6 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
         x = (1.0 / y if nu < 0 else y) * scale
         finite = math.isfinite(x)
     else:
-        omega = c * d
         y = _devroye_gig_two_param(gen, np.broadcast_to(abs(nu), omega.shape), omega)
         with np.errstate(divide="ignore", over="ignore"):
             x = (1.0 / y if nu < 0 else y) * scale
@@ -391,7 +399,8 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
         raise ValueError("inverse-gamma limit (c = 0) requires nu < 0")
 
     out = np.empty(c.shape)
-    limit = c * d < GIG_BOUNDARY_EPS
+    with np.errstate(over="ignore"):
+        limit = c * d < GIG_BOUNDARY_EPS
     count = np.count_nonzero(limit)
     if count and nu == 0:
         raise ValueError("GIG order 0 has no limit law: it needs c*d >= GIG_BOUNDARY_EPS")

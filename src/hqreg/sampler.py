@@ -12,25 +12,26 @@ family is one object, its hyperparameter dataclass:
   ridge rate and a one-step Metropolis-Hastings move for the
   reparameterised l1 rate.
 
-It names its config ``keys``, study ``method`` label and retained rate
-``columns``, and gives ``init`` (its latents and rates on a new state),
+It names its config ``keys``, study ``method`` label and ``Rates``, the
+NamedTuple of its rates whose field names are their sample columns, and
+gives ``init`` (a new state's ``latent`` and ``rates``),
 ``prior_precision`` (the beta prior's diagonal), ``rho2_quadratic``
-(rho2 * sum(beta_j^2 * prior_precision_j)), ``rates``,
-``latent_params`` (the GIG(1/2) parameters of its latents) and
-``update`` (which takes the joint draw back, sets v and its latents and
-draws its rates).  Every latent block has a generalised inverse Gaussian
-full conditional; the robustness parameter eta is updated by a gamma
-approximation whose (shape, rate) pair is refined by a fixed-point
-iteration, at most 10 passes to a relative tolerance of 1e-8, before a
-single draw is taken.  The block updates draw from the
-``np.random.Generator`` that :func:`run_chain` passes them.
+(rho2 * sum(beta_j^2 * prior_precision_j)), ``latent_params`` (the
+GIG(1/2) parameters of its latents) and ``update`` (which takes the
+joint draw back, sets v and ``latent`` and draws ``rates``).  Every
+latent block has a generalised inverse Gaussian full conditional; the
+robustness parameter eta is updated by a gamma approximation whose
+(shape, rate) pair is refined by a fixed-point iteration, at most 10
+passes to a relative tolerance of 1e-8, before a single draw is taken.
+The block updates draw from the ``np.random.Generator`` that
+:func:`run_chain` passes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -119,7 +120,9 @@ class LassoHyper:
 
     keys: ClassVar[tuple] = ("a", "b", "c", "d")
     method: ClassVar[str] = "HBQR-BL"
-    columns: ClassVar[tuple] = ("lambda1_sq",)
+
+    class Rates(NamedTuple):
+        lambda1_sq: float
 
     def __post_init__(self):
         if min(self.a, self.b, self.c, self.d) <= 0:
@@ -129,20 +132,17 @@ class LassoHyper:
     def eta_prior(self):
         return (self.c, self.d)
 
-    def init(self, state: ChainState, k: int) -> None:
-        state.s = np.ones(k)
-        state.lam1_sq = 1.0 if self.fixed_lambda1_sq is None else self.fixed_lambda1_sq
+    def init(self, k: int) -> tuple:
+        lam1_sq = 1.0 if self.fixed_lambda1_sq is None else self.fixed_lambda1_sq
+        return np.ones(k), self.Rates(lam1_sq)
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
-        return 1.0 / (state.rho2 * state.s)
+        return 1.0 / (state.rho2 * state.latent)
 
     def rho2_quadratic(self, state: ChainState) -> float:
         quad = state.beta**2
-        quad /= state.s
+        quad /= state.latent
         return float(quad.sum())
-
-    def rates(self, state: ChainState) -> tuple:
-        return (state.lam1_sq,)
 
     @staticmethod
     def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
@@ -150,16 +150,16 @@ class LassoHyper:
         d written to ``out`` when given."""
         d = np.abs(state.beta, out=out)
         d /= math.sqrt(state.rho2)
-        return math.sqrt(state.lam1_sq), d
+        return math.sqrt(state.rates.lambda1_sq), d
 
     def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
                drawn: np.ndarray) -> None:
         """Take v and s from ``drawn`` (v's n draws, then s's k), clamped
         together, then draw the rate."""
         drawn = _clamp_positive(drawn, health)
-        state.v, state.s = drawn[: data.n], drawn[data.n:]
+        state.v, state.latent = drawn[: data.n], drawn[data.n:]
         if self.fixed_lambda1_sq is None:
-            state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
+            state.rates = self.Rates(update_lambda1_sq(state, data, spec, gen))
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,10 @@ class ElasticNetHyper:
 
     keys: ClassVar[tuple] = ("a1", "b1", "a2", "b2", "a3", "b3")
     method: ClassVar[str] = "HBQR-EN"
-    columns: ClassVar[tuple] = ("lambda3_tilde", "lambda4")
+
+    class Rates(NamedTuple):
+        lambda3_tilde: float
+        lambda4: float
 
     def __post_init__(self):
         if min(self.a1, self.b1, self.a2, self.b2, self.a3, self.b3) <= 0:
@@ -188,30 +191,27 @@ class ElasticNetHyper:
     def eta_prior(self):
         return (self.a3, self.b3)
 
-    def init(self, state: ChainState, k: int) -> None:
-        state.t = np.full(k, 2.0)
-        state.lam3_tilde = 1.0 if self.fixed_lambda3_tilde is None else self.fixed_lambda3_tilde
-        state.lam4 = 1.0
+    def init(self, k: int) -> tuple:
+        lam3_tilde = 1.0 if self.fixed_lambda3_tilde is None else self.fixed_lambda3_tilde
+        return np.full(k, 2.0), self.Rates(lam3_tilde, 1.0)
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
-        return (2.0 * state.lam4 / state.rho2) * state.t / (state.t - 1.0)
+        return (2.0 * state.rates.lambda4 / state.rho2) * state.latent / (state.latent - 1.0)
 
     def rho2_quadratic(self, state: ChainState) -> float:
-        quad = 2.0 * state.lam4 * state.t
+        quad = 2.0 * state.rates.lambda4 * state.latent
         quad *= state.beta**2
-        quad /= state.t - 1.0
+        quad /= state.latent - 1.0
         return float(quad.sum())
-
-    def rates(self, state: ChainState) -> tuple:
-        return (state.lam3_tilde, state.lam4)
 
     @staticmethod
     def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
         """(c, d) of the GIG(1/2) t_j - 1: sqrt(2 l3t) and
         |beta_j| sqrt(2 l4 / rho2), d written to ``out`` when given."""
         d = np.abs(state.beta, out=out)
-        d *= math.sqrt(2.0 * state.lam4 / state.rho2)
-        return math.sqrt(2.0 * state.lam3_tilde), d
+        lam3_tilde, lam4 = state.rates
+        d *= math.sqrt(2.0 * lam4 / state.rho2)
+        return math.sqrt(2.0 * lam3_tilde), d
 
     def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
                drawn: np.ndarray) -> None:
@@ -220,10 +220,12 @@ class ElasticNetHyper:
         state.v = _clamp_positive(drawn[: data.n], health)
         # the clamp sees (1 + x) - 1, which is 0 or at least 2^-52: an x
         # below 2^-53 becomes 0, is counted and floored at 2^-52, so t > 1
-        state.t = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health, _T_GAP_FLOOR)
-        state.lam4 = update_lambda4(state, data, spec, gen)
+        state.latent = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health, _T_GAP_FLOOR)
+        lam4 = update_lambda4(state, data, spec, gen)
+        lam3_tilde = state.rates.lambda3_tilde
         if self.fixed_lambda3_tilde is None:
-            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
+            lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
+        state.rates = self.Rates(lam3_tilde, lam4)
 
 
 PenaltyHyper = Union[LassoHyper, ElasticNetHyper]
@@ -263,8 +265,8 @@ class ModelSpec:
 class ChainState:
     """Current values of every sampled block.
 
-    Exactly one of (s, lam1_sq) and (t, lam3_tilde, lam4) is populated,
-    by the penalty object's ``init``.
+    The penalty family's ``init`` gives ``latent``, its latents (s_j for
+    the lasso, t_j > 1 for the elastic net), and ``rates``, its ``Rates``.
     """
 
     beta: np.ndarray
@@ -272,11 +274,8 @@ class ChainState:
     sigma: np.ndarray
     rho2: float
     eta: float
-    s: Optional[np.ndarray] = None
-    lam1_sq: Optional[float] = None
-    t: Optional[np.ndarray] = None
-    lam3_tilde: Optional[float] = None
-    lam4: Optional[float] = None
+    latent: np.ndarray
+    rates: tuple
 
 
 @dataclass
@@ -315,15 +314,16 @@ def initial_state(data: Dataset, spec: ModelSpec) -> ChainState:
     """Interior starting point: unit latents, coefficient zero, data-scaled rho2."""
     n, k = data.n, data.k
     var_y = float(np.var(data.y, ddof=1)) if n > 1 else 0.0
-    state = ChainState(
+    latent, rates = spec.penalty.init(k)
+    return ChainState(
         beta=np.zeros(k),
         v=np.ones(n),
         sigma=np.ones(n),
         rho2=var_y if var_y > 0 else 1.0,
         eta=1.0,
+        latent=latent,
+        rates=rates,
     )
-    spec.penalty.init(state, k)
-    return state
 
 
 def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
@@ -445,7 +445,7 @@ def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, gen) ->
     """Gamma(a + k, b + sum(s)/2) draw for the squared l1 rate."""
     hyper = spec.penalty
     shape = hyper.a + data.k
-    rate = hyper.b + 0.5 * float(state.s.sum())
+    rate = hyper.b + 0.5 * float(state.latent.sum())
     return float(gen.gamma(shape) / rate)
 
 
@@ -459,8 +459,8 @@ def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> fl
     hyper = spec.penalty
     shape = data.k / 2.0 + hyper.a2
     quad = state.beta**2
-    quad *= state.t
-    scaled = state.t - 1.0
+    quad *= state.latent
+    scaled = state.latent - 1.0
     scaled *= state.rho2
     quad /= scaled
     rate = float(quad.sum()) + hyper.b2
@@ -506,17 +506,16 @@ def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, g
     """
     hyper = spec.penalty
     k = data.k
-    sum_t = float(state.t.sum())
+    current = state.rates.lambda3_tilde
+    sum_t = float(state.latent.sum())
     prop_rate = hyper.b1 + (sum_t - k)
     proposal = float(gen.gamma(k + hyper.a1) / prop_rate)
-    log_ratio = lambda3_log_accept_ratio(
-        state.lam3_tilde, proposal, k, sum_t, hyper.a1, hyper.b1
-    )
+    log_ratio = lambda3_log_accept_ratio(current, proposal, k, sum_t, hyper.a1, hyper.b1)
     u = gen.random()
     accept = math.log(u) < log_ratio if u > 0 else True
     health.mh_proposals += 1
     health.mh_accepts += int(accept)
-    return proposal if accept else state.lam3_tilde
+    return proposal if accept else current
 
 
 def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
@@ -602,7 +601,7 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     penalty = spec.penalty
     k = data.k
 
-    columns = [f"beta_{j}" for j in range(k)] + ["rho2", "eta", *penalty.columns]
+    columns = [f"beta_{j}" for j in range(k)] + ["rho2", "eta", *penalty.Rates._fields]
     n_keep = (spec.n_iter - spec.burn_in) // spec.thin
     draws = np.empty((n_keep, len(columns)))
     row = 0
@@ -632,7 +631,7 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
 
         if it > spec.burn_in and (it - spec.burn_in) % spec.thin == 0 and row < n_keep:
             draws[row, :k] = state.beta
-            draws[row, k:] = (state.rho2, state.eta, *penalty.rates(state))
+            draws[row, k:] = (state.rho2, state.eta, *state.rates)
             row += 1
 
     return PosteriorSamples(draws=draws, columns=columns, health=health)

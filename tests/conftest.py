@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from hqreg.sampler import ChainState
+
 
 class FixedNormals(np.random.Generator):
     """A generator whose standard normals are given in advance."""
@@ -23,6 +25,19 @@ def _linear_map(draw, n_normals):
     mean = draw(FixedNormals(np.zeros(n_normals)))
     cols = [draw(FixedNormals(e)) - mean for e in np.eye(n_normals)]
     return mean, np.column_stack(cols)
+
+
+def _chain_state(penalty, *, beta, v, sigma, rho2, eta, latent, **rates):
+    """A ChainState of ``penalty``'s family (its class or an instance):
+    ``latent`` is s (lasso) or t (elastic net), and ``rates`` are named by
+    the family's rate columns."""
+    return ChainState(beta=beta, v=v, sigma=sigma, rho2=rho2, eta=eta, latent=latent,
+                      rates=penalty.Rates(**rates))
+
+
+@pytest.fixture
+def chain_state():
+    return _chain_state
 
 
 @pytest.fixture

@@ -30,7 +30,6 @@ from hqreg.loss_density import (
 from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
     ChainHealth,
-    ChainState,
     Dataset,
     ElasticNetHyper,
     LassoHyper,
@@ -201,20 +200,20 @@ def test_criterion_08_quantile_level_ordering():
                   f"{[round(b, 3) for b in intercepts]} (nondecreasing)")
 
 
-def test_criterion_09_mh_long_run_marginal():
+def test_criterion_09_mh_long_run_marginal(chain_state):
     sum_t, a1, b1, k = 3.0, 1.0, 1.0, 2
     data = Dataset(np.ones((1, 2)), np.zeros(1))
     spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a1=a1, b1=b1))
-    state = ChainState(
-        beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-        t=np.array([1.5, 1.5]), lam3_tilde=1.0, lam4=1.0,
+    state = chain_state(
+        ElasticNetHyper, beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
+        latent=np.array([1.5, 1.5]), lambda3_tilde=1.0, lambda4=1.0,
     )
     gen = RngStream(9100).generator()
     n_steps = 100_000
     draws = np.empty(n_steps)
     for i in range(n_steps):
-        state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
-        draws[i] = state.lam3_tilde
+        draws[i] = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
+        state.rates = state.rates._replace(lambda3_tilde=draws[i])
 
     def target(lam):
         return math.exp(
@@ -237,14 +236,14 @@ def test_criterion_09_mh_long_run_marginal():
            f"at {n_steps} steps")
 
 
-def test_criterion_10_eta_approximation_step():
+def test_criterion_10_eta_approximation_step(chain_state):
     # no data: the update must draw exactly from the Gamma(a, b) prior
     a, b = 2.0, 3.0
     from hqreg.sampler import LassoHyper
 
     spec = ModelSpec(tau=0.5, penalty=LassoHyper(c=a, d=b))
-    state = ChainState(beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
-                       rho2=1.0, eta=1.0, s=np.ones(1), lam1_sq=1.0)
+    state = chain_state(LassoHyper, beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
+                        rho2=1.0, eta=1.0, latent=np.ones(1), lambda1_sq=1.0)
     gen = RngStream(9200).generator()
     draws = np.array([update_eta_approx(state, spec, gen, ChainHealth())
                       for _ in range(100_000)])

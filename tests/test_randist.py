@@ -169,7 +169,8 @@ class TestGigScalarPath:
 
     @pytest.mark.parametrize(
         "nu,c,d",
-        [(-110.5, 14.0, 9.0), (-2010.0, 45.0, 50.0), (0.0, 1.0, 1e-3), (3.0, 1e-4, 1e-4)],
+        [(-110.5, 14.0, 9.0), (-2010.0, 45.0, 50.0), (0.0, 1.0, 1e-3), (3.0, 1e-4, 1e-4),
+         (2.0, 50.0, 200.0)],
     )
     def test_matches_array_path_draw_for_draw(self, nu, c, d):
         # a one-element array c takes the array sampler
@@ -182,6 +183,21 @@ class TestGigScalarPath:
             assert x == pytest.approx(y, rel=1e-13)
         # both streams consumed the same uniforms
         assert g_scalar.random() == g_array.random()
+
+    @pytest.mark.parametrize("nu", [-3.0, 0.3, 40.0])
+    @pytest.mark.parametrize("omega", [1e7, 1e9, 1e11])
+    def test_same_rounds_up_to_large_omega(self, nu, omega):
+        # the two forms' rounding gap grows with omega, but below omega near
+        # 1e12 it flips no accept test: both draw the same uniforms and stay
+        # far inside the posterior sd, 1/sqrt(omega) relative
+        c = math.sqrt(omega) * 1.7
+        g_scalar = RngStream(36).generator()
+        g_array = RngStream(36).generator()
+        for _ in range(300):
+            x = gig_rvs(g_scalar, nu, c, omega / c)
+            y = gig_rvs(g_array, nu, np.array([c]), omega / c)[0]
+            assert x == pytest.approx(y, rel=1e-9)
+        assert g_scalar.bit_generator.state == g_array.bit_generator.state
 
     @pytest.mark.parametrize("nu,c,d", [
         # alpha = sqrt(omega^2 + nu^2) - |nu| rounds to 0 at omega = c*d tiny
@@ -506,6 +522,10 @@ class TestGigAlwaysReturns:
     CASES = [
         # Devroye's hat breaks in float arithmetic at c*d = 1e157
         (1.0, 1e-13, 1e170, r"accepted nothing in 1000 rounds at \|nu\| = 1, omega = c\*d = 1e\+157"),
+        # c*d overflows to inf, which the screen and the limit test take
+        # without a warning
+        (1.0, 1e125, 1e200, r"accepted nothing in 1000 rounds at \|nu\| = 1, omega = c\*d = inf"),
+        (-0.5, 1e125, 1e200, r"GIG\(-1/2\) Wald shape d\^2 overflows to inf"),
         # order 0 has no limit law below GIG_BOUNDARY_EPS
         (0.0, 1e-13, 1e-300, "order 0 has no limit law"),
         # the gamma limit's scale 2/c^2 and the inverse-gamma's d^2/2 overflow
@@ -535,6 +555,13 @@ class TestGigAlwaysReturns:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_overflowing_product_still_draws(self, form):
+        # c*d = inf, but the Wald mean c/d and shape c^2 of GIG(1/2) are in range
+        args = (1e125, 1e200) if form == "scalar" else (np.full(2, 1e125), np.full(2, 1e200))
+        draw = gig_rvs(RngStream(59).generator(), 0.5, *args)
+        np.testing.assert_allclose(draw, 1e75, rtol=1e-9)
 
     def test_underflowing_scale_beside_a_plain_pair(self):
         with pytest.raises(ValueError, match=r"GIG\(1\) scale d/c underflows to 0"):

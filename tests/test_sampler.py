@@ -16,7 +16,6 @@ from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
     ChainError,
     ChainHealth,
-    ChainState,
     Dataset,
     ElasticNetHyper,
     LassoHyper,
@@ -80,14 +79,14 @@ class TestSpecValidation:
 
 
 class TestUpdateBeta:
-    def test_flat_prior_limit(self):
+    def test_flat_prior_limit(self, chain_state):
         # k = n = 1split, huge coefficient scale: mean -> x (y - (1-2tau) v) / x^2
         tau = 0.3
         data = Dataset(np.array([[1.7]]), np.array([2.2]))
         spec = ModelSpec(tau=tau)
-        state = ChainState(
-            beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-            s=np.array([1e12]), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
+            latent=np.array([1e12]), lambda1_sq=1.0,
         )
         expect = (data.y[0] - (1 - 2 * tau) * state.v[0]) / data.X[0, 0]
         gen = RngStream(300).generator()
@@ -95,15 +94,15 @@ class TestUpdateBeta:
         sd = math.sqrt(4.0 / data.X[0, 0] ** 2)
         assert abs(draws.mean() - expect) < 4.0 * sd / math.sqrt(draws.size)
 
-    def test_median_case_drops_latent_offset(self):
+    def test_median_case_drops_latent_offset(self, chain_state):
         # at tau = 1/2 the linear term uses y alone, whatever v is
         data = Dataset(np.array([[2.0]]), np.array([3.0]))
         spec = ModelSpec(tau=0.5)
         base = dict(beta=np.zeros(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-                    s=np.array([1e12]), lam1_sq=1.0)
+                    latent=np.array([1e12]), lambda1_sq=1.0)
         means = []
         for v in (0.5, 4.0):
-            state = ChainState(v=np.full(1, v), **base)
+            state = chain_state(LassoHyper, v=np.full(1, v), **base)
             gen = RngStream(301).generator()
             draws = np.array([update_beta(state, data, spec, gen)[0] for _ in range(20_000)])
             means.append(draws.mean())
@@ -113,7 +112,7 @@ class TestUpdateBeta:
             sd = math.sqrt(4.0 * v / data.X[0, 0] ** 2)
             assert abs(m - 1.5) < 4.0 * sd / math.sqrt(20_000)
 
-    def test_full_conditional_matches_analytic_normal(self):
+    def test_full_conditional_matches_analytic_normal(self, chain_state):
         gen0 = RngStream(302).generator()
         n, k = 6, 2
         X = gen0.standard_normal((n, k))
@@ -121,17 +120,18 @@ class TestUpdateBeta:
         data = Dataset(X, y)
         tau = 0.4
         spec = ModelSpec(tau=tau)
-        state = ChainState(
+        state = chain_state(
+            LassoHyper,
             beta=np.zeros(k),
             v=gen0.uniform(0.5, 2.0, n),
             sigma=gen0.uniform(0.5, 2.0, n),
             rho2=0.8,
             eta=1.3,
-            s=np.array([0.9, 1.7]),
-            lam1_sq=1.0,
+            latent=np.array([0.9, 1.7]),
+            lambda1_sq=1.0,
         )
         winv = 1.0 / (4.0 * state.sigma * state.v)
-        precision = (X * winv[:, None]).T @ X + np.diag(1.0 / (state.rho2 * state.s))
+        precision = (X * winv[:, None]).T @ X + np.diag(1.0 / (state.rho2 * state.latent))
         cov = np.linalg.inv(precision)
         mean = cov @ (X * winv[:, None]).T @ (y - (1 - 2 * tau) * state.v)
 
@@ -150,33 +150,35 @@ class TestUpdateBetaForms:
     otherwise; both must give the full conditional exactly."""
 
     @staticmethod
-    def _state(penalty, n=3, k=6, seed=304):
+    def _state(chain_state, penalty, n=3, k=6, seed=304):
         gen0 = RngStream(seed).generator()
         data = Dataset(gen0.standard_normal((n, k)), gen0.standard_normal(n))
         spec = ModelSpec(tau=0.3, penalty=penalty)
-        state = ChainState(beta=np.zeros(k), v=gen0.uniform(0.5, 2.0, n),
-                           sigma=gen0.uniform(0.5, 2.0, n), rho2=0.8, eta=1.3)
-        if isinstance(spec.penalty, LassoHyper):
-            state.s, state.lam1_sq = gen0.uniform(0.5, 2.0, k), 1.0
+        v, sigma = gen0.uniform(0.5, 2.0, n), gen0.uniform(0.5, 2.0, n)
+        if isinstance(penalty, LassoHyper):
+            latent, rates = gen0.uniform(0.5, 2.0, k), dict(lambda1_sq=1.0)
         else:
-            state.t, state.lam3_tilde, state.lam4 = gen0.uniform(1.2, 3.0, k), 1.0, 0.7
+            latent, rates = gen0.uniform(1.2, 3.0, k), dict(lambda3_tilde=1.0, lambda4=0.7)
+        state = chain_state(penalty, beta=np.zeros(k), v=v, sigma=sigma, rho2=0.8, eta=1.3,
+                            latent=latent, **rates)
         return data, spec, state
 
     @staticmethod
     def _full_conditional(data, spec, state):
         winv = 1.0 / (4.0 * state.sigma * state.v)
         if isinstance(spec.penalty, LassoHyper):
-            prior = 1.0 / (state.rho2 * state.s)
+            prior = 1.0 / (state.rho2 * state.latent)
         else:
-            prior = 2.0 * state.lam4 * state.t / (state.rho2 * (state.t - 1.0))
+            t = state.latent
+            prior = 2.0 * state.rates.lambda4 * t / (state.rho2 * (t - 1.0))
         precision = (data.X * winv[:, None]).T @ data.X + np.diag(prior)
         cov = np.linalg.inv(precision)
         h = (data.X * winv[:, None]).T @ (data.y - (1 - 2 * spec.tau) * state.v)
         return cov @ h, cov
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
-    def test_wide_state_exact_moments(self, penalty, linear_map):
-        data, spec, state = self._state(penalty)
+    def test_wide_state_exact_moments(self, penalty, linear_map, chain_state):
+        data, spec, state = self._state(chain_state, penalty)
         mean, g = linear_map(lambda gen: update_beta(state, data, spec, gen), data.k + data.n)
         expect_mean, cov = self._full_conditional(data, spec, state)
         np.testing.assert_allclose(mean, expect_mean, rtol=0, atol=1e-10)
@@ -185,10 +187,10 @@ class TestUpdateBetaForms:
     @pytest.mark.parametrize("n,k,form", [(4, 4, "mvn_from_precision"),
                                           (4, 5, "mvn_low_rank"),
                                           (5, 4, "mvn_from_precision")])
-    def test_form_chosen_by_shape(self, monkeypatch, n, k, form):
+    def test_form_chosen_by_shape(self, monkeypatch, n, k, form, chain_state):
         import hqreg.sampler as sampler_mod
 
-        data, spec, state = self._state(LassoHyper(), n=n, k=k)
+        data, spec, state = self._state(chain_state, LassoHyper(), n=n, k=k)
         taken = []
         for name in ("mvn_from_precision", "mvn_low_rank"):
             original = getattr(sampler_mod, name)
@@ -239,14 +241,14 @@ class TestUpdateSigmaV:
                 lhs = (1 - 2 * tau) ** 2 / (4 * sigma) + tau * (1 - tau) / sigma
                 assert lhs == pytest.approx(1.0 / (4.0 * sigma), rel=1e-15)
 
-    def test_sigma_fixture_moments(self):
+    def test_sigma_fixture_moments(self, chain_state):
         # residual 0.5, v = 1, tau = 0.5, eta = rho2 = 1:
         # order -1/2, c^2 = 1, d^2 = 0.0625 + 0.25 + 1
         data = Dataset(np.array([[1.0]]), np.array([0.5]))
         spec = ModelSpec(tau=0.5)
-        state = ChainState(
-            beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-            s=np.ones(1), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
+            latent=np.ones(1), lambda1_sq=1.0,
         )
         p = (-0.5, 1.0, math.sqrt(1.3125))
         gen = RngStream(310).generator()
@@ -257,35 +259,35 @@ class TestUpdateSigmaV:
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_sigma_positive_under_zero_residual_and_tiny_v(self):
+    def test_sigma_positive_under_zero_residual_and_tiny_v(self, chain_state):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
-        state = ChainState(
-            beta=np.zeros(1), v=np.full(1, 1e-12), sigma=np.ones(1), rho2=2.0, eta=0.5,
-            s=np.ones(1), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.zeros(1), v=np.full(1, 1e-12), sigma=np.ones(1), rho2=2.0, eta=0.5,
+            latent=np.ones(1), lambda1_sq=1.0,
         )
         resid = data.y - data.X @ state.beta
         draws = update_sigma(state, data, spec, RngStream(311).generator(), resid)
         assert np.all(draws > 0)
 
-    def test_v_zero_residual_gamma_dispatch(self):
+    def test_v_zero_residual_gamma_dispatch(self, chain_state):
         # y = X beta exactly: d = 0 hits the gamma boundary, no error
         data = Dataset(np.array([[1.0], [2.0]]), np.array([0.7, 1.4]))
         spec = ModelSpec(tau=0.3)
-        state = ChainState(
-            beta=np.array([0.7]), v=np.ones(2), sigma=np.ones(2), rho2=1.0, eta=1.0,
-            s=np.ones(1), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.array([0.7]), v=np.ones(2), sigma=np.ones(2), rho2=1.0, eta=1.0,
+            latent=np.ones(1), lambda1_sq=1.0,
         )
         resid = data.y - data.X @ state.beta
         draws = update_v(state, data, spec, RngStream(312).generator(), resid)
         assert np.all(draws > 0)
 
-    def test_v_fixture_moments(self):
+    def test_v_fixture_moments(self, chain_state):
         data = Dataset(np.array([[1.0]]), np.array([1.2]))
         spec = ModelSpec(tau=0.25)
-        state = ChainState(
-            beta=np.zeros(1), v=np.ones(1), sigma=np.full(1, 0.7), rho2=1.0, eta=1.0,
-            s=np.ones(1), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.zeros(1), v=np.ones(1), sigma=np.full(1, 0.7), rho2=1.0, eta=1.0,
+            latent=np.ones(1), lambda1_sq=1.0,
         )
         c = 0.5 / math.sqrt(0.7)
         d = 1.2 * c
@@ -299,16 +301,17 @@ class TestUpdateSigmaV:
 
 
 class TestUpdateRho2:
-    def _state(self, **kw):
+    @staticmethod
+    def _state(chain_state, **kw):
         base = dict(beta=np.array([0.3]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
-                    eta=0.7, s=np.array([1.5]), lam1_sq=1.0)
+                    eta=0.7, latent=np.array([1.5]), lambda1_sq=1.0)
         base.update(kw)
-        return ChainState(**base)
+        return chain_state(LassoHyper, **base)
 
-    def test_fixture_moments(self):
+    def test_fixture_moments(self, chain_state):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
-        state = self._state()
+        state = self._state(chain_state)
         # order -(1 + 1/2), c^2 = 0.7/2, d^2 = 0.7*2 + 0.09/1.5
         p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 0.06))
         gen = RngStream(320).generator()
@@ -317,10 +320,10 @@ class TestUpdateRho2:
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_zero_beta_drops_penalty_term(self):
+    def test_zero_beta_drops_penalty_term(self, chain_state):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
-        state = self._state(beta=np.zeros(1))
+        state = self._state(chain_state, beta=np.zeros(1))
         p = (-1.5, math.sqrt(0.35), math.sqrt(1.4))
         gen = RngStream(321).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
@@ -328,13 +331,13 @@ class TestUpdateRho2:
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_elastic_large_t_limit(self):
+    def test_elastic_large_t_limit(self, chain_state):
         # t -> inf: the j-th 1/x coefficient term tends to 2 lam4 beta_j^2
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
-        state = ChainState(
-            beta=np.array([0.6]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
-            eta=0.7, t=np.array([1e9]), lam3_tilde=1.0, lam4=1.2,
+        state = chain_state(
+            ElasticNetHyper, beta=np.array([0.6]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
+            eta=0.7, latent=np.array([1e9]), lambda3_tilde=1.0, lambda4=1.2,
         )
         p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
         gen = RngStream(322).generator()
@@ -345,12 +348,12 @@ class TestUpdateRho2:
 
 
 class TestLassoBlock:
-    def test_s_fixture_moments(self):
+    def test_s_fixture_moments(self, chain_state):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
-        state = ChainState(
-            beta=np.array([0.8]), v=np.ones(1), sigma=np.ones(1), rho2=4.0, eta=1.0,
-            s=np.ones(1), lam1_sq=2.25,
+        state = chain_state(
+            LassoHyper, beta=np.array([0.8]), v=np.ones(1), sigma=np.ones(1), rho2=4.0, eta=1.0,
+            latent=np.ones(1), lambda1_sq=2.25,
         )
         p = (0.5, 1.5, 0.4)  # c = lam1, d = |beta|/sqrt(rho2)
         gen = RngStream(330).generator()
@@ -359,12 +362,12 @@ class TestLassoBlock:
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_lambda1_gamma_moments(self):
+    def test_lambda1_gamma_moments(self, chain_state):
         data = Dataset(np.ones((1, 2)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=LassoHyper(a=1.5, b=0.5))
-        state = ChainState(
-            beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-            s=np.array([1.0, 3.0]), lam1_sq=1.0,
+        state = chain_state(
+            LassoHyper, beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
+            latent=np.array([1.0, 3.0]), lambda1_sq=1.0,
         )
         gen = RngStream(331).generator()
         draws = np.array([update_lambda1_sq(state, data, spec, gen) for _ in range(100_000)])
@@ -372,11 +375,11 @@ class TestLassoBlock:
         assert draws.mean() == pytest.approx(shape / rate, abs=4 * math.sqrt(shape) / rate / math.sqrt(draws.size))
         assert draws.var() == pytest.approx(shape / rate**2, rel=0.05)
 
-    def test_lambda1_no_coefficients_is_pure_prior(self):
+    def test_lambda1_no_coefficients_is_pure_prior(self, chain_state):
         # degenerate k = 0: the draw is exactly Gamma(a, b)
         spec = ModelSpec(tau=0.5, penalty=LassoHyper(a=2.0, b=3.0))
-        state = ChainState(beta=np.zeros(0), v=np.ones(1), sigma=np.ones(1),
-                           rho2=1.0, eta=1.0, s=np.zeros(0), lam1_sq=1.0)
+        state = chain_state(LassoHyper, beta=np.zeros(0), v=np.ones(1), sigma=np.ones(1),
+                            rho2=1.0, eta=1.0, latent=np.zeros(0), lambda1_sq=1.0)
         fake_data = SimpleNamespace(k=0)
         gen = RngStream(332).generator()
         draws = np.array([update_lambda1_sq(state, fake_data, spec, gen) for _ in range(50_000)])
@@ -385,22 +388,22 @@ class TestLassoBlock:
 
 
 class TestElasticBlock:
-    def test_t_strictly_above_one(self):
+    def test_t_strictly_above_one(self, chain_state):
         data = Dataset(np.ones((1, 3)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
-        state = ChainState(
-            beta=np.array([0.0, 0.5, -2.0]), v=np.ones(1), sigma=np.ones(1), rho2=1.0,
-            eta=1.0, t=np.full(3, 2.0), lam3_tilde=0.8, lam4=1.1,
+        state = chain_state(
+            ElasticNetHyper, beta=np.array([0.0, 0.5, -2.0]), v=np.ones(1), sigma=np.ones(1),
+            rho2=1.0, eta=1.0, latent=np.full(3, 2.0), lambda3_tilde=0.8, lambda4=1.1,
         )
         draws = update_t(state, data, spec, RngStream(340).generator())
         assert np.all(draws > 1.0)
 
-    def test_lambda4_gamma_moments(self):
+    def test_lambda4_gamma_moments(self, chain_state):
         data = Dataset(np.ones((1, 2)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a2=2.0, b2=1.5))
-        state = ChainState(
-            beta=np.array([0.5, 1.0]), v=np.ones(1), sigma=np.ones(1), rho2=2.0,
-            eta=1.0, t=np.array([2.0, 3.0]), lam3_tilde=1.0, lam4=1.0,
+        state = chain_state(
+            ElasticNetHyper, beta=np.array([0.5, 1.0]), v=np.ones(1), sigma=np.ones(1), rho2=2.0,
+            eta=1.0, latent=np.array([2.0, 3.0]), lambda3_tilde=1.0, lambda4=1.0,
         )
         rate = (2.0 * 0.25 / (2.0 * 1.0) + 3.0 * 1.0 / (2.0 * 2.0)) + 1.5
         shape = 1.0 + 2.0
@@ -431,22 +434,22 @@ class TestElasticBlock:
         got = lambda3_log_accept_ratio(1.0, 2.0, 2, 3.0, 1.0, 1.0)
         assert got == pytest.approx(oracle, abs=1e-9)
 
-    def test_mh_long_run_marginal(self):
+    def test_mh_long_run_marginal(self, chain_state):
         # frozen latents: the chain's stationary law must match the
         # quadrature-normalised target (smaller companion of the full
         # acceptance-scale run)
         sum_t, a1, b1, k = 3.0, 1.0, 1.0, 2
         data = Dataset(np.ones((1, 2)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a1=a1, b1=b1))
-        state = ChainState(
-            beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-            t=np.array([1.5, 1.5]), lam3_tilde=1.0, lam4=1.0,
+        state = chain_state(
+            ElasticNetHyper, beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0,
+            eta=1.0, latent=np.array([1.5, 1.5]), lambda3_tilde=1.0, lambda4=1.0,
         )
         gen = RngStream(343).generator()
         draws = np.empty(30_000)
         for i in range(draws.size):
-            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
-            draws[i] = state.lam3_tilde
+            draws[i] = mh_update_lambda3_tilde(state, data, spec, gen, ChainHealth())
+            state.rates = state.rates._replace(lambda3_tilde=draws[i])
 
         from hqreg.specfun import log_upper_gamma_half
 
@@ -466,17 +469,10 @@ class TestPenaltyContract:
     pinned rate stays where it was pinned."""
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
-    def test_rho2_quadratic_matches_prior_precision(self, penalty):
+    def test_rho2_quadratic_matches_prior_precision(self, penalty, chain_state):
         gen = RngStream(370).generator()
-        k = 7
         for _ in range(20):
-            # every latent populated, so one state serves both families
-            state = ChainState(
-                beta=gen.standard_normal(k), v=np.ones(3), sigma=np.ones(3),
-                rho2=gen.uniform(0.05, 5.0), eta=1.0, s=gen.uniform(0.05, 5.0, k),
-                lam1_sq=1.0, t=gen.uniform(1.01, 6.0, k), lam3_tilde=1.0,
-                lam4=gen.uniform(0.05, 5.0),
-            )
+            state = _full_state(chain_state, gen, 3, 7, penalty)
             expect = state.rho2 * np.sum(state.beta**2 * penalty.prior_precision(state))
             assert penalty.rho2_quadratic(state) == pytest.approx(expect, rel=1e-12)
 
@@ -488,20 +484,21 @@ class TestPenaltyContract:
         data, _ = sim1_dataset(404, n=30)
         spec = ModelSpec(tau=0.5, penalty=penalty, n_iter=150, burn_in=50, seed=4)
         samples = run_chain(data, spec)
-        assert samples.columns[data.k + 2:] == list(penalty.columns)
+        assert samples.columns[data.k + 2:] == list(penalty.Rates._fields)
         assert np.all(samples.column(column) == 0.37)
         assert samples.health.mh_proposals == 0
 
 
-def _full_state(gen, n, k):
-    # every latent populated, so one state serves both families
-    return ChainState(
-        beta=gen.standard_normal(k), v=gen.uniform(0.05, 3.0, n),
-        sigma=gen.uniform(0.05, 3.0, n), rho2=gen.uniform(0.1, 4.0), eta=gen.uniform(0.2, 5.0),
-        s=gen.uniform(0.05, 5.0, k), lam1_sq=gen.uniform(0.2, 3.0),
-        t=gen.uniform(1.01, 6.0, k), lam3_tilde=gen.uniform(0.2, 3.0),
-        lam4=gen.uniform(0.2, 3.0),
-    )
+def _full_state(chain_state, gen, n, k, penalty):
+    """A random interior state of ``penalty``'s family."""
+    state = dict(beta=gen.standard_normal(k), v=gen.uniform(0.05, 3.0, n),
+                 sigma=gen.uniform(0.05, 3.0, n), rho2=gen.uniform(0.1, 4.0),
+                 eta=gen.uniform(0.2, 5.0))
+    if isinstance(penalty, LassoHyper):
+        return chain_state(penalty, **state, latent=gen.uniform(0.05, 5.0, k),
+                           lambda1_sq=gen.uniform(0.2, 3.0))
+    return chain_state(penalty, **state, latent=gen.uniform(1.01, 6.0, k),
+                       lambda3_tilde=gen.uniform(0.2, 3.0), lambda4=gen.uniform(0.2, 3.0))
 
 
 class TestLeanBlocks:
@@ -529,7 +526,7 @@ class TestLeanBlocks:
         assert health.positivity_clamps == 1
 
     @pytest.mark.parametrize("tau", [0.25, 0.5])
-    def test_gig_arguments_match_plain_expressions(self, tau, monkeypatch):
+    def test_gig_arguments_match_plain_expressions(self, tau, monkeypatch, chain_state):
         calls = []
 
         def capture(gen, nu, c, d):
@@ -542,7 +539,7 @@ class TestLeanBlocks:
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         for penalty in (LassoHyper(), ElasticNetHyper()):
             spec = ModelSpec(tau=tau, penalty=penalty)
-            st = _full_state(gen, n, k)
+            st = _full_state(chain_state, gen, n, k, penalty)
             calls.clear()
             resid = data.y - data.X @ st.beta
             update_sigma(st, data, spec, gen, resid)
@@ -553,13 +550,15 @@ class TestLeanBlocks:
             d_sq = r_sig * r_sig / (4.0 * st.v) + tau * (1.0 - tau) * st.v + st.eta * st.rho2
             c_v = 0.5 / np.sqrt(st.sigma)
             if isinstance(penalty, LassoHyper):
-                c_pen = math.sqrt(st.lam1_sq)
+                c_pen = math.sqrt(st.rates.lambda1_sq)
                 d_pen = np.abs(st.beta) / math.sqrt(st.rho2)
-                quad_sum = float(np.sum(st.beta**2 / st.s))
+                quad_sum = float(np.sum(st.beta**2 / st.latent))
             else:
-                c_pen = math.sqrt(2.0 * st.lam3_tilde)
-                d_pen = np.sqrt(2.0 * st.lam4 / st.rho2) * np.abs(st.beta)
-                quad_sum = float(np.sum(2.0 * st.lam4 * st.t * st.beta**2 / (st.t - 1.0)))
+                lam3_tilde, lam4 = st.rates
+                t = st.latent
+                c_pen = math.sqrt(2.0 * lam3_tilde)
+                d_pen = np.sqrt(2.0 * lam4 / st.rho2) * np.abs(st.beta)
+                quad_sum = float(np.sum(2.0 * lam4 * t * st.beta**2 / (t - 1.0)))
             c_rho2 = math.sqrt(st.eta * float(np.sum(1.0 / st.sigma)))
             d_rho2 = math.sqrt(st.eta * float(np.sum(st.sigma)) + quad_sum)
             expected = [
@@ -574,7 +573,7 @@ class TestLeanBlocks:
                     assert np.asarray(a, dtype=float).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("n,k", [(12, 4), (5, 9)])
-    def test_beta_system_matches_plain_expressions(self, n, k, monkeypatch):
+    def test_beta_system_matches_plain_expressions(self, n, k, monkeypatch, chain_state):
         calls = []
         monkeypatch.setattr(sampler, "mvn_from_precision",
                             lambda rng, p, h: calls.append((p, h)) or np.zeros(k))
@@ -584,7 +583,7 @@ class TestLeanBlocks:
         gen = RngStream(381).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=0.3)
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, spec.penalty)
         update_beta(st, data, spec, gen)
         winv = 1.0 / np.maximum(4.0 * st.sigma * st.v, 1e-280)
         target = data.y - (1.0 - 2.0 * spec.tau) * st.v
@@ -600,17 +599,18 @@ class TestLeanBlocks:
         for a, b in zip(calls[0], want):
             assert a.tobytes() == b.tobytes()
 
-    def test_scalar_rates_match_plain_expressions(self, monkeypatch):
+    def test_scalar_rates_match_plain_expressions(self, monkeypatch, chain_state):
         gen = RngStream(382).generator()
         n, k = 10, 6
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
-        st = _full_state(gen, n, k)
         spec = ModelSpec(tau=0.4, penalty=ElasticNetHyper())
-        rate = float(np.sum(st.t * st.beta**2 / (st.rho2 * (st.t - 1.0)))) + 1.0
+        st = _full_state(chain_state, gen, n, k, spec.penalty)
+        rate = float(np.sum(st.latent * st.beta**2 / (st.rho2 * (st.latent - 1.0)))) + 1.0
         draw = update_lambda4(st, data, spec, RngStream(383).generator())
         assert draw == float(RngStream(383).generator().gamma(k / 2.0 + 1.0) / rate)
         spec = ModelSpec(tau=0.4, penalty=LassoHyper())
-        rate = 1.0 + 0.5 * float(np.sum(st.s))
+        st = _full_state(chain_state, gen, n, k, spec.penalty)
+        rate = 1.0 + 0.5 * float(np.sum(st.latent))
         draw = update_lambda1_sq(st, data, spec, RngStream(384).generator())
         assert draw == float(RngStream(384).generator().gamma(1.0 + k) / rate)
         seen = []
@@ -621,12 +621,12 @@ class TestLeanBlocks:
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     @pytest.mark.parametrize("n,k", [(15, 4), (4, 9)])
-    def test_blocks_leave_state_arrays_untouched(self, penalty, n, k):
+    def test_blocks_leave_state_arrays_untouched(self, penalty, n, k, chain_state):
         gen = RngStream(385).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=0.3, penalty=penalty)
-        st = _full_state(gen, n, k)
-        before = {f: np.copy(getattr(st, f)) for f in ("beta", "v", "sigma", "s", "t")}
+        st = _full_state(chain_state, gen, n, k, penalty)
+        before = {f: np.copy(getattr(st, f)) for f in ("beta", "v", "sigma", "latent")}
         X, y = data.X.copy(), data.y.copy()
         resid = data.y - data.X @ st.beta
         update_beta(st, data, spec, gen)
@@ -650,14 +650,15 @@ class TestLeanBlocks:
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n,k", [(12, 4), (5, 9)])
-    def test_shared_residual_gives_plain_gig_arguments(self, tau, n, k, monkeypatch):
+    def test_shared_residual_gives_plain_gig_arguments(self, tau, n, k, monkeypatch,
+                                                      chain_state):
         calls = []
         monkeypatch.setattr(sampler, "gig_rvs",
                             lambda gen, nu, c, d: calls.append((nu, c, d)) or 1.0)
         gen = RngStream(386).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=tau)
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, spec.penalty)
         resid = data.y - data.X @ st.beta
         kept = resid.copy()
         update_sigma(st, data, spec, gen, resid)
@@ -717,20 +718,21 @@ def _scan_in_separate_calls(data, spec):
         state.sigma = sampler._clamp_positive(update_sigma(state, data, spec, gen, resid), health)
         state.v = sampler._clamp_positive(update_v(state, data, spec, gen, resid), health)
         if isinstance(penalty, LassoHyper):
-            state.s = sampler._clamp_positive(update_s(state, data, spec, gen), health)
-            state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
+            state.latent = sampler._clamp_positive(update_s(state, data, spec, gen), health)
+            state.rates = penalty.Rates(update_lambda1_sq(state, data, spec, gen))
         else:
-            state.t = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0, health,
-                                                    sampler._T_GAP_FLOOR)
-            state.lam4 = update_lambda4(state, data, spec, gen)
-            state.lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
+            state.latent = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0,
+                                                         health, sampler._T_GAP_FLOOR)
+            lam4 = update_lambda4(state, data, spec, gen)
+            state.rates = penalty.Rates(mh_update_lambda3_tilde(state, data, spec, gen, health),
+                                        lam4)
         state.rho2 = update_rho2(state, data, spec, gen)
         if state.rho2 < 1e-300:
             state.rho2 = 1e-300
             health.positivity_clamps += 1
         state.eta = update_eta_approx(state, spec, gen, health)
         if it > spec.burn_in:
-            rows.append([*state.beta, state.rho2, state.eta, *penalty.rates(state)])
+            rows.append([*state.beta, state.rho2, state.eta, *state.rates])
     return np.array(rows), health
 
 
@@ -752,7 +754,7 @@ class TestJointLatentBlock:
         assert samples.health == health
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
-    def test_interior_state_takes_one_call(self, penalty, monkeypatch):
+    def test_interior_state_takes_one_call(self, penalty, monkeypatch, chain_state):
         calls = []
         draw = sampler.gig_rvs
         monkeypatch.setattr(sampler, "gig_rvs",
@@ -760,14 +762,15 @@ class TestJointLatentBlock:
         gen = RngStream(391).generator()
         n, k = 12, 5
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, penalty)
         resid = data.y - data.X @ st.beta
         drawn = update_v_and_latents(st, data, ModelSpec(penalty=penalty), gen, resid)
         assert len(calls) == 1 and drawn.shape == (n + k,)
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     @pytest.mark.parametrize("zero_resid,zero_coef", [(True, True), (True, False), (False, True)])
-    def test_boundary_pairs_take_one_call(self, penalty, zero_resid, zero_coef, monkeypatch):
+    def test_boundary_pairs_take_one_call(self, penalty, zero_resid, zero_coef, monkeypatch,
+                                          chain_state):
         # a zero residual or coefficient sends its pair to the gamma limit
         # inside the one joint call, which then orders its draws by kind
         calls = []
@@ -778,7 +781,7 @@ class TestJointLatentBlock:
         n, k = 9, 4
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=0.3, penalty=penalty)
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, penalty)
         if zero_coef:
             st.beta[2] = 0.0
         resid = data.y - data.X @ st.beta
@@ -794,53 +797,54 @@ class TestJointLatentBlock:
         expect = gig_rvs(RngStream(393).generator(), 0.5, c, d)
         assert drawn.tobytes() == expect.tobytes()
 
-    def test_update_clamps_as_the_separate_calls(self):
+    def test_update_clamps_as_the_separate_calls(self, chain_state):
         n, k = 3, 2
         gen = RngStream(396).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         drawn = np.array([0.5, 0.0, 1e-310, 2.0, 1e-20])
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, LassoHyper())
         health = ChainHealth()
         LassoHyper().update(st, data, ModelSpec(), gen, health, drawn.copy())
-        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.s.tolist() == [2.0, 1e-20]
+        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.latent.tolist() == [2.0, 1e-20]
         assert health.positivity_clamps == 2
         # t = 1 + x rounds x = 1e-20 to 0 before the clamp, which counts it
         # and floors it at 2^-52
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, ElasticNetHyper())
         health = ChainHealth()
         ElasticNetHyper().update(st, data, ModelSpec(penalty=ElasticNetHyper()), gen, health,
                                  drawn.copy())
-        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.t.tolist() == [3.0, 1.0 + 2.0**-52]
+        assert st.v.tolist() == [0.5, 1e-300, 1e-300]
+        assert st.latent.tolist() == [3.0, 1.0 + 2.0**-52]
         assert health.positivity_clamps == 3
 
-    def test_latent_below_half_an_ulp_keeps_t_above_one(self):
+    def test_latent_below_half_an_ulp_keeps_t_above_one(self, chain_state):
         # a t - 1 draw of 1e-17 rounds t to 1; the floor keeps t > 1, so the
         # blocks that divide by t - 1 stay finite and warn of nothing
         n, k = 5, 3
         gen = RngStream(397).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(penalty=ElasticNetHyper())
-        st = _full_state(gen, n, k)
+        st = _full_state(chain_state, gen, n, k, spec.penalty)
         drawn = np.concatenate((st.v, [1e-17, 0.4, 2.0]))
         health = ChainHealth()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ElasticNetHyper().update(st, data, spec, gen, health, drawn)
-            assert np.all(st.t > 1.0) and st.t[0] == 1.0 + 2.0**-52
+            assert np.all(st.latent > 1.0) and st.latent[0] == 1.0 + 2.0**-52
             assert health.positivity_clamps == 1
-            assert np.isfinite(st.lam4) and st.lam4 > 0
+            assert np.isfinite(st.rates.lambda4) and st.rates.lambda4 > 0
             assert np.isfinite(update_beta(st, data, spec, gen)).all()
             assert np.isfinite(update_lambda4(st, data, spec, gen))
             assert np.isfinite(update_rho2(st, data, spec, gen))
 
-    def test_wald_range_error_from_the_joint_block(self):
+    def test_wald_range_error_from_the_joint_block(self, chain_state):
         # c = sqrt(l1sq) = 1e150 and d = 1e-160 for one coefficient: c*d is
         # interior but the Wald mean c/d overflows
         gen = RngStream(394).generator()
         n, k = 6, 3
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
-        st = _full_state(gen, n, k)
-        st.rho2, st.lam1_sq = 1.0, 1e300
+        st = _full_state(chain_state, gen, n, k, LassoHyper())
+        st.rho2, st.rates = 1.0, LassoHyper.Rates(1e300)
         st.beta = np.array([1e-160, 0.5, -1.0])
         gen = RngStream(395).generator()
         before = gen.bit_generator.state
@@ -851,10 +855,10 @@ class TestJointLatentBlock:
 
 
 class TestEtaUpdate:
-    def test_no_data_draws_prior(self):
+    def test_no_data_draws_prior(self, chain_state):
         spec = ModelSpec(tau=0.5, penalty=LassoHyper(c=2.0, d=3.0))
-        state = ChainState(beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
-                           rho2=1.0, eta=1.0, s=np.ones(1), lam1_sq=1.0)
+        state = chain_state(LassoHyper, beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
+                            rho2=1.0, eta=1.0, latent=np.ones(1), lambda1_sq=1.0)
         gen = RngStream(350).generator()
         draws = np.array([update_eta_approx(state, spec, gen, ChainHealth())
                           for _ in range(50_000)])
@@ -923,15 +927,15 @@ class TestEtaUpdate:
         assert B <= 0
         assert len(gaps) == 10
 
-    def test_update_skips_when_refinement_degenerates(self, monkeypatch):
+    def test_update_skips_when_refinement_degenerates(self, monkeypatch, chain_state):
         import hqreg.sampler as sampler_mod
 
         monkeypatch.setattr(
             sampler_mod, "refine_eta_gamma_params", lambda *a, **k: (1.0, -1.0, [])
         )
         spec = ModelSpec(tau=0.5)
-        state = ChainState(beta=np.zeros(1), v=np.ones(2), sigma=np.ones(2),
-                           rho2=1.0, eta=0.77, s=np.ones(1), lam1_sq=1.0)
+        state = chain_state(LassoHyper, beta=np.zeros(1), v=np.ones(2), sigma=np.ones(2),
+                            rho2=1.0, eta=0.77, latent=np.ones(1), lambda1_sq=1.0)
         health = ChainHealth()
         out = sampler_mod.update_eta_approx(state, spec, RngStream(352).generator(), health)
         assert out == 0.77
@@ -1044,7 +1048,7 @@ class TestPriorConsistency:
     swapped parameters move these statistics by tens of sigmas).
     """
 
-    def test_successive_conditional_moments(self):
+    def test_successive_conditional_moments(self, chain_state):
         n, k, tau = 5, 2, 0.3
         X = RngStream(100).generator().standard_normal((n, k))
         hyper = LassoHyper(a=3.0, b=1.0, c=2.0, d=2.0)
@@ -1053,7 +1057,7 @@ class TestPriorConsistency:
 
         def stat_row(st):
             return (st.beta[0], st.beta[0] ** 2, st.beta[1] ** 2, st.rho2,
-                    st.rho2**2, st.eta, st.eta**2, st.lam1_sq)
+                    st.rho2**2, st.eta, st.eta**2, st.rates.lambda1_sq)
 
         # marginal-conditional side: iid prior draws, vectorised
         gen = RngStream(201).generator()
@@ -1071,9 +1075,9 @@ class TestPriorConsistency:
 
         # successive-conditional side: y | params, then one Gibbs scan
         gen = RngStream(202).generator()
-        state = ChainState(
-            beta=np.zeros(k), v=np.ones(n), sigma=np.ones(n), rho2=1.0, eta=1.0,
-            s=np.ones(k), lam1_sq=1.0,
+        state = chain_state(
+            hyper, beta=np.zeros(k), v=np.ones(n), sigma=np.ones(n), rho2=1.0, eta=1.0,
+            latent=np.ones(k), lambda1_sq=1.0,
         )
         sweeps = 20_000
         rows = np.empty((sweeps, 8))
@@ -1086,8 +1090,8 @@ class TestPriorConsistency:
             resid = data.y - data.X @ state.beta
             state.sigma = update_sigma(state, data, spec, gen, resid)
             state.v = update_v(state, data, spec, gen, resid)
-            state.s = update_s(state, data, spec, gen)
-            state.lam1_sq = update_lambda1_sq(state, data, spec, gen)
+            state.latent = update_s(state, data, spec, gen)
+            state.rates = hyper.Rates(update_lambda1_sq(state, data, spec, gen))
             state.rho2 = float(update_rho2(state, data, spec, gen))
             state.eta = update_eta_approx(state, spec, gen, health)
             rows[i] = stat_row(state)
