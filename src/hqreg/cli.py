@@ -592,12 +592,9 @@ def cmd_contour(cfg: RunConfig) -> list:
         raise CliError("config-error", str(exc)) from exc
     outdir = _outdir(cfg)
     z = log_posterior_grid(spec)
-    rows = []
-    log_b = np.log(bgrid)
-    log_r = np.log(rgrid)
-    for i in range(size):
-        for j in range(size):
-            rows.append((log_b[i], log_r[j], z[i, j]))
+    # one row per (beta_i, rho2_j), beta-major
+    rows = np.column_stack([np.repeat(np.log(bgrid), size), np.tile(np.log(rgrid), size),
+                            z.ravel()])
     _write_csv(outdir / "grid.csv", ["log_beta", "log_rho2", "log_posterior"], rows)
     return [outdir / "grid.csv"]
 

@@ -9,6 +9,10 @@ on the global scale); :func:`scale_mixture_density` evaluates that
 representation by nested quadrature and serves as the independent oracle
 for the closed form.
 
+The GIG mixing index of the global scale is declared here once:
+DENSITY_MIXING_INDEX for the documented density and its oracle, and
+CHAIN_MIXING_INDEX for the Gibbs chain and the posterior surface.
+
 The joint (beta, rho2) log-posterior surface of a single-column design
 comes from one broadcasting kernel, which the grid and the pointwise
 view share; each penalty object supplies its own log prior.
@@ -23,6 +27,8 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
+    "DENSITY_MIXING_INDEX",
+    "CHAIN_MIXING_INDEX",
     "LossParams",
     "huber_loss",
     "check_loss",
@@ -37,6 +43,15 @@ __all__ = [
     "log_posterior_grid",
     "count_strict_local_maxima",
 ]
+
+# The GIG mixing index lambda of the global scale,
+# sigma ~ GIG(lambda, sqrt(eta/rho2), sqrt(eta rho2)).  Only 3/2 turns the
+# mixture into the exponential kernel of asym_density.
+DENSITY_MIXING_INDEX = 1.5
+# The chain's sigma, rho2 and eta blocks and the posterior surface still use
+# index 1, whose marginal is proportional to K_0(sqrt(eta^2 + eta
+# rho_tau(e)/rho2)); ROADMAP item 2 moves them to DENSITY_MIXING_INDEX.
+CHAIN_MIXING_INDEX = 1.0
 
 # K_0 has a log singularity at 0; grid points that interpolate the data
 # exactly are clamped here before the log is taken.
@@ -102,7 +117,9 @@ def asym_density(x, mu, p: LossParams):
         eta tau (1-tau) e^eta / (2 rho2 (eta+1))
             * exp(-sqrt(eta (eta + check_loss(x - mu, tau)/rho2))).
 
-    Integrates to 1; P(X <= mu) = tau.
+    Integrates to 1; P(X <= mu) = tau.  This closed form, its eta+1
+    normaliser included, is the mixture at index 3/2
+    (DENSITY_MIXING_INDEX) only.
     """
     return np.exp(asym_log_density(x, mu, p))
 
@@ -113,15 +130,16 @@ def scale_mixture_density(x, mu, p: LossParams) -> float:
     Composes, for e = x - mu,
 
         int int N(e; (1-2 tau) v, 4 v sigma) Exp(v; tau(1-tau)/(2 sigma))
-                GIG(sigma; 3/2, sqrt(eta/rho2), sqrt(eta rho2)) dv dsigma.
+                GIG(sigma; lambda, sqrt(eta/rho2), sqrt(eta rho2)) dv dsigma,
 
-    The inner v-integral runs over log v for stability (the integrand
-    spans many decades in v); the outer sigma-integral likewise.  The
-    GIG mixing index is 3/2: composing the inner normal-exponential
-    layer yields an asymmetric Laplace with scale 2*sigma, and only the
-    3/2 index turns the remaining Bessel factor into the pure
-    exponential kernel of :func:`asym_density` (the density's
-    normalising constant, with its eta+1 factor, pins the same index).
+    with lambda = DENSITY_MIXING_INDEX.  The inner v-integral runs over
+    log v for stability (the integrand spans many decades in v); the
+    outer sigma-integral likewise.  Composing the inner
+    normal-exponential layer yields an asymmetric Laplace with scale
+    2*sigma, and only the index 3/2 turns the remaining Bessel factor
+    into the pure exponential kernel of :func:`asym_density` (the
+    density's normalising constant, with its eta+1 factor, pins the
+    same index).
 
     Slow; intended as an independent cross-check of the closed form,
     not for bulk evaluation.
@@ -134,8 +152,8 @@ def scale_mixture_density(x, mu, p: LossParams) -> float:
     tau, eta, rho2 = p.tau, p.eta, p.rho2
     c2 = eta / rho2
     d2 = eta * rho2
-    nu_mix = 1.5
-    # log of the GIG(3/2, c, d) normalising constant
+    nu_mix = DENSITY_MIXING_INDEX
+    # log of the GIG(nu_mix, c, d) normalising constant
     cd = math.sqrt(c2 * d2)
     log_norm = (
         0.5 * nu_mix * (math.log(c2) - math.log(d2))
@@ -252,6 +270,9 @@ class PosteriorGridSpec:
 
 
 def _log_k0(arg: np.ndarray) -> np.ndarray:
+    """log of z^(lambda-1) K_(lambda-1)(z), the marginal's factor at
+    CHAIN_MIXING_INDEX lambda = 1, where it is K_0(z); written for that
+    index only."""
     arg = np.maximum(arg, _K0_ARG_FLOOR)
     return np.log(_sp.k0e(arg)) - arg
 
@@ -260,13 +281,14 @@ def _log_posterior(spec: PosteriorGridSpec, beta: np.ndarray, rho2: np.ndarray) 
     """Unnormalised log posterior at every (beta_i, rho2_j), latents
     integrated out; shape (len(beta), len(rho2)).
 
-    The likelihood is a product of Bessel-K_0 factors in the scaled check
-    losses rho_tau of the residuals.  Its argument keeps an eta^2 floor,
-    from the 1/sigma coefficient of the mixing prior, so it stays >= eta
-    and the surface has no residual-interpolation singularities.  The
-    prior style sets only the coefficient scale (1/sqrt(rho2) on the l1
-    term and rho2 under the l2 term, or 1 for both) and the rho2 exponent
-    (n + k/2 + 1 or n + 1, with k = 1 for the single-column design).
+    The likelihood is the chain's: the mixture at CHAIN_MIXING_INDEX, a
+    product of Bessel-K_0 factors in the scaled check losses rho_tau of
+    the residuals.  Its argument keeps an eta^2 floor, from the 1/sigma
+    coefficient of the mixing prior, so it stays >= eta and the surface
+    has no residual-interpolation singularities.  The prior style sets
+    only the coefficient scale (1/sqrt(rho2) on the l1 term and rho2
+    under the l2 term, or 1 for both) and the rho2 exponent (n + k/2 + 1
+    or n + 1, with k = 1 for the single-column design).
     """
     n = spec.y.size
     resid = spec.y[None, :] - beta[:, None] * spec.x[:, 0][None, :]  # (B, n)

@@ -358,7 +358,7 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
     if scalar:
         scale = d / c
     else:
-        # an omega = c*d of inf breaks the hat, and the bounded rounds raise
+        # a scale d/c that overflows raises after the draw, below
         with np.errstate(over="ignore"):
             scale = d / c
             omega = c * d
@@ -388,7 +388,9 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
     nu > 0 and the inverse-gamma limit when nu < 0; order 0 has no limit
     law there and raises, as does a limit draw that overflows or a limit
     scale (2/c^2 for the gamma, d^2/2 for the inverse gamma) that
-    underflows to 0.  The limit draws come first, in index order, then
+    underflows to 0.  A pair whose c*d overflows to inf leaves Devroye's
+    sampler no hat, so an order other than +-1/2 then raises before
+    anything is drawn.  The limit draws come first, in index order, then
     those of the other pairs.
     """
     if np.any((c == 0) & (d == 0)):
@@ -400,10 +402,13 @@ def _gig_with_limits(gen: np.random.Generator, nu: float, c: np.ndarray, d: np.n
 
     out = np.empty(c.shape)
     with np.errstate(over="ignore"):
-        limit = c * d < GIG_BOUNDARY_EPS
+        cd = c * d
+    limit = cd < GIG_BOUNDARY_EPS
     count = np.count_nonzero(limit)
     if count and nu == 0:
         raise ValueError("GIG order 0 has no limit law: it needs c*d >= GIG_BOUNDARY_EPS")
+    if abs(nu) != 0.5 and cd.max(initial=0.0) == math.inf:
+        _no_acceptance(abs(nu), math.inf)
     if count:
         # the scale 2/c^2 or d^2/2 can leave the double range; one that
         # underflows raises before anything is drawn
@@ -454,7 +459,8 @@ def gig_rvs(gen: np.random.Generator, nu, c, d):
     limit, d^2/2 for the inverse-gamma limit), when a draw overflows to
     inf, or when Devroye's sampler accepts nothing in a bounded number of
     rounds, which happens only where float arithmetic breaks its hat
-    (c*d near 1e150 or more).  So every input returns or raises.  A scale
+    (c*d near 1e150 or more; a c*d that overflows to inf raises before
+    any round).  So every input returns or raises.  A scale
     that underflows raises before its pairs are drawn.  The scale is
     tested, not the draw: a draw can still be 0 when the variate it
     scales underflows, as a gamma variate of a small order does (order

@@ -19,10 +19,13 @@ gives ``init`` (a new state's ``latent`` and ``rates``),
 (rho2 * sum(beta_j^2 * prior_precision_j)), ``latent_params`` (the
 GIG(1/2) parameters of its latents) and ``update`` (which takes the
 joint draw back, sets v and ``latent`` and draws ``rates``).  Every
-latent block has a generalised inverse Gaussian full conditional; the
-robustness parameter eta is updated by a gamma approximation whose
-(shape, rate) pair is refined by a fixed-point iteration, at most 10
-passes to a relative tolerance of 1e-8, before a single draw is taken.
+latent block has a generalised inverse Gaussian full conditional.  The
+orders of the sigma and rho2 blocks follow the chain's GIG mixing index
+lambda, ``loss_density.CHAIN_MIXING_INDEX``.  The robustness parameter
+eta is updated by a gamma approximation whose (shape, rate) pair is
+refined by a fixed-point iteration, at most 10 passes to a relative
+tolerance of 1e-8, before a single draw is taken; that step is written
+for index 1 only.
 The block updates draw from the ``np.random.Generator`` that
 :func:`run_chain` passes them.
 """
@@ -35,7 +38,7 @@ from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import specfun
+from . import loss_density, specfun
 from .randist import RngStream, gig_rvs, mvn_from_precision, mvn_low_rank
 
 __all__ = [
@@ -354,7 +357,8 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.nd
 
 def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
                  resid: np.ndarray) -> np.ndarray:
-    """Per-observation GIG(-1/2) draws for the global mixing latents.
+    """Per-observation GIG(lambda - 3/2) draws for the global mixing
+    latents, lambda the chain's mixing index (order -1/2 at lambda = 1).
 
     ``resid`` is y - X beta at the state; it is only read.
     """
@@ -371,7 +375,7 @@ def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
     d += state.eta * state.rho2
     np.sqrt(d, out=d)
     c = math.sqrt(state.eta / state.rho2)
-    return gig_rvs(gen, -0.5, c, d)
+    return gig_rvs(gen, loss_density.CHAIN_MIXING_INDEX - 1.5, c, d)
 
 
 def update_v(state: ChainState, data: Dataset, spec: ModelSpec, gen,
@@ -420,7 +424,8 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, gen,
 
 
 def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
-    """Single GIG draw for the scale; order -(n + k/2) under the invariant prior.
+    """Single GIG draw for the scale; order -(lambda n + k/2) under the
+    invariant prior, lambda the chain's mixing index.
 
     A proper inverse-gamma prior (shape a0, rate g0) shifts the order by
     -a0 and adds 2 g0 to the 1/x coefficient.
@@ -428,7 +433,7 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float
     n, k = data.n, data.k
     c_sq = state.eta * float((1.0 / state.sigma).sum())
     d_sq = state.eta * float(state.sigma.sum()) + spec.penalty.rho2_quadratic(state)
-    nu = -(n + k / 2.0)
+    nu = -(loss_density.CHAIN_MIXING_INDEX * n + k / 2.0)
     if spec.rho2_invgamma is not None:
         a0, g0 = spec.rho2_invgamma
         nu -= a0
@@ -523,13 +528,14 @@ def refine_eta_gamma_params(a: float, b: float, s_sum: float, n: int,
     """Fixed-point refinement of the Gamma(shape A, rate B) approximation
     to the eta full conditional.
 
-    Starts from A = a + n/2, B = s_sum + b - n (the large-argument
-    asymptotics of the Bessel normaliser); each pass matches the first
-    two log-density derivatives at eta = A/B, both taken from one
-    :func:`specfun.log_k1_derivs` call.  If the initial B is not
-    positive, the iteration starts from ``eta_fallback`` instead.  It
-    runs at most _ETA_REFINE_ITERS passes and stops once the gap is below
-    _ETA_REFINE_TOL.
+    The conditional carries K_lambda(eta)^-n at the chain's mixing index,
+    and this step is written for index 1.  It starts from A = a + n/2,
+    B = s_sum + b - n (the large-argument asymptotics of the Bessel
+    normaliser); each pass matches the first two log-density derivatives
+    at eta = A/B, both taken from one :func:`specfun.log_k1_derivs`
+    call.  If the initial B is not positive, the iteration starts from
+    ``eta_fallback`` instead.  It runs at most _ETA_REFINE_ITERS passes
+    and stops once the gap is below _ETA_REFINE_TOL.
 
     Returns (A, B, gaps) where gaps is the per-iteration convergence
     criterion |eta / (A/B) - 1|.

@@ -192,9 +192,14 @@ def _one_replication_guarded(args):
 
 
 def worker_count(n_tasks: int) -> int:
-    """Parallel width: HQREG_THREADS, an integer >= 1, caps os.cpu_count(),
-    and 1 runs a study serially.  Any other value raises ValueError."""
-    cap = os.cpu_count() or 1
+    """Parallel width: HQREG_THREADS, an integer >= 1, caps the number of
+    CPUs this process may run on (``os.sched_getaffinity`` where the
+    platform has it, else ``os.cpu_count()``), and 1 runs a study
+    serially.  Any other value raises ValueError."""
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     env = os.environ.get("HQREG_THREADS")
     if env:
         try:

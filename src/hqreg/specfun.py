@@ -41,7 +41,9 @@ _K_ORDERS_0_TO_3 = np.arange(4.0)
 def log_k1_derivs(eta):
     """First and second derivatives of log K_1 at eta, as a pair.
 
-    One ``kve`` call on orders 0..3.  The derivative recurrence
+    K_1 is K_lambda at the chain's GIG mixing index lambda = 1
+    (``loss_density.CHAIN_MIXING_INDEX``); these forms serve that index
+    only.  One ``kve`` call on orders 0..3.  The derivative recurrence
     K_nu' = -(K_{nu-1} + K_{nu+1}) / 2 gives K_1'' = (3 K_1 + K_3) / 4, so
 
         (log K_1)'  = -(K_0 + K_2) / (2 K_1),

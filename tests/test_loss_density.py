@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import k0
+from scipy.special import k0, kv
 
+from hqreg import loss_density
 from hqreg.loss_density import (
     ElasticNetPenalty,
     LassoPenalty,
@@ -144,14 +145,17 @@ class TestScaleMixture:
 
 def surface_oracle(spec, beta, rho2):
     """Log posterior at one (beta, rho2), point by point from the formula: the
-    sum over i of log K_0(sqrt(eta^2 + eta rho_tau(y_i - beta x_i) / rho2)),
+    sum over i of log z_i^(lambda-1) K_(lambda-1)(z_i) at the chain's mixing
+    index lambda, z_i = sqrt(eta^2 + eta rho_tau(y_i - beta x_i) / rho2),
     plus the log prior of beta and rho2 under the spec's penalty and style."""
     eta, tau = spec.eta, spec.tau
+    order = loss_density.CHAIN_MIXING_INDEX - 1.0
     loglik = 0.0
     for xi, yi in zip(spec.x[:, 0], spec.y):
         e = yi - beta * xi
         loss = e * (tau - (e < 0))
-        loglik += math.log(k0(math.sqrt(eta**2 + eta * loss / rho2)))
+        z = math.sqrt(eta**2 + eta * loss / rho2)
+        loglik += order * math.log(z) + math.log(kv(order, z))
     pen = spec.penalty
     if isinstance(pen, LassoPenalty):
         l1, l2 = pen.lambda1, 0.0

@@ -563,6 +563,16 @@ class TestGigAlwaysReturns:
         draw = gig_rvs(RngStream(59).generator(), 0.5, *args)
         np.testing.assert_allclose(draw, 1e75, rtol=1e-9)
 
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_overflowing_product_raises_before_drawing(self, form):
+        # c*d = inf leaves Devroye's sampler no hat: it raises without a round
+        args = (1e125, 1e200) if form == "scalar" else (np.full(2, 1e125), np.full(2, 1e200))
+        gen = RngStream(55).generator()
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=r"omega = c\*d = inf"):
+            gig_rvs(gen, 1.0, *args)
+        assert gen.bit_generator.state == before
+
     def test_underflowing_scale_beside_a_plain_pair(self):
         with pytest.raises(ValueError, match=r"GIG\(1\) scale d/c underflows to 0"):
             gig_rvs(RngStream(56).generator(), 1.0, np.array([1e300, 1.0]),

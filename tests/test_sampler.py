@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import kve
 
-from hqreg import sampler
+from hqreg import loss_density, sampler
 from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
     ChainError,
@@ -233,6 +233,14 @@ class TestUpdateBetaForms:
         np.testing.assert_allclose(kernel, oracle, rtol=1e-6, atol=0)
 
 
+@pytest.fixture(params=[1.0, 1.5])
+def chain_index(request, monkeypatch):
+    """The chain's mixing index, set to the running value 1 and to the
+    documented density's 3/2."""
+    monkeypatch.setattr(loss_density, "CHAIN_MIXING_INDEX", request.param)
+    return request.param
+
+
 class TestUpdateSigmaV:
     def test_v_coefficient_identity(self):
         # (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma == 1/(4 sigma)
@@ -241,20 +249,21 @@ class TestUpdateSigmaV:
                 lhs = (1 - 2 * tau) ** 2 / (4 * sigma) + tau * (1 - tau) / sigma
                 assert lhs == pytest.approx(1.0 / (4.0 * sigma), rel=1e-15)
 
-    def test_sigma_fixture_moments(self, chain_state):
+    def test_sigma_fixture_moments(self, chain_state, chain_index):
         # residual 0.5, v = 1, tau = 0.5, eta = rho2 = 1:
-        # order -1/2, c^2 = 1, d^2 = 0.0625 + 0.25 + 1
-        data = Dataset(np.array([[1.0]]), np.array([0.5]))
+        # order lambda - 3/2, c^2 = 1, d^2 = 0.0625 + 0.25 + 1.  Order 0
+        # takes the array Devroye path, so one call over identical rows
+        # gives every draw
+        m = 100_000
+        data = Dataset(np.ones((m, 1)), np.full(m, 0.5))
         spec = ModelSpec(tau=0.5)
         state = chain_state(
-            LassoHyper, beta=np.zeros(1), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
+            LassoHyper, beta=np.zeros(1), v=np.ones(m), sigma=np.ones(m), rho2=1.0, eta=1.0,
             latent=np.ones(1), lambda1_sq=1.0,
         )
-        p = (-0.5, 1.0, math.sqrt(1.3125))
-        gen = RngStream(310).generator()
+        p = (chain_index - 1.5, 1.0, math.sqrt(1.3125))
         resid = data.y - data.X @ state.beta
-        draws = np.array([update_sigma(state, data, spec, gen, resid)[0]
-                          for _ in range(100_000)])
+        draws = update_sigma(state, data, spec, RngStream(310).generator(), resid)
         mean = gig_moment(*p, 1.0)
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
@@ -308,30 +317,30 @@ class TestUpdateRho2:
         base.update(kw)
         return chain_state(LassoHyper, **base)
 
-    def test_fixture_moments(self, chain_state):
+    def test_fixture_moments(self, chain_state, chain_index):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
         state = self._state(chain_state)
-        # order -(1 + 1/2), c^2 = 0.7/2, d^2 = 0.7*2 + 0.09/1.5
-        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 0.06))
+        # order -(lambda n + k/2) at n = k = 1, c^2 = 0.7/2, d^2 = 0.7*2 + 0.09/1.5
+        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4 + 0.06))
         gen = RngStream(320).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
         mean = gig_moment(*p, 1.0)
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_zero_beta_drops_penalty_term(self, chain_state):
+    def test_zero_beta_drops_penalty_term(self, chain_state, chain_index):
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5)
         state = self._state(chain_state, beta=np.zeros(1))
-        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4))
+        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4))
         gen = RngStream(321).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
         mean = gig_moment(*p, 1.0)
         var = gig_moment(*p, 2.0) - mean**2
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
-    def test_elastic_large_t_limit(self, chain_state):
+    def test_elastic_large_t_limit(self, chain_state, chain_index):
         # t -> inf: the j-th 1/x coefficient term tends to 2 lam4 beta_j^2
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
@@ -339,7 +348,7 @@ class TestUpdateRho2:
             ElasticNetHyper, beta=np.array([0.6]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
             eta=0.7, latent=np.array([1e9]), lambda3_tilde=1.0, lambda4=1.2,
         )
-        p = (-1.5, math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
+        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
         gen = RngStream(322).generator()
         draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
         mean = gig_moment(*p, 1.0)
@@ -561,11 +570,12 @@ class TestLeanBlocks:
                 quad_sum = float(np.sum(2.0 * lam4 * t * st.beta**2 / (t - 1.0)))
             c_rho2 = math.sqrt(st.eta * float(np.sum(1.0 / st.sigma)))
             d_rho2 = math.sqrt(st.eta * float(np.sum(st.sigma)) + quad_sum)
+            lam = loss_density.CHAIN_MIXING_INDEX
             expected = [
-                (-0.5, math.sqrt(st.eta / st.rho2), np.sqrt(d_sq)),
+                (lam - 1.5, math.sqrt(st.eta / st.rho2), np.sqrt(d_sq)),
                 (0.5, c_v, np.abs(resid) * c_v),
                 (0.5, c_pen, d_pen),
-                (-(n + k / 2.0), c_rho2, d_rho2),
+                (-(lam * n + k / 2.0), c_rho2, d_rho2),
             ]
             assert len(calls) == len(expected)
             for got, want in zip(calls, expected):
@@ -676,7 +686,8 @@ class TestLeanBlocks:
         d_v = data.y - data.X @ st.beta
         np.abs(d_v, out=d_v)
         d_v *= c_v
-        expected = [(-0.5, math.sqrt(st.eta / st.rho2), d), (0.5, c_v, d_v)]
+        expected = [(loss_density.CHAIN_MIXING_INDEX - 1.5, math.sqrt(st.eta / st.rho2), d),
+                    (0.5, c_v, d_v)]
         assert len(calls) == 2
         for got, want in zip(calls, expected):
             for a, b in zip(got, want):

@@ -1,5 +1,7 @@
 """Scenario generators, metrics, study aggregation and cross-validation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,15 @@ class TestRunStudy:
             monkeypatch.setenv("HQREG_THREADS", bad)
             with pytest.raises(ValueError, match="HQREG_THREADS must be an integer >= 1"):
                 worker_count(1)
+        # the cap is the CPUs the process may run on, not the host's count
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("HQREG_THREADS", "2")
+        assert worker_count(16) == 1
+        monkeypatch.delenv("HQREG_THREADS")
+        assert worker_count(16) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count(16) == 8
 
 
 class TestSensitivity:

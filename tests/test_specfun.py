@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc, kv
 
+from hqreg import loss_density
 from hqreg.specfun import (
     log_bessel_k,
     log_k1_derivs,
@@ -91,9 +92,11 @@ class TestBesselK:
 
 class TestLogK1Derivatives:
     def test_first_matches_finite_difference(self):
+        # the eta step needs log K_lambda at the chain's mixing index lambda
+        lam = loss_density.CHAIN_MIXING_INDEX
         for eta in (0.1, 1.0, 10.0):
             h = 1e-6 * max(eta, 1.0)
-            fd = (log_bessel_k(1, eta + h) - log_bessel_k(1, eta - h)) / (2 * h)
+            fd = (log_bessel_k(lam, eta + h) - log_bessel_k(lam, eta - h)) / (2 * h)
             assert log_k1_deriv(eta) == pytest.approx(fd, abs=1e-6)
 
     def test_first_frozen_value(self):
@@ -108,12 +111,13 @@ class TestLogK1Derivatives:
             assert log_k1_deriv(eta) == pytest.approx(-1.0 - 1.0 / (2 * eta), abs=2.0 / eta**2)
 
     def test_second_matches_finite_difference(self):
+        lam = loss_density.CHAIN_MIXING_INDEX
         for eta in (0.5, 2.0, 20.0):
             h = 1e-4 * max(eta, 1.0)
             fd = (
-                log_bessel_k(1, eta + h)
-                - 2 * log_bessel_k(1, eta)
-                + log_bessel_k(1, eta - h)
+                log_bessel_k(lam, eta + h)
+                - 2 * log_bessel_k(lam, eta)
+                + log_bessel_k(lam, eta - h)
             ) / h**2
             assert log_k1_deriv2(eta) == pytest.approx(fd, abs=1e-5)
 
