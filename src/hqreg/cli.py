@@ -30,7 +30,8 @@ from .loss_density import (
     log_posterior_grid,
 )
 from .randist import RngStream, ald_sample
-from .sampler import Dataset, ElasticNetHyper, LassoHyper, ModelSpec, run_chain, summarize
+from .sampler import (ChainError, Dataset, ElasticNetHyper, LassoHyper, ModelSpec, run_chain,
+                      summarize)
 
 __all__ = [
     "CliError",
@@ -333,20 +334,9 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         values.update({k: v for k, v in parse_config_file(args.config).items()
                        if k in _DEFAULTS})
-    overrides = {
-        "seed": args.seed,
-        "tau": args.tau,
-        "penalty": args.penalty,
-        "iters": args.iters,
-        "burnin": args.burnin,
-        "thin": args.thin,
-        "reps": args.reps,
-        "folds": args.folds,
-        "out": args.out,
-        "input": args.input,
-    }
-    for key, val in overrides.items():
-        if val is not None:
+    # every flag but --config and --no-standardise is named after its key
+    for key, val in vars(args).items():
+        if key in _DEFAULTS and val is not None:
             values[key] = str(val)
     if args.no_standardise:
         values["standardise"] = "false"
@@ -360,7 +350,7 @@ def _model_spec(cfg: RunConfig, tau: float = None) -> ModelSpec:
     try:
         return ModelSpec(
             tau=tau if tau is not None else cfg.get_float("tau"),
-            penalty=family(*(cfg.get_float(key) for key in family.keys)),
+            penalty=family(*(cfg.get_float(f.name) for f in fields(family))),
             n_iter=cfg.get_int("iters"),
             burn_in=cfg.get_int("burnin"),
             thin=cfg.get_int("thin"),
@@ -480,11 +470,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         raise CliError("config-error", f"bad scenarios/tau list: {exc}") from exc
     if not sim_ids or not taus:
         raise CliError("config-error", "scenarios and tau lists must not be empty")
-    if not all(0.0 < tau < 1.0 for tau in taus):
-        raise CliError("config-error", f"every tau must lie in (0, 1), got {cfg.get('tau')!r}")
     n = cfg.get_int("n")
-    if n < 1:
-        raise CliError("config-error", f"n must be >= 1, got {n}")
     try:
         scenarios = [
             simbench.scenario_by_id(sid, n=n, tau=tau) for sid in sim_ids for tau in taus
@@ -529,7 +515,8 @@ def cmd_simulate(cfg: RunConfig) -> list:
 
 def cmd_sensitivity(cfg: RunConfig) -> list:
     vary = cfg.get("vary")
-    family = next((name for name, cls in _PENALTIES.items() if vary in cls.keys), None)
+    family = next((name for name, cls in _PENALTIES.items()
+                   if vary in (f.name for f in fields(cls))), None)
     if family is None:
         raise CliError("config-error", f"vary must name a hyperparameter, got {vary!r}")
     try:
@@ -567,7 +554,10 @@ def _toy_contour_data(cfg: RunConfig):
     if n < 0:
         raise CliError("config-error", f"toy_n must be >= 0, got {n}")
     sigma = _noise_sigma(cfg)
-    gen = RngStream(cfg.get_int("toy_seed")).generator()
+    try:
+        gen = RngStream(cfg.get_int("toy_seed")).generator()
+    except ValueError as exc:
+        raise CliError("config-error", str(exc)) from exc
     x = gen.standard_normal(n)
     y = x + ald_sample(gen, 0.0, sigma, 0.5, size=n)
     return x, y
@@ -581,12 +571,9 @@ def cmd_contour(cfg: RunConfig) -> list:
     bgrid = np.exp(np.linspace(cfg.get_float("log_beta_min"), cfg.get_float("log_beta_max"), size))
     rgrid = np.exp(np.linspace(cfg.get_float("log_rho2_min"), cfg.get_float("log_rho2_max"), size))
     surface = _SURFACE_PENALTIES[cfg.get("penalty")]
-    style = cfg.get("prior_style")
-    if style not in ("unconditional", "conditional"):
-        raise CliError("config-error", f"prior_style must be (un)conditional, got {style!r}")
     try:
         penalty = surface(*(cfg.get_float(f.name) for f in fields(surface)))
-        spec = PosteriorGridSpec(bgrid, rgrid, x, y, penalty, style,
+        spec = PosteriorGridSpec(bgrid, rgrid, x, y, penalty, cfg.get("prior_style"),
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
@@ -647,6 +634,9 @@ def main(argv=None) -> int:
         run(cfg)
     except CliError as exc:
         print(f"{exc.error_class}: {exc}", file=sys.stderr)
+        return 1
+    except ChainError as exc:
+        print(f"chain-error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)

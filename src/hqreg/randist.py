@@ -64,11 +64,16 @@ class RngStream:
     """Seed plus key path identifying one independent random stream.
 
     Identical (seed, key) pairs reproduce draw sequences bit for bit;
-    distinct keys give statistically independent streams.
+    distinct keys give statistically independent streams.  The seed is
+    an integer >= 0.
     """
 
     seed: int
     key: tuple = field(default=())
+
+    def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def child(self, *subkey: int) -> "RngStream":
         return RngStream(self.seed, self.key + tuple(int(k) for k in subkey))

@@ -12,14 +12,14 @@ family is one object, its hyperparameter dataclass:
   ridge rate and a one-step Metropolis-Hastings move for the
   reparameterised l1 rate.
 
-It names its config ``keys``, study ``method`` label and ``Rates``, the
-NamedTuple of its rates whose field names are their sample columns, and
-gives ``init`` (a new state's ``latent`` and ``rates``),
-``prior_precision`` (the beta prior's diagonal), ``rho2_quadratic``
-(rho2 * sum(beta_j^2 * prior_precision_j)), ``latent_params`` (the
-GIG(1/2) parameters of its latents) and ``update`` (which takes the
-joint draw back, sets v and ``latent`` and draws ``rates``).  Every
-latent block has a generalised inverse Gaussian full conditional.  The
+Its fields are its config keys.  It names its study ``method`` label
+and ``Rates``, the NamedTuple of its rates whose field names are their
+sample columns, and gives ``init`` (a new state's ``latent`` and
+``rates``), ``prior_precision`` (the beta prior's diagonal),
+``rho2_quadratic`` (rho2 * sum(beta_j^2 * prior_precision_j)),
+``latent_params`` (the GIG(1/2) parameters of its latents) and
+``update`` (which takes the joint draw back, sets v and ``latent`` and
+draws ``rates``).  Every latent block has a generalised inverse Gaussian full conditional.  The
 orders of the sigma and rho2 blocks follow the chain's GIG mixing index
 lambda, ``loss_density.CHAIN_MIXING_INDEX``.  The robustness parameter
 eta is updated by a gamma approximation whose (shape, rate) pair is
@@ -33,7 +33,7 @@ The block updates draw from the ``np.random.Generator`` that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
@@ -112,32 +112,28 @@ class Dataset:
 @dataclass(frozen=True)
 class LassoHyper:
     """Lasso: gamma hyperparameters (a, b) for the squared l1 rate and (c, d)
-    for eta; ``fixed_lambda1_sq`` pins the rate instead of sampling it (a
-    prior off-switch used by diagnostics and nesting checks)."""
+    for eta."""
 
     a: float = 1.0
     b: float = 1.0
     c: float = 1.0
     d: float = 1.0
-    fixed_lambda1_sq: Optional[float] = field(default=None, kw_only=True)
 
-    keys: ClassVar[tuple] = ("a", "b", "c", "d")
     method: ClassVar[str] = "HBQR-BL"
 
     class Rates(NamedTuple):
         lambda1_sq: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) <= 0:
-            raise ValueError("lasso hyperparameters must be > 0")
+        if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):
+            raise ValueError("lasso hyperparameters must be finite and > 0")
 
     @property
     def eta_prior(self):
         return (self.c, self.d)
 
     def init(self, k: int) -> tuple:
-        lam1_sq = 1.0 if self.fixed_lambda1_sq is None else self.fixed_lambda1_sq
-        return np.ones(k), self.Rates(lam1_sq)
+        return np.ones(k), self.Rates(1.0)
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
         return 1.0 / (state.rho2 * state.latent)
@@ -161,15 +157,13 @@ class LassoHyper:
         together, then draw the rate."""
         drawn = _clamp_positive(drawn, health)
         state.v, state.latent = drawn[: data.n], drawn[data.n:]
-        if self.fixed_lambda1_sq is None:
-            state.rates = self.Rates(update_lambda1_sq(state, data, spec, gen))
+        state.rates = self.Rates(update_lambda1_sq(state, data, spec, gen))
 
 
 @dataclass(frozen=True)
 class ElasticNetHyper:
     """Elastic net: gamma hyperparameters (a1, b1) for the reparameterised l1
-    rate, (a2, b2) for the ridge rate and (a3, b3) for eta;
-    ``fixed_lambda3_tilde`` pins the l1 rate instead of sampling it."""
+    rate, (a2, b2) for the ridge rate and (a3, b3) for eta."""
 
     a1: float = 1.0
     b1: float = 1.0
@@ -177,9 +171,7 @@ class ElasticNetHyper:
     b2: float = 1.0
     a3: float = 1.0
     b3: float = 1.0
-    fixed_lambda3_tilde: Optional[float] = field(default=None, kw_only=True)
 
-    keys: ClassVar[tuple] = ("a1", "b1", "a2", "b2", "a3", "b3")
     method: ClassVar[str] = "HBQR-EN"
 
     class Rates(NamedTuple):
@@ -187,16 +179,15 @@ class ElasticNetHyper:
         lambda4: float
 
     def __post_init__(self):
-        if min(self.a1, self.b1, self.a2, self.b2, self.a3, self.b3) <= 0:
-            raise ValueError("elastic-net hyperparameters must be > 0")
+        if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):
+            raise ValueError("elastic-net hyperparameters must be finite and > 0")
 
     @property
     def eta_prior(self):
         return (self.a3, self.b3)
 
     def init(self, k: int) -> tuple:
-        lam3_tilde = 1.0 if self.fixed_lambda3_tilde is None else self.fixed_lambda3_tilde
-        return np.full(k, 2.0), self.Rates(lam3_tilde, 1.0)
+        return np.full(k, 2.0), self.Rates(1.0, 1.0)
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
         return (2.0 * state.rates.lambda4 / state.rho2) * state.latent / (state.latent - 1.0)
@@ -225,9 +216,7 @@ class ElasticNetHyper:
         # below 2^-53 becomes 0, is counted and floored at 2^-52, so t > 1
         state.latent = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health, _T_GAP_FLOOR)
         lam4 = update_lambda4(state, data, spec, gen)
-        lam3_tilde = state.rates.lambda3_tilde
-        if self.fixed_lambda3_tilde is None:
-            lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
+        lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
         state.rates = self.Rates(lam3_tilde, lam4)
 
 
@@ -240,7 +229,8 @@ class ModelSpec:
 
     rho2_invgamma switches the scale prior from the default improper
     1/rho2 to a proper inverse gamma (shape, rate); the Gibbs update
-    absorbs it exactly.
+    absorbs it exactly.  A chain keeps at least 2 draws, and its seed is
+    one that :class:`RngStream` takes.
     """
 
     tau: float = 0.5
@@ -258,10 +248,14 @@ class ModelSpec:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        kept = (self.n_iter - self.burn_in) // self.thin
+        if kept < 2:
+            raise ValueError(f"need at least 2 kept draws, got (n_iter - burn_in) // thin = {kept}")
+        RngStream(self.seed)
         if self.rho2_invgamma is not None:
             a0, g0 = self.rho2_invgamma
-            if a0 <= 0 or g0 <= 0:
-                raise ValueError("inverse-gamma prior needs positive shape and rate")
+            if not (0.0 < a0 < math.inf and 0.0 < g0 < math.inf):
+                raise ValueError("inverse-gamma shape and rate must be finite and > 0")
 
 
 @dataclass

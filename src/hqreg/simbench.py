@@ -81,10 +81,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if not (abs(self.r) < 1.0):
             raise ValueError("need |r| < 1")
-        if self.n < 1 or self.sigma <= 0 or self.noise_divisor <= 0:
-            raise ValueError("need n >= 1, sigma > 0, noise_divisor > 0")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.sigma <= 0 or self.noise_divisor <= 0:
+            raise ValueError("need sigma > 0, noise_divisor > 0")
         if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
 
 def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:

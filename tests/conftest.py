@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hqreg.sampler import ChainState
+from hqreg import sampler
+from hqreg.sampler import ChainState, ElasticNetHyper, LassoHyper
 
 
 class FixedNormals(np.random.Generator):
@@ -33,6 +34,32 @@ def _chain_state(penalty, *, beta, v, sigma, rho2, eta, latent, **rates):
     the family's rate columns."""
     return ChainState(beta=beta, v=v, sigma=sigma, rho2=rho2, eta=eta, latent=latent,
                       rates=penalty.Rates(**rates))
+
+
+# the step that draws each family's l1 rate, the first of its Rates
+_RATE_STEPS = {LassoHyper: "update_lambda1_sq", ElasticNetHyper: "mh_update_lambda3_tilde"}
+
+
+@pytest.fixture
+def pin_rate(monkeypatch):
+    """``pin_rate(family, value)`` starts ``family``'s l1 rate at ``value``
+    and makes its rate step return the current rate without drawing, so
+    every chain of the family holds it there: a prior off-switch for
+    nesting checks."""
+
+    def pin(family, value):
+        init = family.init
+        name = family.Rates._fields[0]
+
+        def pinned_init(self, k):
+            latent, rates = init(self, k)
+            return latent, rates._replace(**{name: value})
+
+        monkeypatch.setattr(family, "init", pinned_init)
+        monkeypatch.setattr(sampler, _RATE_STEPS[family],
+                            lambda state, *args: getattr(state.rates, name))
+
+    return pin
 
 
 @pytest.fixture

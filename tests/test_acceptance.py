@@ -263,14 +263,14 @@ def test_criterion_10_eta_approximation_step(chain_state):
            f"(tol 3 SE at 1e5); refinement gaps {['%.1e' % g for g in gaps]} strictly decreasing")
 
 
-def test_criterion_11_cv_harness():
+def test_criterion_11_cv_harness(pin_rate):
     gen = RngStream(8).generator()
     n, k = 50, 3
     X = np.column_stack([np.ones(n), gen.standard_normal((n, k - 1))])
     y = X @ np.array([0.7, 1.5, -2.0])
     data = Dataset(X, y)
-    model = ModelSpec(tau=0.5, penalty=LassoHyper(fixed_lambda1_sq=1e-10), n_iter=400,
-                      burn_in=100, seed=2)
+    pin_rate(LassoHyper, 1e-10)
+    model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=400, burn_in=100, seed=2)
     res = cross_validate(data, model, folds=10, rng=RngStream(5))
     worst = max(res.mspe, res.mape, res.mhpe, res.medspe)
 

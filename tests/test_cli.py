@@ -504,6 +504,7 @@ class TestFailedRunOutput:
 
     @pytest.mark.parametrize("subcommand,config", [
         ("fit", "input=absent.csv"),
+        ("fit", "input="),
         ("fit", "seed=x"),  # read after the input
         ("cv", "a=-1"),
         ("cv", "folds=x"),
@@ -520,16 +521,32 @@ class TestFailedRunOutput:
         ("contour", "noise_sigma=0"),
         ("contour", "lambda1=-1"),
         ("contour", "log_beta_min=nan"),
+        # a negative seed, a non-finite hyperparameter or fewer than 2 kept
+        # draws is refused before the directory, not when the chain runs
+        ("fit", "seed=-1"),
+        ("cv", "seed=-1"),
+        ("simulate", "seed=-1"),
+        ("sensitivity", "seed=-1"),
+        ("contour", "toy_seed=-1"),
+        ("fit", "a=nan"),
+        ("fit", "penalty=en;b1=inf"),  # a lasso run never reads b1
+        ("sensitivity", "values=nan"),
+        ("sensitivity", "values=1,inf"),
+        ("fit", "iters=50;burnin=10;thin=100"),
+        ("cv", "iters=50;burnin=10;thin=100"),
+        ("simulate", "iters=50;burnin=10;thin=100"),
     ])
     def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
                                               subcommand, config):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config.replace("absent.csv", str(tmp_path / "absent.csv")) + "\n")
+        config = config.replace("absent.csv", str(tmp_path / "absent.csv"))
+        cfg.write_text(config.replace(";", "\n") + "\n")
         args = [subcommand, "--config", cfg, "--out", tmp_path / "new" / "out"]
-        if subcommand == "cv":
+        if subcommand in ("fit", "cv") and "input=" not in config:
             args += ["--input", toy_csv]
         assert run_cli(args) == 1
-        assert capsys.readouterr().err.startswith("config-error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and err.count("\n") == 1
         assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("folds", [31, 16])  # n = 30: n < folds, then one row a fold
@@ -540,6 +557,15 @@ class TestFailedRunOutput:
         assert err.startswith("data-error: ")
         assert ("need n >= folds" if folds > 30 else "fold too small") in err
         assert not (tmp_path / "new").exists()
+
+    def test_numeric_failure_is_chain_error(self, tmp_path, capsys):
+        # valid keys whose chain breaks down: an l1-rate shape of 1e308
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("vary=a\nvalues=1e308\niters=20\nburnin=5\n")
+        assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chain-error: update '") and err.count("\n") == 1
+        assert "failed at iteration" in err
 
     def test_existing_directory_is_kept(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@ joint prior-consistency (successive-conditional) check."""
 
 import math
 import warnings
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +77,31 @@ class TestSpecValidation:
             LassoHyper(a=-1.0)
         with pytest.raises(ValueError):
             ElasticNetHyper(b3=0.0)
+        for kwargs, detail in [
+            (dict(seed=-1), "seed must be an integer >= 0"),
+            (dict(n_iter=50, burn_in=10, thin=100), "need at least 2 kept draws"),
+            (dict(n_iter=11, burn_in=10), "need at least 2 kept draws"),
+            (dict(rho2_invgamma=(1.0, float("inf"))), "finite and > 0"),
+            (dict(rho2_invgamma=(float("nan"), 1.0)), "finite and > 0"),
+        ]:
+            with pytest.raises(ValueError, match=detail):
+                ModelSpec(**kwargs)
+        # exactly 2 kept draws is enough
+        ModelSpec(n_iter=12, burn_in=10)
+        ModelSpec(n_iter=14, burn_in=10, thin=2)
+
+    @pytest.mark.parametrize("family", [LassoHyper, ElasticNetHyper])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_family_hyperparameters_are_finite_and_positive(self, family, value):
+        for f in fields(family):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                family(**{f.name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 1.0, "3", None])
+    def test_rng_stream_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            RngStream(seed)
+        assert RngStream(np.int64(5)).generator().random() == RngStream(5).generator().random()
 
 
 class TestUpdateBeta:
@@ -474,8 +500,7 @@ class TestElasticBlock:
 
 
 class TestPenaltyContract:
-    """Each penalty object gives the beta and rho2 blocks one prior, and a
-    pinned rate stays where it was pinned."""
+    """Each penalty object gives the beta and rho2 blocks one prior."""
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     def test_rho2_quadratic_matches_prior_precision(self, penalty, chain_state):
@@ -484,18 +509,6 @@ class TestPenaltyContract:
             state = _full_state(chain_state, gen, 3, 7, penalty)
             expect = state.rho2 * np.sum(state.beta**2 * penalty.prior_precision(state))
             assert penalty.rho2_quadratic(state) == pytest.approx(expect, rel=1e-12)
-
-    @pytest.mark.parametrize("penalty,column", [
-        (LassoHyper(fixed_lambda1_sq=0.37), "lambda1_sq"),
-        (ElasticNetHyper(fixed_lambda3_tilde=0.37), "lambda3_tilde"),
-    ])
-    def test_pinned_rate_stays_fixed(self, penalty, column):
-        data, _ = sim1_dataset(404, n=30)
-        spec = ModelSpec(tau=0.5, penalty=penalty, n_iter=150, burn_in=50, seed=4)
-        samples = run_chain(data, spec)
-        assert samples.columns[data.k + 2:] == list(penalty.Rates._fields)
-        assert np.all(samples.column(column) == 0.37)
-        assert samples.health.mh_proposals == 0
 
 
 def _full_state(chain_state, gen, n, k, penalty):
@@ -973,6 +986,7 @@ class TestRunChain:
         for penalty in (LassoHyper(), ElasticNetHyper()):
             spec = ModelSpec(tau=0.25, penalty=penalty, n_iter=200, burn_in=0, seed=3)
             samples = run_chain(data, spec)
+            assert samples.columns[21:] == ["rho2", "eta", *penalty.Rates._fields]
             for col in samples.columns[21:]:
                 assert np.all(samples.column(col) > 0), col
 
@@ -996,7 +1010,7 @@ class TestRunChain:
             b0 = float(np.median(samples.column("beta_0")))
             assert abs(b0 - np.quantile(y, tau)) < 0.1
 
-    def test_elastic_net_nests_ridge(self):
+    def test_elastic_net_nests_ridge(self, pin_rate):
         gen = RngStream(72).generator()
         n, k = 60, 6
         X = np.column_stack([np.ones(n), gen.standard_normal((n, k - 1))])
@@ -1004,9 +1018,9 @@ class TestRunChain:
         data = Dataset(X, y)
         strong_prior = ModelSpec(tau=0.5, penalty=ElasticNetHyper(b1=1e8),
                                  n_iter=2000, burn_in=500, seed=21)
-        pinned = ModelSpec(tau=0.5, penalty=ElasticNetHyper(fixed_lambda3_tilde=1e-7),
-                           n_iter=2000, burn_in=500, seed=21)
+        pinned = ModelSpec(tau=0.5, penalty=ElasticNetHyper(), n_iter=2000, burn_in=500, seed=21)
         m1 = np.median(run_chain(data, strong_prior).draws[:, :k], axis=0)
+        pin_rate(ElasticNetHyper, 1e-7)
         m2 = np.median(run_chain(data, pinned).draws[:, :k], axis=0)
         assert np.max(np.abs(m1 - m2)) < 0.05
 

@@ -268,10 +268,10 @@ class TestCrossValidate:
         res = cross_validate(data, ModelSpec(), folds=10, rng=RngStream(2), fit=exact_fit)
         assert max(res.mspe, res.mape, res.mhpe, res.medspe) < 1e-12
 
-    def test_perfect_data_with_sampler_and_flat_prior(self):
+    def test_perfect_data_with_sampler_and_flat_prior(self, pin_rate):
         data, beta = self._linear_data(noise=0.0)
-        model = ModelSpec(tau=0.5, penalty=LassoHyper(fixed_lambda1_sq=1e-10), n_iter=300,
-                          burn_in=100, seed=2)
+        pin_rate(LassoHyper, 1e-10)
+        model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=300, burn_in=100, seed=2)
         res = cross_validate(data, model, folds=5, rng=RngStream(3))
         assert max(res.mspe, res.mape, res.mhpe, res.medspe) < 1e-6
 

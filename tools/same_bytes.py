@@ -34,17 +34,19 @@ def _fit(shape: str, penalty: str, tau: str, *extra: str) -> list:
             "--iters", "300", "--burnin", "100", *extra]
 
 
-# (name, subcommand arguments, config lines or None)
+# (name, subcommand arguments, config lines or None); between them the
+# commands pass every flag, so a flag that stops reaching its key shows
 COMMANDS = [
     ("fit-study-lasso", _fit("study", "lasso", "0.5"), None),
     ("fit-tall-en", _fit("tall", "en", "0.25"), None),
     ("fit-wide-lasso", _fit("wide", "lasso", "0.5", "--no-standardise"), None),
+    ("fit-study-en-seed-thin", _fit("study", "en", "0.5", "--seed", "7", "--thin", "2"), None),
     *((f"fit-{shape}-{pen}-q25", _fit(shape, pen, "0.25"), None)
       for shape in ("small", "study") for pen in ("lasso", "en")),
     ("simulate", ["simulate", "--tau", "0.25,0.5", "--reps", "2", "--iters", "200",
-                  "--burnin", "50"], ["scenarios=1,2,3,4,5,6"]),
+                  "--burnin", "50", "--seed", "3"], ["scenarios=1,2,3,4,5,6"]),
     ("cv", ["cv", *_fit("study", "lasso", "0.5", "--folds", "3")[1:]], None),
-    ("sensitivity", ["sensitivity", "--iters", "300", "--burnin", "100"], None),
+    ("sensitivity", ["sensitivity", "--iters", "300", "--burnin", "100", "--seed", "5"], None),
     *((f"contour-{pen}-{style}", ["contour", "--penalty", pen], [f"prior_style={style}"])
       for pen in ("lasso", "en") for style in ("unconditional", "conditional")),
 ]
