@@ -399,9 +399,8 @@ def _prepare_fit_data(cfg: RunConfig):
         raise CliError("config-error", "this subcommand requires input=<csv path>")
     data, names = ingest_csv(cfg.get("input"))
     matrix = np.column_stack([data.X, data.y])
-    record = None
     if cfg.get_bool("standardise"):
-        matrix, record, warnings = standardise(matrix, names)
+        matrix, _, warnings = standardise(matrix, names)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
     X, y = matrix[:, :-1], matrix[:, -1]
@@ -409,28 +408,25 @@ def _prepare_fit_data(cfg: RunConfig):
     if cfg.get_bool("intercept"):
         X = np.column_stack([np.ones(X.shape[0]), X])
         names_x = ["intercept"] + names_x
-    return Dataset(X, y), names_x, names[-1], record
+    return Dataset(X, y), names_x
 
 
 def cmd_fit(cfg: RunConfig) -> list:
-    data, names_x, _, _ = _prepare_fit_data(cfg)
+    data, names_x = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     outdir = _outdir(cfg)
     samples = run_chain(data, model)
     rename = {f"beta_{j}": f"beta_{j}:{names_x[j]}" for j in range(len(names_x))}
     columns = [rename.get(c, c) for c in samples.columns]
     _write_csv(outdir / "samples.csv", columns, samples.draws)
-    rows = [
-        (rename.get(name, name), med, lo, hi)
-        for name, med, lo, hi in summarize(samples)
-    ]
+    rows = zip(columns, *summarize(samples))
     _write_csv(outdir / "summary.csv", ["parameter", "median", "lower", "upper"], rows)
     (outdir / "chain-health.txt").write_text("\n".join(samples.health.as_lines()) + "\n")
     return [outdir / "samples.csv", outdir / "summary.csv", outdir / "chain-health.txt"]
 
 
 def cmd_cv(cfg: RunConfig) -> list:
-    data, _, _, _ = _prepare_fit_data(cfg)
+    data, _ = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     folds = cfg.get_int("folds")
     if folds < 2:
@@ -484,7 +480,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
     outdir = _outdir(cfg)
-    cells = simbench.run_study(scenarios, model, reps, master_seed=cfg.get_int("seed"))
+    cells = simbench.run_study(scenarios, model, reps)
     table_rows = []
     eta_rows = []
     failure_rows = []
@@ -531,9 +527,7 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
         models.append((f"{vary}={val:g}", _model_spec(sub)))
     noise_sigma = _noise_sigma(cfg)
     outdir = _outdir(cfg)
-    curves = simbench.sensitivity_curve_study(
-        models, master_seed=cfg.get_int("seed"), noise_sigma=noise_sigma,
-    )
+    curves = simbench.sensitivity_curve_study(models, noise_sigma=noise_sigma)
     rows = []
     for label, grid, fitted, truth in curves:
         for x, f, t in zip(grid, fitted, truth):

@@ -313,8 +313,15 @@ def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
 
 def log_posterior_grid(spec: PosteriorGridSpec) -> np.ndarray:
     """Unnormalised log posterior of (beta, rho2) over the grid, shape
-    (len(beta_grid), len(rho2_grid)); see :func:`_log_posterior`."""
-    return _log_posterior(spec, spec.beta_grid, spec.rho2_grid)
+    (len(beta_grid), len(rho2_grid)); see :func:`_log_posterior`.
+
+    Evaluated one beta row at a time, so the temporaries hold
+    len(rho2_grid) * n values, not len(beta_grid) times that.
+    """
+    z = np.empty((spec.beta_grid.size, spec.rho2_grid.size))
+    for i in range(spec.beta_grid.size):
+        z[i] = _log_posterior(spec, spec.beta_grid[i:i + 1], spec.rho2_grid)[0]
+    return z
 
 
 def count_strict_local_maxima(z: np.ndarray) -> int:

@@ -308,15 +308,20 @@ class PosteriorSamples:
 
 
 def initial_state(data: Dataset, spec: ModelSpec) -> ChainState:
-    """Interior starting point: unit latents, coefficient zero, data-scaled rho2."""
+    """Interior starting point: unit latents, coefficient zero, data-scaled rho2.
+
+    rho2 starts at the response variance, or at 1 when that is 0 or
+    overflows to inf.
+    """
     n, k = data.n, data.k
-    var_y = float(np.var(data.y, ddof=1)) if n > 1 else 0.0
+    with np.errstate(over="ignore"):
+        var_y = float(np.var(data.y, ddof=1)) if n > 1 else 0.0
     latent, rates = spec.penalty.init(k)
     return ChainState(
         beta=np.zeros(k),
         v=np.ones(n),
         sigma=np.ones(n),
-        rho2=var_y if var_y > 0 else 1.0,
+        rho2=var_y if 0.0 < var_y < math.inf else 1.0,
         eta=1.0,
         latent=latent,
         rates=rates,
@@ -343,10 +348,13 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.nd
     if data.k > data.n:
         root = np.sqrt(winv)
         return mvn_low_rank(gen, data.X, root, 1.0 / prior_precision, root * target)
-    xw = data.X * winv[:, None]
-    precision = xw.T @ data.X
+    # a product that overflows is left non-finite, and the draw raises on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        xw = data.X * winv[:, None]
+        precision = xw.T @ data.X
+        linear_term = xw.T @ target
     precision.flat[:: data.k + 1] += prior_precision
-    return mvn_from_precision(gen, precision, xw.T @ target)
+    return mvn_from_precision(gen, precision, linear_term)
 
 
 def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
@@ -637,18 +645,16 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     return PosteriorSamples(draws=draws, columns=columns, health=health)
 
 
-def summarize(samples: PosteriorSamples):
-    """Column-wise median and equal-tailed 95% interval.
+def summarize(samples: PosteriorSamples) -> tuple:
+    """Column-wise median and equal-tailed 95% interval: the one reduction
+    of a chain.
 
-    Returns a list of (name, median, lower, upper) tuples.
+    Returns (median, lower, upper), three arrays in ``samples.columns``
+    order.
     """
     if samples.draws.shape[0] < 2:
         raise ValueError("need at least 2 retained draws to summarise")
     # (1 - 0.95) / 2 rounds to a double just above 0.025; outputs are written with it
     alpha = (1.0 - 0.95) / 2.0
-    med = np.median(samples.draws, axis=0)
-    lo, hi = np.quantile(samples.draws, [alpha, 1.0 - alpha], axis=0)
-    return [
-        (name, float(m), float(lw), float(up))
-        for name, m, lw, up in zip(samples.columns, med, lo, hi)
-    ]
+    lower, upper = np.quantile(samples.draws, [alpha, 1.0 - alpha], axis=0)
+    return np.median(samples.draws, axis=0), lower, upper

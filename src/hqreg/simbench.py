@@ -3,10 +3,13 @@
 Six regression scenarios share one design: AR(1)-correlated standard
 normal predictors, a sparse coefficient vector with intercept, and a
 scenario-specific noise law (Gaussian, standardised contaminated normal,
-skewed t mixtures, Cauchy).  The study harness runs seeded replications
-in parallel and aggregates coefficient-recovery metrics; the
-cross-validation harness scores held-out prediction error under squared,
-absolute and Huber losses.
+skewed t mixtures, Cauchy).  Three harnesses fit them: the study runs
+seeded replications in parallel and aggregates coefficient-recovery
+metrics, the sensitivity study fits the four-logistic curve under each
+hyperparameter setting, and cross-validation scores held-out prediction
+error under squared, absolute and Huber losses.  Each harness takes its
+seed from the ``ModelSpec`` it is given and reduces a chain with
+:func:`summarize`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +44,6 @@ __all__ = [
     "metrics",
     "StudyCell",
     "run_study",
-    "sensitivity_true_curve",
     "sensitivity_design",
     "sensitivity_curve_study",
     "CvResult",
@@ -170,20 +172,17 @@ def metrics(beta_hat, beta_true, intervals) -> ReplicationResult:
 
 def _fit_metrics(data: Dataset, model: ModelSpec, rng) -> ReplicationResult:
     samples = run_chain(data, model, rng=rng)
-    summary = summarize(samples)
+    median, lower, upper = summarize(samples)
     kp1 = TRUE_BETA.size
-    beta_hat = np.array([row[1] for row in summary[:kp1]])
-    intervals = np.array([[row[2], row[3]] for row in summary[:kp1]])
-    base = metrics(beta_hat, TRUE_BETA, intervals)
-    return replace(base, eta_median=float(np.median(samples.column("eta"))))
+    base = metrics(median[:kp1], TRUE_BETA, np.column_stack([lower[:kp1], upper[:kp1]]))
+    return replace(base, eta_median=float(median[samples.columns.index("eta")]))
 
 
 def _one_replication(args):
-    scenario, model, master_seed, rep = args
-    data_stream = RngStream(master_seed).child(scenario.id, rep, 0)
-    chain_stream = RngStream(master_seed).child(scenario.id, rep, 1)
-    data = generate_scenario(scenario, data_stream.generator())
-    return _fit_metrics(data, model, chain_stream.generator())
+    scenario, model, rep = args
+    stream = RngStream(model.seed).child(scenario.id, rep)
+    data = generate_scenario(scenario, stream.child(0).generator())
+    return _fit_metrics(data, model, stream.child(1).generator())
 
 
 def _one_replication_guarded(args):
@@ -222,7 +221,6 @@ class StudyCell:
     tau: float
     n: int
     method: str
-    n_replications: int
     failures: tuple  # (replication index, "ErrorClass: message") per failed replication
     rmse_mean: float
     mmad: float
@@ -237,16 +235,18 @@ class StudyCell:
 
 
 def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
-              n_replications: int, master_seed: int = 0) -> list:
+              n_replications: int) -> list:
     """Run seeded replications of each scenario and aggregate the metrics.
 
-    Deterministic for a given master seed: every replication owns streams
-    derived from (master_seed, scenario id, replication index), and the
-    aggregation is ordered by (cell, replication index) regardless of
-    scheduling.  All cells share one pool of :func:`worker_count`
-    processes, or run in this process when that is 1.
-    A cell is marked incomplete when more than 5% of its replications
-    fail, and keeps each failed replication's index and error message.
+    Deterministic for a given ``model.seed``: replication ``rep`` of a
+    scenario draws its data from ``RngStream(model.seed).child(id, rep, 0)``
+    and its chain from ``.child(id, rep, 1)``, and the aggregation is
+    ordered by (cell, replication index) regardless of scheduling.  Each
+    cell fits ``model`` at the scenario's tau.  All cells share one pool
+    of :func:`worker_count` processes, or run in this process when that
+    is 1.  A cell is marked incomplete when more than 5% of its
+    replications fail, and keeps each failed replication's index and
+    error message.
 
     The headline tables in the source studies average 300 replications;
     that is hours of compute, so desk-scale runs use 20 by default and
@@ -256,7 +256,7 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
         raise ValueError("need at least one replication")
     # one task per (cell, replication), cell-major; pool.map keeps that order
     tasks = [
-        (scen, replace(model, tau=scen.tau), master_seed, rep)
+        (scen, replace(model, tau=scen.tau), rep)
         for scen in scenarios
         for rep in range(n_replications)
     ]
@@ -278,7 +278,6 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
                 tau=scen.tau,
                 n=scen.n,
                 method=model.penalty.method,
-                n_replications=n_replications,
                 failures=failed,
                 rmse_mean=float(np.mean([r.rmse for r in done])) if done else float("nan"),
                 mmad=float(np.median([r.mad for r in done])) if done else float("nan"),
@@ -292,17 +291,6 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
 
 
 # --- hyperparameter sensitivity on the four-logistic curve --------------------
-
-
-def sensitivity_true_curve(x) -> np.ndarray:
-    """Sum of four logistic bumps used as the regression truth."""
-    x = np.asarray(x, dtype=float)
-    return (
-        1.0 / (1.0 + np.exp(-4.0 * (x - 0.3)))
-        + 1.0 / (1.0 + np.exp(3.0 * (x - 0.2)))
-        + 1.0 / (1.0 + np.exp(-4.0 * (x - 0.7)))
-        + 1.0 / (1.0 + np.exp(5.0 * (x - 0.8)))
-    )
 
 
 def sensitivity_design() -> tuple:
@@ -320,27 +308,26 @@ def sensitivity_design() -> tuple:
     return grid, design
 
 
-def sensitivity_curve_study(models: Sequence[tuple], master_seed: int = 0,
-                            noise_sigma: float = 0.03) -> list:
-    """Fit each (label, ModelSpec) on one shared draw of the logistic design.
+def sensitivity_curve_study(models: Sequence[tuple], noise_sigma: float = 0.03) -> list:
+    """Fit each (label, ModelSpec) on a draw of the logistic design.
 
     The response is the true curve plus asymmetric-Laplace noise at the
-    median; every model setting sees the same dataset and reports fitted
-    values at the 50 design points.  Returns a list of
+    median, drawn from ``RngStream(model.seed).child(90)``; the chain
+    draws from ``.child(91)``.  Settings that share a seed therefore
+    share one dataset, bit for bit.  Each reports its posterior-median
+    fitted values at the 50 design points.  Returns a list of
     (label, grid, fitted, truth) tuples.
     """
     grid, design = sensitivity_design()
     truth = design @ np.ones(4)
-    gen = RngStream(master_seed).child(90).generator()
-    y = truth + ald_sample(gen, 0.0, noise_sigma, 0.5, size=grid.size)
-    data = Dataset(design, y)
     out = []
     for label, model in models:
-        samples = run_chain(data, model, rng=RngStream(master_seed).child(91).generator())
-        beta_hat = np.array(
-            [row[1] for row in summarize(samples)[: design.shape[1]]]
-        )
-        out.append((label, grid, design @ beta_hat, truth))
+        stream = RngStream(model.seed)
+        y = truth + ald_sample(stream.child(90).generator(), 0.0, noise_sigma, 0.5,
+                               size=grid.size)
+        samples = run_chain(Dataset(design, y), model, rng=stream.child(91).generator())
+        median, _, _ = summarize(samples)
+        out.append((label, grid, design @ median[: design.shape[1]], truth))
     return out
 
 
@@ -361,21 +348,11 @@ class CvResult:
     mape: float
     mhpe: float
     medspe: float
-    fold_sizes: tuple
-    fold_mspe: tuple = ()
-
-    def __post_init__(self):
-        if min(self.mspe, self.mape, self.mhpe, self.medspe) < 0:
-            raise ValueError("prediction errors cannot be negative")
-        if self.fold_mspe and not (
-            min(self.fold_mspe) <= self.medspe <= max(self.fold_mspe)
-        ):
-            raise ValueError("median fold error must lie within the fold range")
 
 
 def _default_fit(train: Dataset, model: ModelSpec, rng) -> np.ndarray:
-    samples = run_chain(train, model, rng=rng)
-    return np.median(samples.draws[:, : train.k], axis=0)
+    median, _, _ = summarize(run_chain(train, model, rng=rng))
+    return median[: train.k]
 
 
 def check_folds(n: int, folds: int) -> None:
@@ -390,27 +367,24 @@ def check_folds(n: int, folds: int) -> None:
         raise ValueError("fold too small: need at least 2 rows per fold")
 
 
-def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
-                   fit: Optional[Callable] = None) -> CvResult:
+def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10) -> CvResult:
     """Random-partition k-fold CV of held-out prediction error.
 
     Each fold is predicted by the posterior-median coefficients fitted on
-    its complement (or by a caller-supplied ``fit(train, model, rng)``).
-    Every row is predicted exactly once.  ``rng`` is an RngStream (by
-    default model.seed's child 77): it draws the partition, and fold j
-    fits on its child j.
+    its complement, so every row is predicted exactly once.  The stream
+    ``RngStream(model.seed).child(77)`` draws the partition, and fold j's
+    chain draws from its child j.
     """
     check_folds(data.n, folds)
-    stream = rng if rng is not None else RngStream(model.seed).child(77)
+    stream = RngStream(model.seed).child(77)
     parts = np.array_split(stream.generator().permutation(data.n), folds)
-    fitter = fit if fit is not None else _default_fit
 
     sq, ab, hu = [], [], []
     for j, test_idx in enumerate(parts):
         mask = np.ones(data.n, dtype=bool)
         mask[test_idx] = False
         train = Dataset(data.X[mask], data.y[mask])
-        beta_hat = fitter(train, model, stream.child(j).generator())
+        beta_hat = _default_fit(train, model, stream.child(j).generator())
         resid = data.y[test_idx] - data.X[test_idx] @ beta_hat
         sq.append(float(np.mean(resid**2)))
         ab.append(float(np.mean(np.abs(resid))))
@@ -420,6 +394,4 @@ def cross_validate(data: Dataset, model: ModelSpec, folds: int = 10, rng=None,
         mape=float(np.mean(ab)),
         mhpe=float(np.mean(hu)),
         medspe=float(np.median(sq)),
-        fold_sizes=tuple(p.size for p in parts),
-        fold_mspe=tuple(sq),
     )

@@ -156,8 +156,8 @@ def test_criterion_05_multimodality_demonstration():
 def test_criterion_06_simulation1_desk_scale():
     t0 = time.perf_counter()
     cells = run_study([scenario_by_id(1, n=100, tau=0.5)],
-                      ModelSpec(tau=0.5, n_iter=2500, burn_in=500),
-                      n_replications=20, master_seed=1)
+                      ModelSpec(tau=0.5, n_iter=2500, burn_in=500, seed=1),
+                      n_replications=20)
     cell = cells[0]
     elapsed = time.perf_counter() - t0
     ok = (
@@ -173,10 +173,10 @@ def test_criterion_06_simulation1_desk_scale():
 
 
 def test_criterion_07_eta_adaptivity():
-    model = ModelSpec(tau=0.5, n_iter=2500, burn_in=500)
+    model = ModelSpec(tau=0.5, n_iter=2500, burn_in=500, seed=1)
     cells = run_study(
         [scenario_by_id(1, n=100, tau=0.5), scenario_by_id(5, n=100, tau=0.5)],
-        model, n_replications=20, master_seed=1,
+        model, n_replications=20,
     )
     eta_gauss = cells[0].eta_medians
     eta_cauchy = cells[1].eta_medians
@@ -263,15 +263,17 @@ def test_criterion_10_eta_approximation_step(chain_state):
            f"(tol 3 SE at 1e5); refinement gaps {['%.1e' % g for g in gaps]} strictly decreasing")
 
 
-def test_criterion_11_cv_harness(pin_rate):
+def test_criterion_11_cv_harness(pin_rate, monkeypatch):
+    import hqreg.simbench as sb
+
     gen = RngStream(8).generator()
     n, k = 50, 3
     X = np.column_stack([np.ones(n), gen.standard_normal((n, k - 1))])
     y = X @ np.array([0.7, 1.5, -2.0])
     data = Dataset(X, y)
     pin_rate(LassoHyper, 1e-10)
-    model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=400, burn_in=100, seed=2)
-    res = cross_validate(data, model, folds=10, rng=RngStream(5))
+    model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=400, burn_in=100, seed=5)
+    res = cross_validate(data, model, folds=10)
     worst = max(res.mspe, res.mape, res.mhpe, res.medspe)
 
     # fold cover: disjoint partition, every row predicted exactly once
@@ -285,7 +287,8 @@ def test_criterion_11_cv_harness(pin_rate):
         counts[~mask] += 1
         return np.zeros(train.k)
 
-    cross_validate(data, model, folds=10, rng=RngStream(5), fit=counting_fit)
+    monkeypatch.setattr(sb, "_default_fit", counting_fit)
+    cross_validate(data, model, folds=10)
     partition_ok = np.all(counts == 1)
     ok = worst < 1e-6 and partition_ok
     report(11, ok,

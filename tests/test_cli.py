@@ -567,6 +567,24 @@ class TestFailedRunOutput:
         assert err.startswith("chain-error: update '") and err.count("\n") == 1
         assert "failed at iteration" in err
 
+    @pytest.mark.parametrize("predictors", [3, 40])  # the k < n and the k > n beta draw
+    def test_overflowing_data_prints_one_line(self, tmp_path, predictors):
+        # in a fresh interpreter, where no warning filter turns a numpy
+        # RuntimeWarning into an error: values near 1e200 overflow the
+        # response variance and the Gram products
+        gen = np.random.default_rng(2)
+        path = tmp_path / "big.csv"
+        write_csv(path, [f"x{j}" for j in range(predictors)] + ["y"],
+                  (1e200 * gen.standard_normal((30, predictors + 1))).tolist())
+        proc = subprocess.run(
+            [sys.executable, "-m", "hqreg.cli", "fit", "--input", str(path), "--no-standardise",
+             "--iters", "20", "--burnin", "5", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "chain-error: update 'beta' failed at iteration 1: Gaussian draw needs finite inputs"]
+
     def test_existing_directory_is_kept(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

@@ -1,6 +1,7 @@
 """Loss kernels and density against closed forms and quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,31 @@ class TestJointLogPosterior:
         assert counts[1] == 1
         assert counts[2] >= 2
         assert counts[3] == 1
+
+    @pytest.mark.parametrize("penalty", [LassoPenalty(0.7), ElasticNetPenalty(0.7, 1.3)])
+    @pytest.mark.parametrize("style", ["unconditional", "conditional"])
+    def test_grid_rows_equal_whole_grid(self, penalty, style):
+        x, y = toy_regression(n=37)
+        spec = PosteriorGridSpec(np.exp(np.linspace(-3.0, 2.0, 41)),
+                                 np.exp(np.linspace(-9.0, 1.0, 43)), x, y, penalty, style, 1.3, 0.3)
+        whole = loss_density._log_posterior(spec, spec.beta_grid, spec.rho2_grid)
+        np.testing.assert_array_equal(log_posterior_grid(spec), whole)
+
+    def test_grid_memory_is_one_beta_row(self):
+        # grid 200, toy_n 100: one (200, 100, 200) temporary is 32 MB, one
+        # beta row's is 160 kB
+        x, y = toy_regression(n=100)
+        spec = PosteriorGridSpec(np.exp(np.linspace(-3.0, 2.0, 200)),
+                                 np.exp(np.linspace(-9.0, 1.0, 200)), x, y, LassoPenalty(1.0),
+                                 "unconditional", 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            z = log_posterior_grid(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (200, 200)
+        assert peak < 4e6
 
     def test_conditional_density_unimodal_in_transformed_coords(self):
         # reparameterise (beta, rho2) -> (beta/sqrt(rho2), 1/sqrt(rho2)); the

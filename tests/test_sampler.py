@@ -1042,20 +1042,22 @@ class TestSummarize:
                                 health=ChainHealth())
 
     def test_constant_column(self):
-        s = self._samples(np.full((50, 1), 3.25))
-        assert summarize(s) == [("c0", 3.25, 3.25, 3.25)]
+        # one array per statistic, in column order
+        s = self._samples(np.column_stack([np.full(50, 3.25), np.full(50, -1.0)]))
+        assert [stat.tolist() for stat in summarize(s)] == [[3.25, -1.0]] * 3
 
     def test_standard_normal_interval(self):
         gen = RngStream(360).generator()
         s = self._samples(gen.standard_normal((100_000, 1)))
-        (_, med, lo, hi), = summarize(s)
+        (med,), (lo,), (hi,) = summarize(s)
         assert med == pytest.approx(0.0, abs=0.02)
         assert lo == pytest.approx(-1.96, abs=0.03)
         assert hi == pytest.approx(1.96, abs=0.03)
 
     def test_odd_count_median(self):
         s = self._samples(np.arange(1.0, 102.0)[:, None])
-        assert summarize(s)[0][1] == 51.0
+        median, _, _ = summarize(s)
+        assert median[0] == 51.0
 
     def test_insufficient_draws(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from hqreg.randist import Cauchy, ContaminatedNormal, Gaussian, Mixture, RngStream, SkewT
 from hqreg.sampler import Dataset, LassoHyper, ModelSpec
 from hqreg.simbench import (
-    CvResult,
     ReplicationResult,
     TRUE_BETA,
     cross_validate,
@@ -18,7 +17,6 @@ from hqreg.simbench import (
     scenario_by_id,
     sensitivity_curve_study,
     sensitivity_design,
-    sensitivity_true_curve,
     worker_count,
 )
 
@@ -130,23 +128,23 @@ class TestMetrics:
 
 
 class TestRunStudy:
-    def _tiny_model(self):
-        return ModelSpec(tau=0.5, n_iter=120, burn_in=40, seed=0)
+    def _tiny_model(self, seed):
+        return ModelSpec(tau=0.5, n_iter=120, burn_in=40, seed=seed)
 
     def test_single_replication_equals_its_metrics(self):
         scen = scenario_by_id(1, n=30)
-        cells = run_study([scen], self._tiny_model(), 1, master_seed=3)
+        cells = run_study([scen], self._tiny_model(3), 1)
         cell = cells[0]
-        assert cell.n_replications == 1 and cell.n_failures == 0
+        assert cell.n_failures == 0
         assert cell.eta_medians.shape == (1,)
         assert cell.complete
 
     def test_parallel_matches_serial(self, monkeypatch):
         scen = scenario_by_id(1, n=30)
         monkeypatch.setenv("HQREG_THREADS", "1")
-        a = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
+        a = run_study([scen], self._tiny_model(5), 3)[0]
         monkeypatch.setenv("HQREG_THREADS", "2")
-        b = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
+        b = run_study([scen], self._tiny_model(5), 3)[0]
         assert a.rmse_mean == b.rmse_mean
         assert a.mmad == b.mmad
         np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
@@ -155,9 +153,9 @@ class TestRunStudy:
         # one pool serves every cell; each cell keeps its own replications
         scens = [scenario_by_id(1, n=30, tau=0.5), scenario_by_id(5, n=30, tau=0.25)]
         monkeypatch.setenv("HQREG_THREADS", "2")
-        pooled = run_study(scens, self._tiny_model(), 2, master_seed=8)
+        pooled = run_study(scens, self._tiny_model(8), 2)
         monkeypatch.setenv("HQREG_THREADS", "1")
-        serial = run_study(scens, self._tiny_model(), 2, master_seed=8)
+        serial = run_study(scens, self._tiny_model(8), 2)
         assert len(serial) == len(pooled) == 2
         for a, b in zip(serial, pooled):
             assert (a.scenario_id, a.tau, a.n_failures) == (b.scenario_id, b.tau, b.n_failures)
@@ -165,7 +163,7 @@ class TestRunStudy:
                 b.rmse_mean, b.mmad, b.al_mean, b.cp_mean)
             np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
         # a cell's results do not depend on the cells run beside it
-        alone = run_study(scens[1:], self._tiny_model(), 2, master_seed=8)[0]
+        alone = run_study(scens[1:], self._tiny_model(8), 2)[0]
         np.testing.assert_array_equal(alone.eta_medians, serial[1].eta_medians)
 
     def test_failures_mark_cell_incomplete(self, monkeypatch):
@@ -184,7 +182,7 @@ class TestRunStudy:
         # the call counter lives in this process
         monkeypatch.setenv("HQREG_THREADS", "1")
         scen = scenario_by_id(1, n=30)
-        cell = run_study([scen], self._tiny_model(), 3, master_seed=5)[0]
+        cell = run_study([scen], self._tiny_model(5), 3)[0]
         assert cell.n_failures == 1
         assert not cell.complete  # 1/3 > 5%
         assert cell.failures == ((0, "RuntimeError: synthetic failure"),)
@@ -212,26 +210,25 @@ class TestRunStudy:
 
 class TestSensitivity:
     def test_true_curve_scalar_value(self):
-        # direct evaluation of the four logistic terms at x = 0.5
-        x = 0.5
+        # direct evaluation of the four logistic terms at one grid point
+        grid, design = sensitivity_design()
+        assert grid.shape == (50,) and design.shape == (50, 4)
+        x = grid[31]
         expect = (
             1.0 / (1.0 + np.exp(-4.0 * (x - 0.3)))
             + 1.0 / (1.0 + np.exp(3.0 * (x - 0.2)))
             + 1.0 / (1.0 + np.exp(-4.0 * (x - 0.7)))
             + 1.0 / (1.0 + np.exp(5.0 * (x - 0.8)))
         )
-        assert sensitivity_true_curve(0.5) == pytest.approx(expect, rel=1e-15)
-        grid, design = sensitivity_design()
-        assert grid.shape == (50,) and design.shape == (50, 4)
-        np.testing.assert_allclose(design @ np.ones(4), sensitivity_true_curve(grid), rtol=1e-14)
+        assert (design @ np.ones(4))[31] == pytest.approx(expect, rel=1e-14)
 
     def test_fit_tracks_curve_and_hyperparameter_insensitivity(self):
-        base = dict(n_iter=4000, burn_in=1000, seed=0)
+        base = dict(n_iter=4000, burn_in=1000, seed=4)
         models = [
             ("b=1", ModelSpec(tau=0.5, **base)),
             ("b=2", ModelSpec(tau=0.5, penalty=type(ModelSpec().penalty)(b=2.0), **base)),
         ]
-        curves = sensitivity_curve_study(models, master_seed=4)
+        curves = sensitivity_curve_study(models)
         (_, grid, fit1, truth), (_, _, fit2, _) = curves
         interior = slice(3, 47)
         assert np.max(np.abs(fit1[interior] - truth[interior])) < 0.2
@@ -246,77 +243,86 @@ class TestCrossValidate:
         y = X @ beta + noise * gen.standard_normal(n)
         return Dataset(X, y), beta
 
-    def test_fold_partition_disjoint_cover(self):
+    @staticmethod
+    def _use_fit(monkeypatch, fit):
+        import hqreg.simbench as sb
+
+        monkeypatch.setattr(sb, "_default_fit", fit)
+
+    @staticmethod
+    def _exact_fit(train, model, rng):
+        return np.linalg.lstsq(train.X, train.y, rcond=None)[0]
+
+    @staticmethod
+    def _zero_fit(train, model, rng):
+        return np.zeros(train.k)
+
+    def test_fold_partition_disjoint_cover(self, monkeypatch):
         data, _ = self._linear_data(n=47)
-        seen = []
+        held_out = []
 
         def spy_fit(train, model, rng):
-            seen.append(train.n)
+            # every y is distinct, so the rows missing from train are the fold's
+            held_out.append(np.flatnonzero(~np.isin(data.y, train.y)))
             return np.zeros(train.k)
 
-        res = cross_validate(data, ModelSpec(), folds=10, rng=RngStream(1), fit=spy_fit)
-        assert sum(res.fold_sizes) == 47
-        assert len(res.fold_sizes) == 10
-        assert sum(seen) == 10 * 47 - 47  # complement sizes
+        self._use_fit(monkeypatch, spy_fit)
+        cross_validate(data, ModelSpec(seed=1), folds=10)
+        assert len(held_out) == 10
+        assert sorted(np.concatenate(held_out).tolist()) == list(range(47))
+        assert sorted(rows.size for rows in held_out) == [4] * 3 + [5] * 7
 
-    def test_perfect_predictor(self):
+    def test_perfect_predictor(self, monkeypatch):
         data, beta = self._linear_data(noise=0.0)
-
-        def exact_fit(train, model, rng):
-            return np.linalg.lstsq(train.X, train.y, rcond=None)[0]
-
-        res = cross_validate(data, ModelSpec(), folds=10, rng=RngStream(2), fit=exact_fit)
+        self._use_fit(monkeypatch, self._exact_fit)
+        res = cross_validate(data, ModelSpec(seed=2), folds=10)
         assert max(res.mspe, res.mape, res.mhpe, res.medspe) < 1e-12
 
     def test_perfect_data_with_sampler_and_flat_prior(self, pin_rate):
         data, beta = self._linear_data(noise=0.0)
         pin_rate(LassoHyper, 1e-10)
-        model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=300, burn_in=100, seed=2)
-        res = cross_validate(data, model, folds=5, rng=RngStream(3))
+        model = ModelSpec(tau=0.5, penalty=LassoHyper(), n_iter=300, burn_in=100, seed=3)
+        res = cross_validate(data, model, folds=5)
         assert max(res.mspe, res.mape, res.mhpe, res.medspe) < 1e-6
 
-    def test_constant_predictor_on_standardised_response(self):
+    def test_constant_predictor_on_standardised_response(self, monkeypatch):
         gen = RngStream(9).generator()
         n = 400
         y = gen.standard_normal(n)
         y = (y - y.mean()) / y.std(ddof=1)
         data = Dataset(np.ones((n, 1)), y)
-
-        def zero_fit(train, model, rng):
-            return np.zeros(train.k)
-
-        res = cross_validate(data, ModelSpec(), folds=10, rng=RngStream(4), fit=zero_fit)
+        self._use_fit(monkeypatch, self._zero_fit)
+        res = cross_validate(data, ModelSpec(seed=4), folds=10)
         assert res.mspe == pytest.approx(1.0, abs=0.15)
 
-    def test_huber_error_below_half_squared_within_delta(self):
+    def test_huber_error_below_half_squared_within_delta(self, monkeypatch):
         gen = RngStream(10).generator()
         n = 60
         X = np.ones((n, 1))
         y = 0.5 * gen.uniform(-1, 1, n)  # residuals all within delta
-
-        def zero_fit(train, model, rng):
-            return np.zeros(train.k)
-
-        res = cross_validate(Dataset(X, y), ModelSpec(), folds=6, rng=RngStream(5), fit=zero_fit)
+        self._use_fit(monkeypatch, self._zero_fit)
+        res = cross_validate(Dataset(X, y), ModelSpec(seed=5), folds=6)
         assert res.mhpe == pytest.approx(res.mspe / 2.0, rel=1e-12)
 
-    def test_medspe_between_fold_extremes(self):
+    def test_medspe_between_fold_extremes(self, monkeypatch):
         data, _ = self._linear_data(n=60, noise=0.3)
+        fold_mspe = []
 
         def exact_fit(train, model, rng):
-            return np.linalg.lstsq(train.X, train.y, rcond=None)[0]
+            beta_hat = self._exact_fit(train, model, rng)
+            test = ~np.isin(data.y, train.y)
+            fold_mspe.append(float(np.mean((data.y[test] - data.X[test] @ beta_hat) ** 2)))
+            return beta_hat
 
-        res = cross_validate(data, ModelSpec(), folds=6, rng=RngStream(6), fit=exact_fit)
-        assert len(res.fold_mspe) == 6
-        assert min(res.fold_mspe) <= res.medspe <= max(res.fold_mspe)
+        self._use_fit(monkeypatch, exact_fit)
+        res = cross_validate(data, ModelSpec(seed=6), folds=6)
+        assert len(fold_mspe) == 6
+        assert res.medspe == pytest.approx(float(np.median(fold_mspe)), rel=1e-12)
+        assert min(fold_mspe) <= res.medspe <= max(fold_mspe)
 
     def test_too_small_folds_rejected(self):
         data, _ = self._linear_data(n=12)
         with pytest.raises(ValueError):
-            cross_validate(data, ModelSpec(), folds=11, rng=RngStream(7))
+            cross_validate(data, ModelSpec(seed=7), folds=11)
         with pytest.raises(ValueError):
-            cross_validate(data, ModelSpec(), folds=1, rng=RngStream(7))
-
-    def test_cv_result_validation(self):
-        with pytest.raises(ValueError):
-            CvResult(mspe=-1.0, mape=0.0, mhpe=0.0, medspe=0.0, fold_sizes=(1,))
+            cross_validate(data, ModelSpec(seed=7), folds=1)

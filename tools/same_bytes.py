@@ -5,10 +5,13 @@
 Unpacks BASE_REV's ``src/`` with ``git archive`` into a temporary
 directory, runs a fixed list of ``hqreg`` commands once against that tree
 and once against this checkout's ``src/``, each in a fresh interpreter,
-and compares every output file byte for byte.  The inputs are CSV files
-written here with 17 significant digits.  Manifest lines that begin with
-``#`` (the wall time) are ignored.  Prints one line per output file and
-exits 1 on any difference or failed command.
+and compares every output file byte for byte.  A second list of commands
+must fail: each of those is compared by its exit code and standard error.
+The inputs are CSV files written here with 17 significant digits, and
+one ragged file.  Manifest lines that begin with ``#`` (the wall time)
+are ignored.  Prints one line per output file and per failing command,
+and exits 1 on any difference, on a command that fails where it should
+succeed, or on one that succeeds where it should fail.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ COMMANDS = [
       for pen in ("lasso", "en") for style in ("unconditional", "conditional")),
 ]
 
+# commands that must fail, one per error path: config-error, data-error,
+# ragged-row and chain-error
+FAILING = [
+    ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
+    ("fail-cv-folds", ["cv", *_fit("study", "lasso", "0.5", "--folds", "1000")[1:]], None),
+    ("fail-ragged", _fit("ragged", "lasso", "0.5"), None),
+    ("fail-sensitivity-overflow", ["sensitivity", "--iters", "20", "--burnin", "5"],
+     ["vary=a", "values=1e308"]),
+]
+
 
 def write_inputs(directory: Path) -> None:
     gen = np.random.Generator(np.random.PCG64(20240501))
@@ -62,6 +75,7 @@ def write_inputs(directory: Path) -> None:
         header = ",".join([f"x{j}" for j in range(1, p + 1)] + ["y"])
         np.savetxt(directory / f"{name}.csv", np.column_stack([x, y]), fmt="%.17g",
                    delimiter=",", header=header, comments="")
+    (directory / "ragged.csv").write_text("x1,y\n1,2\n3\n")
 
 
 def unpack(rev: str, directory: Path) -> None:
@@ -73,23 +87,32 @@ def unpack(rev: str, directory: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def run_all(src: Path, work: Path) -> list:
-    """Run every command with ``src`` on the path; paths are relative to
-    ``work``, so both trees write the same manifest.  Returns the names of
-    the commands that failed."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def run(src: Path, work: Path, name: str, args: list, config) -> subprocess.CompletedProcess:
+    """Run one command with ``src`` on the path; paths are relative to
+    ``work``, so both trees write the same manifest and error text."""
+    argv = [sys.executable, "-m", "hqreg.cli", *args, "--out", f"out/{name}"]
+    if config:
+        path = work / f"{name}.cfg"
+        path.write_text("\n".join(config) + "\n")
+        argv += ["--config", path.name]
+    return subprocess.run(argv, cwd=work, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+
+
+def run_all(src: Path, work: Path) -> tuple:
+    """Run every command of both lists.  Returns the names of the
+    COMMANDS that failed and each FAILING command's (exit code, stderr)."""
     failed = []
     for name, args, config in COMMANDS:
-        argv = [sys.executable, "-m", "hqreg.cli", *args, "--out", f"out/{name}"]
-        if config:
-            path = work / f"{name}.cfg"
-            path.write_text("\n".join(config) + "\n")
-            argv += ["--config", path.name]
-        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+        done = run(src, work, name, args, config)
         if done.returncode:
             failed.append(name)
             print(f"{src}: {name} failed: {done.stderr.strip()}", file=sys.stderr)
-    return failed
+    errors = {}
+    for name, args, config in FAILING:
+        done = run(src, work, name, args, config)
+        errors[name] = (done.returncode, done.stderr)
+    return failed, errors
 
 
 def content(path: Path) -> bytes:
@@ -110,10 +133,12 @@ def main(argv=None) -> int:
         write_inputs(tmp / "inputs")
         (tmp / "base-tree").mkdir()
         unpack(args.base_rev, tmp / "base-tree")
-        failed = []
+        failed, errors = [], []
         for side, src in (("base", tmp / "base-tree" / "src"), ("change", ROOT / "src")):
             (tmp / side).mkdir()
-            failed += run_all(src, tmp / side)
+            side_failed, side_errors = run_all(src, tmp / side)
+            failed += side_failed
+            errors.append(side_errors)
         base, change = tmp / "base" / "out", tmp / "change" / "out"
         files = sorted({p.relative_to(root) for root in (base, change) if root.exists()
                         for p in root.rglob("*") if p.is_file()})
@@ -126,8 +151,18 @@ def main(argv=None) -> int:
                 verdict = "identical" if content(a) == content(b) else "DIFFERENT"
             differ += verdict != "identical"
             print(f"{verdict:>14}  {rel}")
-        print(f"{len(files)} files, {differ} not identical, {len(failed)} failed commands")
-        return 1 if differ or failed else 0
+        errors_differ = 0
+        for name, _, _ in FAILING:
+            (code_a, err_a), (code_b, err_b) = errors[0][name], errors[1][name]
+            if not (code_a and code_b):
+                verdict = "did not fail"
+            else:
+                verdict = "identical" if (code_a, err_a) == (code_b, err_b) else "DIFFERENT"
+            errors_differ += verdict != "identical"
+            print(f"{verdict:>14}  {name}: exit {code_b}, {err_b.strip()}")
+        print(f"{len(files)} files, {differ} not identical, {len(failed)} failed commands; "
+              f"{len(FAILING)} failing commands, {errors_differ} not identical")
+        return 1 if differ or failed or errors_differ else 0
 
 
 if __name__ == "__main__":
