@@ -1,9 +1,10 @@
 """Config-driven command line front end.
 
 Subcommands: fit, simulate, sensitivity, contour, cv.  Configuration is
-a flat key=value file plus command-line overrides (flags win); every run
-writes a manifest echoing the resolved configuration, so any run can be
-reproduced byte-for-byte by pointing --config at its manifest.
+a flat key=value file plus command-line overrides (flags win), each flag
+read as its key's config line; every run writes a manifest echoing the
+resolved configuration, so any run can be reproduced byte-for-byte by
+pointing --config at its manifest.
 
 All floating output is printed with 17 significant digits: output files
 are byte-stable golden artifacts without precision loss.
@@ -117,11 +118,13 @@ def _ingest_one_pass(path):
 def _ingest_rows(path):
     """(Dataset, header) from csv.reader's rows, or the error of the first
     bad row."""
-    with open(path, newline="") as fh:
-        try:
+    try:
+        with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        except csv.Error as exc:
-            raise CliError("parse-error", f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise CliError("config-error", f"cannot read input file {path}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise CliError("parse-error", f"{path}: {exc}") from exc
     if not rows:
         raise CliError("empty-dataset", f"{path}: file is empty")
     header = [c.strip() for c in rows[0]]
@@ -197,12 +200,18 @@ def standardise(matrix, names):
     """Centre/scale every non-constant column to mean 0, sd 1 (ddof 1).
 
     Returns (matrix', record, warnings); constant columns trigger a
-    warning and pass through unscaled.
+    warning and pass through unscaled.  Raises ValueError naming the
+    first column whose mean or sd overflows.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
-    mean = matrix.mean(axis=0)
-    sd = matrix.std(axis=0, ddof=1) if n > 1 else np.zeros(matrix.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        sd = matrix.std(axis=0, ddof=1) if n > 1 else np.zeros(matrix.shape[1])
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if overflowed.size:
+        raise ValueError(f"column '{names[overflowed[0]]}' cannot be standardised: "
+                         "its mean or sd overflows")
     applied = sd > 0
     warnings = [
         f"column '{names[j]}' is constant; left unscaled"
@@ -214,6 +223,10 @@ def standardise(matrix, names):
 
 # --- configuration ---------------------------------------------------------------
 
+# the penalty key picks the sampler's penalty family and the surface's prior
+_PENALTIES = {"lasso": LassoHyper, "en": ElasticNetHyper}
+_SURFACE_PENALTIES = {"lasso": LassoPenalty, "en": ElasticNetPenalty}
+
 _DEFAULTS = {
     "seed": "0",
     "out": "hqreg-out",
@@ -224,16 +237,8 @@ _DEFAULTS = {
     "thin": "1",
     "standardise": "true",
     "intercept": "true",
-    "a": "1.0",
-    "b": "1.0",
-    "c": "1.0",
-    "d": "1.0",
-    "a1": "1.0",
-    "b1": "1.0",
-    "a2": "1.0",
-    "b2": "1.0",
-    "a3": "1.0",
-    "b3": "1.0",
+    # each family's fields are its keys, at the family's defaults
+    **{f.name: repr(f.default) for family in _PENALTIES.values() for f in fields(family)},
     "input": "",
     "folds": "10",
     "reps": "20",
@@ -259,11 +264,6 @@ _DEFAULTS = {
 # keys that manifests held before their values became sampler constants;
 # a config may still give them, at these values only
 _RETIRED = {"eta_iters": "10", "eta_tol": "1e-8"}
-
-_SUBCOMMANDS = ("fit", "simulate", "sensitivity", "contour", "cv")
-# the penalty key picks the sampler's penalty family and the surface's prior
-_PENALTIES = {"lasso": LassoHyper, "en": ElasticNetHyper}
-_SURFACE_PENALTIES = {"lasso": LassoPenalty, "en": ElasticNetPenalty}
 
 
 @dataclass
@@ -337,7 +337,7 @@ def _resolve_config(args) -> RunConfig:
     # every flag but --config and --no-standardise is named after its key
     for key, val in vars(args).items():
         if key in _DEFAULTS and val is not None:
-            values[key] = str(val)
+            values[key] = val
     if args.no_standardise:
         values["standardise"] = "false"
     if values["penalty"] not in _PENALTIES:
@@ -400,7 +400,10 @@ def _prepare_fit_data(cfg: RunConfig):
     data, names = ingest_csv(cfg.get("input"))
     matrix = np.column_stack([data.X, data.y])
     if cfg.get_bool("standardise"):
-        matrix, _, warnings = standardise(matrix, names)
+        try:
+            matrix, _, warnings = standardise(matrix, names)
+        except ValueError as exc:
+            raise CliError("data-error", f"{cfg.get('input')}: {exc}") from exc
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
     X, y = matrix[:, :-1], matrix[:, -1]
@@ -468,19 +471,16 @@ def cmd_simulate(cfg: RunConfig) -> list:
         raise CliError("config-error", "scenarios and tau lists must not be empty")
     n = cfg.get_int("n")
     try:
-        scenarios = [
-            simbench.scenario_by_id(sid, n=n, tau=tau) for sid in sim_ids for tau in taus
-        ]
+        scenarios = [simbench.scenario_by_id(sid, n=n) for sid in sim_ids]
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
-    # run_study sets each cell's tau; the model takes the first for validation
-    model = _model_spec(cfg, tau=taus[0])
+    models = [_model_spec(cfg, tau) for tau in taus]
     try:
-        simbench.worker_count(len(scenarios) * reps)
+        simbench.worker_count(len(scenarios) * len(models) * reps)
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
     outdir = _outdir(cfg)
-    cells = simbench.run_study(scenarios, model, reps)
+    cells = simbench.run_study([(scen, model) for scen in scenarios for model in models], reps)
     table_rows = []
     eta_rows = []
     failure_rows = []
@@ -602,29 +602,28 @@ def run(cfg: RunConfig) -> list:
     return written + [outdir / "manifest.txt"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (an unknown flag, a missing subcommand) is a config-error."""
+
+    def error(self, message):
+        raise CliError("config-error", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hqreg",
         description="Huberised regularised Bayesian quantile regression",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tau", default=None)
-        p.add_argument("--penalty", choices=("lasso", "en"), default=None)
-        p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--burnin", type=int, default=None)
-        p.add_argument("--thin", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--input", default=None)
+        # each value flag is a string that the run parses as its key's config line
+        for flag in ("config", "seed", "tau", "penalty", "iters", "burnin", "thin", "reps",
+                     "folds", "out", "input"):
+            p.add_argument(f"--{flag}")
         p.add_argument("--no-standardise", action="store_true")
-    args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(parser.parse_args(argv))
         run(cfg)
     except CliError as exc:
         print(f"{exc.error_class}: {exc}", file=sys.stderr)

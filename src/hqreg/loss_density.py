@@ -208,8 +208,8 @@ class LassoPenalty:
     lambda1: float
 
     def __post_init__(self):
-        if self.lambda1 <= 0:
-            raise ValueError("lambda1 must be > 0")
+        if not 0.0 < self.lambda1 < math.inf:
+            raise ValueError("lambda1 must be finite and > 0")
 
     def log_prior(self, beta, l1_scale, l2_scale):
         """-lambda1 |beta| l1_scale, up to a constant; l2_scale is unused."""
@@ -222,8 +222,8 @@ class ElasticNetPenalty:
     lambda4: float
 
     def __post_init__(self):
-        if self.lambda3 <= 0 or self.lambda4 <= 0:
-            raise ValueError("lambda3 and lambda4 must be > 0")
+        if not (0.0 < self.lambda3 < math.inf and 0.0 < self.lambda4 < math.inf):
+            raise ValueError("lambda3 and lambda4 must be finite and > 0")
 
     def log_prior(self, beta, l1_scale, l2_scale):
         """-lambda3 |beta| l1_scale - lambda4 beta^2 / l2_scale, up to a constant."""

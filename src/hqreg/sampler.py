@@ -33,6 +33,7 @@ The block updates draw from the ``np.random.Generator`` that
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple, Optional, Union
 
@@ -243,7 +244,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
-            raise ValueError("tau must lie in (0, 1)")
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.n_iter < 1 or self.burn_in < 0 or self.burn_in >= self.n_iter:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
@@ -601,7 +602,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     rates, rho2, eta.  Retains
     floor((n_iter - burn_in)/thin) rows of (beta, rho2, eta, penalty
     rates).  Draws from the Generator ``rng``, or from spec.seed's stream
-    when ``rng`` is None.
+    when ``rng`` is None.  A block that fails raises ChainError naming
+    the block and the iteration; a numeric RuntimeWarning raised in an
+    ``hqreg`` module (an overflow, a 0/0) is such a failure, whatever
+    warning filters the caller has set.
     """
     gen = rng if rng is not None else RngStream(spec.seed).generator()
     state = initial_state(data, spec)
@@ -614,33 +618,36 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     draws = np.empty((n_keep, len(columns)))
     row = 0
 
-    for it in range(1, spec.n_iter + 1):
-        block = "beta"
-        try:
-            state.beta = update_beta(state, data, spec, gen)
-            block = "sigma"
-            # sigma and v both read y - X beta, and beta stays fixed until
-            # the next scan
-            resid = data.y - data.X @ state.beta
-            state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
-            block = "v and penalty latents"
-            drawn = update_v_and_latents(state, data, spec, gen, resid)
-            block = "penalty"
-            penalty.update(state, data, spec, gen, health, drawn)
-            block = "rho2"
-            state.rho2 = update_rho2(state, data, spec, gen)
-            if state.rho2 < _POSITIVITY_FLOOR:
-                state.rho2 = _POSITIVITY_FLOOR
-                health.positivity_clamps += 1
-            block = "eta"
-            state.eta = update_eta_approx(state, spec, gen, health)
-        except Exception as exc:
-            raise ChainError(f"update '{block}' failed at iteration {it}: {exc}") from exc
+    # one filter for the whole chain, not a numpy errstate per scan
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", category=RuntimeWarning, module="hqreg")
+        for it in range(1, spec.n_iter + 1):
+            block = "beta"
+            try:
+                state.beta = update_beta(state, data, spec, gen)
+                block = "sigma"
+                # sigma and v both read y - X beta, and beta stays fixed until
+                # the next scan
+                resid = data.y - data.X @ state.beta
+                state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
+                block = "v and penalty latents"
+                drawn = update_v_and_latents(state, data, spec, gen, resid)
+                block = "penalty"
+                penalty.update(state, data, spec, gen, health, drawn)
+                block = "rho2"
+                state.rho2 = update_rho2(state, data, spec, gen)
+                if state.rho2 < _POSITIVITY_FLOOR:
+                    state.rho2 = _POSITIVITY_FLOOR
+                    health.positivity_clamps += 1
+                block = "eta"
+                state.eta = update_eta_approx(state, spec, gen, health)
+            except Exception as exc:
+                raise ChainError(f"update '{block}' failed at iteration {it}: {exc}") from exc
 
-        if it > spec.burn_in and (it - spec.burn_in) % spec.thin == 0 and row < n_keep:
-            draws[row, :k] = state.beta
-            draws[row, k:] = (state.rho2, state.eta, *state.rates)
-            row += 1
+            if it > spec.burn_in and (it - spec.burn_in) % spec.thin == 0 and row < n_keep:
+                draws[row, :k] = state.beta
+                draws[row, k:] = (state.rho2, state.eta, *state.rates)
+                row += 1
 
     return PosteriorSamples(draws=draws, columns=columns, health=health)
 

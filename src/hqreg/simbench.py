@@ -74,7 +74,6 @@ class ScenarioSpec:
 
     id: int
     n: int
-    tau: float
     r: float
     sigma: float
     noise: NoiseLaw
@@ -87,11 +86,9 @@ class ScenarioSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.sigma <= 0 or self.noise_divisor <= 0:
             raise ValueError("need sigma > 0, noise_divisor > 0")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
 
 
-def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:
+def scenario_by_id(sim_id: int, n: int = 100) -> ScenarioSpec:
     """The six benchmark designs.
 
     1. low correlation, Gaussian noise (sigma 2, r 0.5)
@@ -103,21 +100,21 @@ def scenario_by_id(sim_id: int, n: int = 100, tau: float = 0.5) -> ScenarioSpec:
     6. multiple outliers: 0.8 skew-t3(gamma 3) + 0.1 N(0,10^2) + 0.1 Cauchy, sigma 1
     """
     if sim_id == 1:
-        return ScenarioSpec(1, n, tau, r=0.5, sigma=2.0, noise=Gaussian())
+        return ScenarioSpec(1, n, r=0.5, sigma=2.0, noise=Gaussian())
     if sim_id == 2:
-        return ScenarioSpec(2, n, tau, r=0.5, sigma=9.67, noise=_CONTAMINATED,
+        return ScenarioSpec(2, n, r=0.5, sigma=9.67, noise=_CONTAMINATED,
                             noise_divisor=_CONTAMINATED.sd)
     if sim_id == 3:
-        return ScenarioSpec(3, n, tau, r=0.95, sigma=9.67, noise=_CONTAMINATED,
+        return ScenarioSpec(3, n, r=0.95, sigma=9.67, noise=_CONTAMINATED,
                             noise_divisor=_CONTAMINATED.sd)
     if sim_id == 4:
         law = Mixture(((0.9, SkewT(3.0, 3.0)), (0.1, Gaussian(20.0))))
-        return ScenarioSpec(4, n, tau, r=0.5, sigma=1.0, noise=law)
+        return ScenarioSpec(4, n, r=0.5, sigma=1.0, noise=law)
     if sim_id == 5:
-        return ScenarioSpec(5, n, tau, r=0.5, sigma=2.0, noise=Cauchy())
+        return ScenarioSpec(5, n, r=0.5, sigma=2.0, noise=Cauchy())
     if sim_id == 6:
         law = Mixture(((0.8, SkewT(3.0, 3.0)), (0.1, Gaussian(10.0)), (0.1, Cauchy())))
-        return ScenarioSpec(6, n, tau, r=0.5, sigma=1.0, noise=law)
+        return ScenarioSpec(6, n, r=0.5, sigma=1.0, noise=law)
     raise ValueError(f"unknown scenario id {sim_id}")
 
 
@@ -215,7 +212,7 @@ def worker_count(n_tasks: int) -> int:
 
 @dataclass
 class StudyCell:
-    """Aggregate of one (scenario, tau, n) cell over replications."""
+    """Aggregate of one (scenario, model) cell over replications."""
 
     scenario_id: int
     tau: float
@@ -234,19 +231,20 @@ class StudyCell:
         return len(self.failures)
 
 
-def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
-              n_replications: int) -> list:
-    """Run seeded replications of each scenario and aggregate the metrics.
+def run_study(cells: Sequence[tuple], n_replications: int) -> list:
+    """Run seeded replications of each (ScenarioSpec, ModelSpec) cell and
+    aggregate the metrics.
 
-    Deterministic for a given ``model.seed``: replication ``rep`` of a
-    scenario draws its data from ``RngStream(model.seed).child(id, rep, 0)``
-    and its chain from ``.child(id, rep, 1)``, and the aggregation is
-    ordered by (cell, replication index) regardless of scheduling.  Each
-    cell fits ``model`` at the scenario's tau.  All cells share one pool
-    of :func:`worker_count` processes, or run in this process when that
-    is 1.  A cell is marked incomplete when more than 5% of its
-    replications fail, and keeps each failed replication's index and
-    error message.
+    Deterministic for the cells' seeds: replication ``rep`` of a cell
+    draws its data from ``RngStream(model.seed).child(scenario.id, rep, 0)``
+    and its chain from ``.child(scenario.id, rep, 1)``, so cells that
+    share a scenario and a seed share their datasets, and the aggregation
+    is ordered by (cell, replication index) regardless of scheduling.
+    Each cell fits its model, at the model's tau and penalty family.  All
+    cells share one pool of :func:`worker_count` processes, or run in
+    this process when that is 1.  A cell is marked incomplete when more
+    than 5% of its replications fail, and keeps each failed replication's
+    index and error message.
 
     The headline tables in the source studies average 300 replications;
     that is hours of compute, so desk-scale runs use 20 by default and
@@ -255,27 +253,23 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
     if n_replications < 1:
         raise ValueError("need at least one replication")
     # one task per (cell, replication), cell-major; pool.map keeps that order
-    tasks = [
-        (scen, replace(model, tau=scen.tau), rep)
-        for scen in scenarios
-        for rep in range(n_replications)
-    ]
+    tasks = [(scen, model, rep) for scen, model in cells for rep in range(n_replications)]
     width = worker_count(len(tasks))
     if width > 1:
         with ProcessPoolExecutor(max_workers=width) as pool:
             outcomes = list(pool.map(_one_replication_guarded, tasks))
     else:
         outcomes = [_one_replication_guarded(task) for task in tasks]
-    cells = []
-    for i, scen in enumerate(scenarios):
+    study = []
+    for i, (scen, model) in enumerate(cells):
         cell_outcomes = outcomes[i * n_replications:(i + 1) * n_replications]
         done = [res for status, res in cell_outcomes if status == "ok"]
         failed = tuple((rep, res) for rep, (status, res) in enumerate(cell_outcomes)
                        if status == "err")
-        cells.append(
+        study.append(
             StudyCell(
                 scenario_id=scen.id,
-                tau=scen.tau,
+                tau=model.tau,
                 n=scen.n,
                 method=model.penalty.method,
                 failures=failed,
@@ -287,7 +281,7 @@ def run_study(scenarios: Sequence[ScenarioSpec], model: ModelSpec,
                 complete=len(failed) <= 0.05 * n_replications,
             )
         )
-    return cells
+    return study
 
 
 # --- hyperparameter sensitivity on the four-logistic curve --------------------

@@ -155,8 +155,8 @@ def test_criterion_05_multimodality_demonstration():
 
 def test_criterion_06_simulation1_desk_scale():
     t0 = time.perf_counter()
-    cells = run_study([scenario_by_id(1, n=100, tau=0.5)],
-                      ModelSpec(tau=0.5, n_iter=2500, burn_in=500, seed=1),
+    cells = run_study([(scenario_by_id(1, n=100),
+                        ModelSpec(tau=0.5, n_iter=2500, burn_in=500, seed=1))],
                       n_replications=20)
     cell = cells[0]
     elapsed = time.perf_counter() - t0
@@ -175,8 +175,8 @@ def test_criterion_06_simulation1_desk_scale():
 def test_criterion_07_eta_adaptivity():
     model = ModelSpec(tau=0.5, n_iter=2500, burn_in=500, seed=1)
     cells = run_study(
-        [scenario_by_id(1, n=100, tau=0.5), scenario_by_id(5, n=100, tau=0.5)],
-        model, n_replications=20,
+        [(scenario_by_id(1, n=100), model), (scenario_by_id(5, n=100), model)],
+        n_replications=20,
     )
     eta_gauss = cells[0].eta_medians
     eta_cauchy = cells[1].eta_medians
@@ -189,7 +189,7 @@ def test_criterion_07_eta_adaptivity():
 def test_criterion_08_quantile_level_ordering():
     from hqreg.simbench import generate_scenario
 
-    data = generate_scenario(scenario_by_id(1, n=100, tau=0.5),
+    data = generate_scenario(scenario_by_id(1, n=100),
                              RngStream(1).child(1, 0, 0).generator())
     intercepts = []
     for tau in (0.25, 0.5, 0.75):

@@ -4,6 +4,7 @@ manifests and determinism."""
 import csv
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,15 @@ class TestStandardise:
         assert len(warnings) == 1 and "const" in warnings[0]
         assert not record.applied[0] and record.applied[1]
 
+    # an sd that overflows, then a mean
+    @pytest.mark.parametrize("column", [[1e308, -1e308, 1e308, -1e308], [1e308] * 4])
+    def test_overflow_names_the_column(self, column):
+        m = np.column_stack([np.arange(4.0), column])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^column 'b' cannot be standardised"):
+                standardise(m, ["a", "b"])
+
     def test_inverse_round_trip(self):
         gen = np.random.default_rng(7)
         m = gen.normal(-2.0, 7.0, size=(60, 3))
@@ -411,7 +421,7 @@ class TestOtherCommands:
     def test_simulate_tau_out_of_range(self, tmp_path, capsys):
         code = run_cli(["simulate", "--out", tmp_path / "sim", "--tau", "0.5,1.5"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config-error: ")
+        assert capsys.readouterr().err == "config-error: tau must lie in (0, 1), got 1.5\n"
 
     @pytest.mark.parametrize("setting,detail", [
         ("reps=0", "reps must be >= 1"),
@@ -498,6 +508,9 @@ class TestOtherCommands:
         assert (out1 / "eta-medians.csv").read_bytes() == (out2 / "eta-medians.csv").read_bytes()
 
 
+_BETA_OVERFLOW = "chain-error: update 'beta' failed at iteration 1: Gaussian draw needs finite inputs"
+
+
 class TestFailedRunOutput:
     """A run that ends in a config-error creates no output directory, and a
     failed run deletes nothing."""
@@ -520,6 +533,11 @@ class TestFailedRunOutput:
         ("contour", "toy_n=-1"),
         ("contour", "noise_sigma=0"),
         ("contour", "lambda1=-1"),
+        # a rate that is not finite would fill grid.csv with nan or -inf
+        ("contour", "lambda1=nan"),
+        ("contour", "lambda1=inf"),
+        ("contour", "penalty=en;lambda3=nan"),
+        ("contour", "penalty=en;lambda4=inf"),
         ("contour", "log_beta_min=nan"),
         # a negative seed, a non-finite hyperparameter or fewer than 2 kept
         # draws is refused before the directory, not when the chain runs
@@ -567,23 +585,76 @@ class TestFailedRunOutput:
         assert err.startswith("chain-error: update '") and err.count("\n") == 1
         assert "failed at iteration" in err
 
-    @pytest.mark.parametrize("predictors", [3, 40])  # the k < n and the k > n beta draw
-    def test_overflowing_data_prints_one_line(self, tmp_path, predictors):
+    @pytest.mark.parametrize("predictors,scaled,flags,line", [
+        # values near 1e200 overflow the response variance and the Gram
+        # products, in the k < n and in the k > n beta draw
+        pytest.param(3, (slice(None), 1e200), ["--no-standardise"], _BETA_OVERFLOW, id="3"),
+        pytest.param(40, (slice(None), 1e200), ["--no-standardise"], _BETA_OVERFLOW, id="40"),
+        # a response near 1e160 overflows the sigma block's squared residuals
+        pytest.param(3, (slice(-1, None), 1e160), ["--no-standardise"],
+                     "chain-error: update 'sigma' failed at iteration 1: "
+                     "overflow encountered in multiply", id="sigma"),
+        # and values near 1e200 overflow the standardisation's sd
+        pytest.param(3, (slice(None), 1e200), [],
+                     "data-error: {path}: column 'x0' cannot be standardised: "
+                     "its mean or sd overflows", id="standardised"),
+    ])
+    def test_overflowing_data_prints_one_line(self, tmp_path, predictors, scaled, flags, line):
         # in a fresh interpreter, where no warning filter turns a numpy
-        # RuntimeWarning into an error: values near 1e200 overflow the
-        # response variance and the Gram products
+        # RuntimeWarning into an error
         gen = np.random.default_rng(2)
         path = tmp_path / "big.csv"
-        write_csv(path, [f"x{j}" for j in range(predictors)] + ["y"],
-                  (1e200 * gen.standard_normal((30, predictors + 1))).tolist())
+        values = gen.standard_normal((30, predictors + 1))
+        columns, scale = scaled
+        values[:, columns] *= scale
+        write_csv(path, [f"x{j}" for j in range(predictors)] + ["y"], values.tolist())
+        out = tmp_path / "out"
         proc = subprocess.run(
-            [sys.executable, "-m", "hqreg.cli", "fit", "--input", str(path), "--no-standardise",
-             "--iters", "20", "--burnin", "5", "--out", str(tmp_path / "out")],
+            [sys.executable, "-m", "hqreg.cli", "fit", "--input", str(path), *flags,
+             "--iters", "20", "--burnin", "5", "--out", str(out)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [
-            "chain-error: update 'beta' failed at iteration 1: Gaussian draw needs finite inputs"]
+        assert proc.stderr.splitlines() == [line.format(path=path)]
+        assert out.exists() == line.startswith("chain-error")
+
+    @pytest.mark.parametrize("args,config,start", [
+        (["fit", "--seed", "x"], "", "config-error: "),
+        (["fit", "--iters", "1.5"], "", "config-error: "),
+        (["fit", "--penalty", "ridge"], "", "config-error: "),
+        (["fit", "--bogus"], "", "config-error: "),
+        ([], "", "config-error: "),  # no subcommand
+        (["fit", "--input", "."], "", "config-error: "),  # a directory
+        (["fit", "--input", "undecodable.csv"], "", "parse-error: "),
+        (["fit", "--tau", "1.5"], "", "config-error: tau must lie in (0, 1), got 1.5\n"),
+        (["contour"], "lambda1=nan", "config-error: "),
+        (["contour"], "penalty=en\nlambda4=inf", "config-error: "),
+    ])
+    def test_bad_input_prints_one_line(self, toy_csv, tmp_path, capsys, monkeypatch,
+                                       args, config, start):
+        # a usage error is a config-error line, not argparse's usage block
+        # and exit 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "undecodable.csv").write_bytes(b"x,y\n1,\xff\n")
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        if args:
+            args = [*args, "--config", "run.cfg", "--out", "new/out"]
+            if args[0] == "fit" and "--input" not in args:
+                args += ["--input", toy_csv]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_flag_is_echoed_as_typed(self, toy_csv, tmp_path):
+        # a flag reads like a config line: --seed 07 is seed 7, echoed as typed
+        runs = [(["--seed", "07"], "seed=07"), (["--seed", "7"], "seed=7")]
+        for i, (flag, line) in enumerate(runs):
+            assert run_cli(["fit", "--input", toy_csv, "--out", tmp_path / str(i),
+                            "--iters", 30, "--burnin", 10, *flag]) == 0
+            assert line in (tmp_path / str(i) / "manifest.txt").read_text().splitlines()
+        assert (tmp_path / "0" / "samples.csv").read_bytes() == (
+            tmp_path / "1" / "samples.csv").read_bytes()
 
     def test_existing_directory_is_kept(self, tmp_path, capsys):
         out = tmp_path / "out"

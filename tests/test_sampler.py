@@ -1035,6 +1035,21 @@ class TestRunChain:
         with pytest.raises(ChainError, match="rho2.*iteration 1"):
             run_chain(data, ModelSpec(tau=0.5, n_iter=10, burn_in=0))
 
+    @pytest.mark.parametrize("action", ["ignore", "default"])
+    def test_numeric_warning_fails_its_block(self, action):
+        # whatever the caller's filters, an overflow inside a block is that
+        # block's failure: a response near 1e160 overflows sigma's squared
+        # residuals
+        gen = RngStream(404).generator()
+        X = np.column_stack([np.ones(30), gen.standard_normal((30, 3))])
+        data = Dataset(X, 1e160 * gen.standard_normal(30))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(ChainError, match="^update 'sigma' failed at iteration 1: "
+                                                 "overflow encountered in multiply$"):
+                run_chain(data, ModelSpec(tau=0.5, n_iter=20, burn_in=5))
+        assert caught == []
+
 
 class TestSummarize:
     def _samples(self, draws):

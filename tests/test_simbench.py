@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hqreg.randist import Cauchy, ContaminatedNormal, Gaussian, Mixture, RngStream, SkewT
-from hqreg.sampler import Dataset, LassoHyper, ModelSpec
+from hqreg.sampler import Dataset, ElasticNetHyper, LassoHyper, ModelSpec
 from hqreg.simbench import (
     ReplicationResult,
     TRUE_BETA,
@@ -128,12 +128,12 @@ class TestMetrics:
 
 
 class TestRunStudy:
-    def _tiny_model(self, seed):
-        return ModelSpec(tau=0.5, n_iter=120, burn_in=40, seed=seed)
+    def _tiny_model(self, seed, **fields):
+        return ModelSpec(**{"tau": 0.5, "n_iter": 120, "burn_in": 40, "seed": seed, **fields})
 
     def test_single_replication_equals_its_metrics(self):
         scen = scenario_by_id(1, n=30)
-        cells = run_study([scen], self._tiny_model(3), 1)
+        cells = run_study([(scen, self._tiny_model(3))], 1)
         cell = cells[0]
         assert cell.n_failures == 0
         assert cell.eta_medians.shape == (1,)
@@ -142,20 +142,21 @@ class TestRunStudy:
     def test_parallel_matches_serial(self, monkeypatch):
         scen = scenario_by_id(1, n=30)
         monkeypatch.setenv("HQREG_THREADS", "1")
-        a = run_study([scen], self._tiny_model(5), 3)[0]
+        a = run_study([(scen, self._tiny_model(5))], 3)[0]
         monkeypatch.setenv("HQREG_THREADS", "2")
-        b = run_study([scen], self._tiny_model(5), 3)[0]
+        b = run_study([(scen, self._tiny_model(5))], 3)[0]
         assert a.rmse_mean == b.rmse_mean
         assert a.mmad == b.mmad
         np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
 
     def test_parallel_matches_serial_across_cells(self, monkeypatch):
         # one pool serves every cell; each cell keeps its own replications
-        scens = [scenario_by_id(1, n=30, tau=0.5), scenario_by_id(5, n=30, tau=0.25)]
+        cells = [(scenario_by_id(1, n=30), self._tiny_model(8)),
+                 (scenario_by_id(5, n=30), self._tiny_model(8, tau=0.25))]
         monkeypatch.setenv("HQREG_THREADS", "2")
-        pooled = run_study(scens, self._tiny_model(8), 2)
+        pooled = run_study(cells, 2)
         monkeypatch.setenv("HQREG_THREADS", "1")
-        serial = run_study(scens, self._tiny_model(8), 2)
+        serial = run_study(cells, 2)
         assert len(serial) == len(pooled) == 2
         for a, b in zip(serial, pooled):
             assert (a.scenario_id, a.tau, a.n_failures) == (b.scenario_id, b.tau, b.n_failures)
@@ -163,8 +164,22 @@ class TestRunStudy:
                 b.rmse_mean, b.mmad, b.al_mean, b.cp_mean)
             np.testing.assert_array_equal(a.eta_medians, b.eta_medians)
         # a cell's results do not depend on the cells run beside it
-        alone = run_study(scens[1:], self._tiny_model(8), 2)[0]
+        alone = run_study(cells[1:], 2)[0]
         np.testing.assert_array_equal(alone.eta_medians, serial[1].eta_medians)
+
+    def test_cell_reports_its_model(self, monkeypatch):
+        # cells of one scenario and one seed share their datasets; each
+        # fits and reports its own model's tau and penalty family
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        scen = scenario_by_id(1, n=30)
+        models = [self._tiny_model(4, tau=0.25),
+                  self._tiny_model(4, penalty=ElasticNetHyper()),
+                  self._tiny_model(4)]
+        cells = run_study([(scen, model) for model in models], 2)
+        assert [(c.tau, c.method) for c in cells] == [
+            (0.25, "HBQR-BL"), (0.5, "HBQR-EN"), (0.5, "HBQR-BL")]
+        assert all(c.n_failures == 0 for c in cells)
+        assert len({c.rmse_mean for c in cells}) == 3
 
     def test_failures_mark_cell_incomplete(self, monkeypatch):
         import hqreg.simbench as sb
@@ -182,7 +197,7 @@ class TestRunStudy:
         # the call counter lives in this process
         monkeypatch.setenv("HQREG_THREADS", "1")
         scen = scenario_by_id(1, n=30)
-        cell = run_study([scen], self._tiny_model(5), 3)[0]
+        cell = run_study([(scen, self._tiny_model(5))], 3)[0]
         assert cell.n_failures == 1
         assert not cell.complete  # 1/3 > 5%
         assert cell.failures == ((0, "RuntimeError: synthetic failure"),)

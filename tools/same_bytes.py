@@ -8,8 +8,8 @@ and once against this checkout's ``src/``, each in a fresh interpreter,
 and compares every output file byte for byte.  A second list of commands
 must fail: each of those is compared by its exit code and standard error.
 The inputs are CSV files written here with 17 significant digits, and
-one ragged file.  Manifest lines that begin with ``#`` (the wall time)
-are ignored.  Prints one line per output file and per failing command,
+one malformed file for each error class of the input dialect.  Manifest
+lines that begin with ``#`` (the wall time) are ignored.  Prints one line per output file and per failing command,
 and exits 1 on any difference, on a command that fails where it should
 succeed, or on one that succeeds where it should fail.
 """
@@ -17,6 +17,7 @@ succeed, or on one that succeeds where it should fail.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -54,12 +55,13 @@ COMMANDS = [
       for pen in ("lasso", "en") for style in ("unconditional", "conditional")),
 ]
 
-# commands that must fail, one per error path: config-error, data-error,
-# ragged-row and chain-error
+# commands that must fail, one per error class: config-error, data-error,
+# each CSV error of the input dialect and chain-error
 FAILING = [
     ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
     ("fail-cv-folds", ["cv", *_fit("study", "lasso", "0.5", "--folds", "1000")[1:]], None),
-    ("fail-ragged", _fit("ragged", "lasso", "0.5"), None),
+    *((f"fail-{name}", _fit(name, "lasso", "0.5"), None)
+      for name in ("ragged", "non-numeric", "non-finite", "header-only", "long-cell")),
     ("fail-sensitivity-overflow", ["sensitivity", "--iters", "20", "--burnin", "5"],
      ["vary=a", "values=1e308"]),
 ]
@@ -75,7 +77,13 @@ def write_inputs(directory: Path) -> None:
         header = ",".join([f"x{j}" for j in range(1, p + 1)] + ["y"])
         np.savetxt(directory / f"{name}.csv", np.column_stack([x, y]), fmt="%.17g",
                    delimiter=",", header=header, comments="")
+    # one input for each CSV error class: ragged-row, non-numeric-cell,
+    # non-finite-rows, empty-dataset and parse-error
     (directory / "ragged.csv").write_text("x1,y\n1,2\n3\n")
+    (directory / "non-numeric.csv").write_text("x1,y\n1,2\nNA,4\n")
+    (directory / "non-finite.csv").write_text("x1,y\n1,2\nnan,4\n")
+    (directory / "header-only.csv").write_text("x1,y\n")
+    (directory / "long-cell.csv").write_text(f"x1,y\n1,{'1' * (csv.field_size_limit() + 1)}\n")
 
 
 def unpack(rev: str, directory: Path) -> None:
