@@ -312,8 +312,7 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         value = value.strip()
         if key == "subcommand" or key == "version":
-            out[key] = value
-            continue
+            continue  # a manifest's echo; the command line names the subcommand
         if key in _RETIRED:
             try:
                 retired = float(value) == float(_RETIRED[key])
@@ -332,11 +331,15 @@ def parse_config_file(path) -> dict:
 def _resolve_config(args) -> RunConfig:
     values = dict(_DEFAULTS)
     if args.config:
-        values.update({k: v for k, v in parse_config_file(args.config).items()
-                       if k in _DEFAULTS})
-    # every flag but --config and --no-standardise is named after its key
+        values.update(parse_config_file(args.config))
+    # every flag but --config and --no-standardise is named after its key,
+    # and its value is read as that key's config line, which holds no
+    # line break (the manifest is read back with splitlines)
     for key, val in vars(args).items():
         if key in _DEFAULTS and val is not None:
+            val = val.strip()
+            if len(val.splitlines()) > 1:
+                raise CliError("config-error", f"flag --{key} holds a line break: {val!r}")
             values[key] = val
     if args.no_standardise:
         values["standardise"] = "false"

@@ -7,9 +7,9 @@ Orders +-1/2 are an inverse Gaussian or its reciprocal and are drawn
 exactly, without rejection, by the transformation method of Michael,
 Schucany & Haas (1976) (``Generator.wald``).  Every other order goes
 through the uniformly fast rejection algorithm of Devroye (2014, Stat.
-Comput. 24), vectorised over parameter arrays, with a ``math``-module
-twin for single scalar draws.  Gamma / inverse-gamma limits are
-dispatched at the degenerate boundaries.
+Comput. 24), vectorised over an array of c*d at the one order, with a
+``math``-module twin for single scalar draws.  Gamma / inverse-gamma
+limits are dispatched at the degenerate boundaries.
 
 Every draw takes a ``np.random.Generator``.  Streams are derived from
 (seed, key-path) pairs via numpy's SeedSequence spawning, so parallel
@@ -89,15 +89,16 @@ def _no_acceptance(lam, omega):
                      f"the parameters leave the range it can draw from")
 
 
-def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _devroye_gig_two_param(gen: np.random.Generator, lam: float, omega: np.ndarray) -> np.ndarray:
     """Draw from the two-parameter GIG density ~ y^(lam-1) exp(-omega (y + 1/y)/2).
 
-    Requires lam >= 0 and omega > 0 elementwise.  Rejection from a
-    three-piece hat around the mode of the log-transformed density;
-    expected number of rounds is bounded (< 2) uniformly in (lam, omega).
+    One order lam >= 0 for every draw, and a 1-d array of omega > 0.
+    Rejection from a three-piece hat around the mode of the
+    log-transformed density; expected number of rounds is bounded (< 2)
+    uniformly in (lam, omega).
     """
-    lam = np.asarray(lam, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    # a numpy scalar: at order 0, 1/lam is inf where a float raises
+    lam = np.float64(lam)
     # a hat that float arithmetic breaks (omega near 1e150 or more) gives
     # inf or NaN here, and the bounded rounds below then raise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -140,61 +141,42 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: np.ndarray, omega: np.
 
     out = np.empty_like(alpha)
     pending = np.arange(alpha.size)
-    al_f = alpha.ravel()
-    lam_f = lam.ravel()
-    t_f = t.ravel()
-    s_f = s.ravel()
-    eta_f = eta.ravel()
-    zeta_f = zeta.ravel()
-    theta_f = theta.ravel()
-    xi_f = xi.ravel()
-    p_f = p.ravel()
-    r_f = r.ravel()
-    td_f = td.ravel()
-    sd_f = sd.ravel()
-    q_f = q.ravel()
-    tot_f = total.ravel()
-    out_f = out.ravel()
-
     for _ in range(_DEVROYE_MAX_ROUNDS):
         if not pending.size:
             break
         u = gen.random(pending.size)
         v = gen.random(pending.size)
         w = gen.random(pending.size)
-        pp, qq, rr = p_f[pending], q_f[pending], r_f[pending]
-        tt, ss = t_f[pending], s_f[pending]
+        pp, qq, rr = p[pending], q[pending], r[pending]
+        tt, ss = t[pending], s[pending]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cand = np.where(
-                u < qq / tot_f[pending],
-                -sd_f[pending] + qq * v,
+                u < qq / total[pending],
+                -sd[pending] + qq * v,
                 np.where(
-                    u < (qq + rr) / tot_f[pending],
-                    td_f[pending] - rr * np.log(v),
-                    -sd_f[pending] + pp * np.log(v),
+                    u < (qq + rr) / total[pending],
+                    td[pending] - rr * np.log(v),
+                    -sd[pending] + pp * np.log(v),
                 ),
             )
             # hat value: 1 on the flat middle piece, exponential tails outside
             upper = np.where(
-                cand > td_f[pending],
-                np.exp(-eta_f[pending] - zeta_f[pending] * (cand - tt)),
+                cand > td[pending],
+                np.exp(-eta[pending] - zeta[pending] * (cand - tt)),
                 np.where(
-                    cand < -sd_f[pending],
-                    np.exp(-theta_f[pending] + xi_f[pending] * (cand + ss)),
+                    cand < -sd[pending],
+                    np.exp(-theta[pending] + xi[pending] * (cand + ss)),
                     1.0,
                 ),
             )
-            a_p = al_f[pending]
-            l_p = lam_f[pending]
-            logf = -a_p * (np.cosh(cand) - 1.0) - l_p * (np.expm1(cand) - cand)
+            logf = -alpha[pending] * (np.cosh(cand) - 1.0) - lam * (np.expm1(cand) - cand)
             # non-finite candidates (a zero uniform hit an exponential tail)
             # carry no mass; redraw them
             acc = (np.log(w) + np.log(upper) <= logf) & np.isfinite(cand)
-        idx = pending[acc]
-        out_f[idx] = cand[acc]
+        out[pending[acc]] = cand[acc]
         pending = pending[~acc]
     if pending.size:
-        _no_acceptance(lam_f[pending[0]], omega.ravel()[pending[0]])
+        _no_acceptance(lam, omega[pending[0]])
 
     # undo the log / mode-centering transform
     return np.exp(out) * (lam / omega + np.sqrt(1.0 + (lam / omega) ** 2))
@@ -354,8 +336,9 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
 
     Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
     through its ``math`` twin when c and d are floats, else through the
-    array form.  A scale d/c that underflows to 0 raises ValueError
-    before anything is drawn; a draw that overflows raises after.
+    array form, which takes the one order |nu| and c*d flattened.  A
+    scale d/c that underflows to 0 raises ValueError before anything is
+    drawn; a draw that overflows raises after.
     """
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
@@ -375,7 +358,7 @@ def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
         x = (1.0 / y if nu < 0 else y) * scale
         finite = math.isfinite(x)
     else:
-        y = _devroye_gig_two_param(gen, np.broadcast_to(abs(nu), omega.shape), omega)
+        y = _devroye_gig_two_param(gen, abs(nu), omega.ravel()).reshape(omega.shape)
         with np.errstate(divide="ignore", over="ignore"):
             x = (1.0 / y if nu < 0 else y) * scale
         finite = np.isfinite(x).all()

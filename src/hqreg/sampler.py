@@ -304,9 +304,6 @@ class PosteriorSamples:
     columns: list
     health: ChainHealth
 
-    def column(self, name: str) -> np.ndarray:
-        return self.draws[:, self.columns.index(name)]
-
 
 def initial_state(data: Dataset, spec: ModelSpec) -> ChainState:
     """Interior starting point: unit latents, coefficient zero, data-scaled rho2.
@@ -337,6 +334,10 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.nd
     shape picks the exact draw: when k > n, the O(n^2 k) low-rank form
     on phi = V^-1/2 X, which it is given as X and the row scale V^-1/2
     (k + n normals); otherwise the O(k^3) precision form (k normals).
+
+    A Gram product that overflows warns, and :func:`run_chain`'s filter
+    makes the warning this block's ChainError; one that overflows in
+    another BLAS thread, unflagged here, fails the draw's finiteness check.
     """
     # the product of two floored latents can still underflow; keep 1/V finite
     winv = 4.0 * state.sigma
@@ -349,11 +350,9 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.nd
     if data.k > data.n:
         root = np.sqrt(winv)
         return mvn_low_rank(gen, data.X, root, 1.0 / prior_precision, root * target)
-    # a product that overflows is left non-finite, and the draw raises on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        xw = data.X * winv[:, None]
-        precision = xw.T @ data.X
-        linear_term = xw.T @ target
+    xw = data.X * winv[:, None]
+    precision = xw.T @ data.X
+    linear_term = xw.T @ target
     precision.flat[:: data.k + 1] += prior_precision
     return mvn_from_precision(gen, precision, linear_term)
 

@@ -194,7 +194,7 @@ def test_criterion_08_quantile_level_ordering():
     intercepts = []
     for tau in (0.25, 0.5, 0.75):
         samples = run_chain(data, ModelSpec(tau=tau, n_iter=2500, burn_in=500, seed=77))
-        intercepts.append(float(np.median(samples.column("beta_0"))))
+        intercepts.append(float(np.median(samples.draws[:, samples.columns.index("beta_0")])))
     ok = intercepts[0] <= intercepts[1] <= intercepts[2]
     report(8, ok, f"posterior-median intercepts at tau 0.25/0.5/0.75 = "
                   f"{[round(b, 3) for b in intercepts]} (nondecreasing)")

@@ -508,9 +508,6 @@ class TestOtherCommands:
         assert (out1 / "eta-medians.csv").read_bytes() == (out2 / "eta-medians.csv").read_bytes()
 
 
-_BETA_OVERFLOW = "chain-error: update 'beta' failed at iteration 1: Gaussian draw needs finite inputs"
-
-
 class TestFailedRunOutput:
     """A run that ends in a config-error creates no output directory, and a
     failed run deletes nothing."""
@@ -587,9 +584,14 @@ class TestFailedRunOutput:
 
     @pytest.mark.parametrize("predictors,scaled,flags,line", [
         # values near 1e200 overflow the response variance and the Gram
-        # products, in the k < n and in the k > n beta draw
-        pytest.param(3, (slice(None), 1e200), ["--no-standardise"], _BETA_OVERFLOW, id="3"),
-        pytest.param(40, (slice(None), 1e200), ["--no-standardise"], _BETA_OVERFLOW, id="40"),
+        # products, in the k < n and in the k > n beta draw; the k < n
+        # product warns, and the chain's filter makes that the block's error
+        pytest.param(3, (slice(None), 1e200), ["--no-standardise"],
+                     "chain-error: update 'beta' failed at iteration 1: "
+                     "overflow encountered in matmul", id="3"),
+        pytest.param(40, (slice(None), 1e200), ["--no-standardise"],
+                     "chain-error: update 'beta' failed at iteration 1: "
+                     "Gaussian draw needs finite inputs", id="40"),
         # a response near 1e160 overflows the sigma block's squared residuals
         pytest.param(3, (slice(-1, None), 1e160), ["--no-standardise"],
                      "chain-error: update 'sigma' failed at iteration 1: "
@@ -629,6 +631,9 @@ class TestFailedRunOutput:
         (["fit", "--tau", "1.5"], "", "config-error: tau must lie in (0, 1), got 1.5\n"),
         (["contour"], "lambda1=nan", "config-error: "),
         (["contour"], "penalty=en\nlambda4=inf", "config-error: "),
+        # a flag is one config line, which holds no line break
+        (["fit", "--out", "new/a\nb"], "", "config-error: "),
+        (["fit", "--out", "new/a\u2028b"], "", "config-error: "),
     ])
     def test_bad_input_prints_one_line(self, toy_csv, tmp_path, capsys, monkeypatch,
                                        args, config, start):
@@ -638,7 +643,9 @@ class TestFailedRunOutput:
         (tmp_path / "undecodable.csv").write_bytes(b"x,y\n1,\xff\n")
         (tmp_path / "run.cfg").write_text(config + "\n")
         if args:
-            args = [*args, "--config", "run.cfg", "--out", "new/out"]
+            if "--out" not in args:
+                args = [*args, "--out", "new/out"]
+            args = [*args, "--config", "run.cfg"]
             if args[0] == "fit" and "--input" not in args:
                 args += ["--input", toy_csv]
         assert run_cli(args) == 1
@@ -647,14 +654,17 @@ class TestFailedRunOutput:
         assert not (tmp_path / "new").exists()
 
     def test_flag_is_echoed_as_typed(self, toy_csv, tmp_path):
-        # a flag reads like a config line: --seed 07 is seed 7, echoed as typed
-        runs = [(["--seed", "07"], "seed=07"), (["--seed", "7"], "seed=7")]
+        # a flag reads like a config line: --seed 07 is seed 7, echoed as
+        # typed, and --seed ' 7' is stripped as a config line is
+        runs = [(["--seed", "07"], "seed=07"), (["--seed", "7"], "seed=7"),
+                (["--seed", " 7"], "seed=7")]
         for i, (flag, line) in enumerate(runs):
             assert run_cli(["fit", "--input", toy_csv, "--out", tmp_path / str(i),
                             "--iters", 30, "--burnin", 10, *flag]) == 0
             assert line in (tmp_path / str(i) / "manifest.txt").read_text().splitlines()
-        assert (tmp_path / "0" / "samples.csv").read_bytes() == (
-            tmp_path / "1" / "samples.csv").read_bytes()
+        for i in (1, 2):
+            assert (tmp_path / "0" / "samples.csv").read_bytes() == (
+                tmp_path / str(i) / "samples.csv").read_bytes()
 
     def test_existing_directory_is_kept(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -116,6 +116,19 @@ class TestGigSampling:
         val = gig_rvs(RngStream(16).generator(), 0.5, 1.0, 1.0)
         assert isinstance(val, float) and val > 0
 
+    @pytest.mark.parametrize("zero_d", [False, True], ids=["interior", "limit"])
+    def test_grid_parameters_draw_as_flat(self, zero_d):
+        # the array sampler draws a grid of pairs as the same pairs in one
+        # row; a pair at d = 0 sends the others there by the limit path
+        gen = np.random.default_rng(47)
+        c, d = gen.uniform(0.1, 3.0, (3, 4)), gen.uniform(0.1, 3.0, (3, 4))
+        if zero_d:
+            d[1, 2] = 0.0
+        grid = gig_rvs(RngStream(48).generator(), 1.7, c, d)
+        flat = gig_rvs(RngStream(48).generator(), 1.7, c.ravel(), d.ravel())
+        assert grid.shape == (3, 4)
+        assert grid.tobytes() == flat.tobytes()
+
 
 class TestGigHalfOrders:
     """GIG(+-1/2) is an inverse Gaussian or its reciprocal, drawn by Wald."""

@@ -988,7 +988,7 @@ class TestRunChain:
             samples = run_chain(data, spec)
             assert samples.columns[21:] == ["rho2", "eta", *penalty.Rates._fields]
             for col in samples.columns[21:]:
-                assert np.all(samples.column(col) > 0), col
+                assert np.all(samples.draws[:, samples.columns.index(col)] > 0), col
 
     def test_null_model_interval_coverage(self):
         gen = RngStream(71).generator()
@@ -1007,7 +1007,7 @@ class TestRunChain:
             y = ald_sample(gen, 0.0, 1.0, tau, size=500)
             data = Dataset(np.ones((500, 1)), y)
             samples = run_chain(data, ModelSpec(tau=tau, n_iter=1500, burn_in=300, seed=3))
-            b0 = float(np.median(samples.column("beta_0")))
+            b0 = float(np.median(samples.draws[:, samples.columns.index("beta_0")]))
             assert abs(b0 - np.quantile(y, tau)) < 0.1
 
     def test_elastic_net_nests_ridge(self, pin_rate):

@@ -56,7 +56,8 @@ COMMANDS = [
 ]
 
 # commands that must fail, one per error class: config-error, data-error,
-# each CSV error of the input dialect and chain-error
+# each CSV error of the input dialect and chain-error; the k > n fit near
+# 1e200 keeps the beta block's own line for a Gram product that overflows
 FAILING = [
     ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
     ("fail-cv-folds", ["cv", *_fit("study", "lasso", "0.5", "--folds", "1000")[1:]], None),
@@ -64,6 +65,8 @@ FAILING = [
       for name in ("ragged", "non-numeric", "non-finite", "header-only", "long-cell")),
     ("fail-sensitivity-overflow", ["sensitivity", "--iters", "20", "--burnin", "5"],
      ["vary=a", "values=1e308"]),
+    ("fail-wide-overflow", ["fit", "--input", "../inputs/overflow-wide.csv", "--no-standardise",
+                            "--iters", "20", "--burnin", "5"], None),
 ]
 
 
@@ -77,6 +80,10 @@ def write_inputs(directory: Path) -> None:
         header = ",".join([f"x{j}" for j in range(1, p + 1)] + ["y"])
         np.savetxt(directory / f"{name}.csv", np.column_stack([x, y]), fmt="%.17g",
                    delimiter=",", header=header, comments="")
+    # k = 41 > n = 30, with every value near 1e200
+    np.savetxt(directory / "overflow-wide.csv", gen.standard_normal((30, 41)) * 1e200,
+               fmt="%.17g", delimiter=",",
+               header=",".join([f"x{j}" for j in range(1, 41)] + ["y"]), comments="")
     # one input for each CSV error class: ragged-row, non-numeric-cell,
     # non-finite-rows, empty-dataset and parse-error
     (directory / "ragged.csv").write_text("x1,y\n1,2\n3\n")
