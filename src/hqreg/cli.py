@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, simbench
-from .loss_density import (
-    ElasticNetPenalty,
-    LassoPenalty,
-    PosteriorGridSpec,
-    log_posterior_grid,
-)
+from .loss_density import PosteriorGridSpec, log_posterior_grid
 from .randist import RngStream, ald_sample
 from .sampler import (ChainError, Dataset, ElasticNetHyper, LassoHyper, ModelSpec, run_chain,
                       summarize)
@@ -223,9 +218,8 @@ def standardise(matrix, names):
 
 # --- configuration ---------------------------------------------------------------
 
-# the penalty key picks the sampler's penalty family and the surface's prior
+# the penalty key picks the penalty family of the chain and of the surface
 _PENALTIES = {"lasso": LassoHyper, "en": ElasticNetHyper}
-_SURFACE_PENALTIES = {"lasso": LassoPenalty, "en": ElasticNetPenalty}
 
 _DEFAULTS = {
     "seed": "0",
@@ -565,12 +559,26 @@ def cmd_contour(cfg: RunConfig) -> list:
     size = cfg.get_int("grid_size")
     if size < 2:
         raise CliError("config-error", f"grid_size must be >= 2, got {size}")
-    bgrid = np.exp(np.linspace(cfg.get_float("log_beta_min"), cfg.get_float("log_beta_max"), size))
-    rgrid = np.exp(np.linspace(cfg.get_float("log_rho2_min"), cfg.get_float("log_rho2_max"), size))
-    surface = _SURFACE_PENALTIES[cfg.get("penalty")]
+    # the surface refuses a grid point that overflows to inf, and a zero rho2
+    with np.errstate(over="ignore"):
+        bgrid, rgrid = (np.exp(np.linspace(cfg.get_float(f"log_{name}_min"),
+                                           cfg.get_float(f"log_{name}_max"), size))
+                        for name in ("beta", "rho2"))
+    if bgrid[0] == 0.0:
+        raise CliError("config-error", "exp(log_beta_min) underflows to 0")
+    # the contour keys keep their names, so that old manifests replay, and
+    # map to the family's pinned rates: lambda1_sq = lambda1^2, or
+    # lambda3_tilde = lambda3^2 / (4 lambda4) and lambda4
+    family = _PENALTIES[cfg.get("penalty")]
+    keys = ("lambda1",) if family is LassoHyper else ("lambda3", "lambda4")
+    lam = [cfg.get_float(key) for key in keys]
+    if not all(0.0 < v < float("inf") for v in lam):
+        raise CliError("config-error", f"{' and '.join(keys)} must be finite and > 0")
+    # a product, as ** raises on overflow; the surface refuses an inf or 0 rate
+    square = lam[0] * lam[0]
+    rates = family.Rates(square) if len(lam) == 1 else family.Rates(square / (4.0 * lam[1]), lam[1])
     try:
-        penalty = surface(*(cfg.get_float(f.name) for f in fields(surface)))
-        spec = PosteriorGridSpec(bgrid, rgrid, x, y, penalty, cfg.get("prior_style"),
+        spec = PosteriorGridSpec(bgrid, rgrid, x, y, rates, cfg.get("prior_style"),
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc

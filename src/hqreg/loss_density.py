@@ -15,7 +15,8 @@ CHAIN_MIXING_INDEX for the Gibbs chain and the posterior surface.
 
 The joint (beta, rho2) log-posterior surface of a single-column design
 comes from one broadcasting kernel, which the grid and the pointwise
-view share; each penalty object supplies its own log prior.
+view share; its coefficient prior is the chain's penalty family's
+``Rates.log_prior`` at pinned rates.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "asym_density",
     "asym_log_density",
     "scale_mixture_density",
-    "LassoPenalty",
-    "ElasticNetPenalty",
     "PosteriorGridSpec",
     "joint_log_posterior",
     "log_posterior_grid",
@@ -204,36 +203,10 @@ def scale_mixture_density(x, mu, p: LossParams) -> float:
 
 
 @dataclass(frozen=True)
-class LassoPenalty:
-    lambda1: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda1 < math.inf:
-            raise ValueError("lambda1 must be finite and > 0")
-
-    def log_prior(self, beta, l1_scale, l2_scale):
-        """-lambda1 |beta| l1_scale, up to a constant; l2_scale is unused."""
-        return -self.lambda1 * np.abs(beta) * l1_scale
-
-
-@dataclass(frozen=True)
-class ElasticNetPenalty:
-    lambda3: float
-    lambda4: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda3 < math.inf and 0.0 < self.lambda4 < math.inf):
-            raise ValueError("lambda3 and lambda4 must be finite and > 0")
-
-    def log_prior(self, beta, l1_scale, l2_scale):
-        """-lambda3 |beta| l1_scale - lambda4 beta^2 / l2_scale, up to a constant."""
-        return -self.lambda3 * np.abs(beta) * l1_scale - self.lambda4 * beta**2 / l2_scale
-
-
-@dataclass(frozen=True)
 class PosteriorGridSpec:
     """Grid evaluation plan for the joint (beta, rho2) posterior surface.
 
+    ``rates`` is a penalty family's pinned ``Rates``, a sampler object.
     prior_style 'conditional' scales the coefficient prior by the
     current rho2 (provably single-moded surface); 'unconditional' keeps
     the prior fixed (can split into several modes).
@@ -243,7 +216,7 @@ class PosteriorGridSpec:
     rho2_grid: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    penalty: LassoPenalty | ElasticNetPenalty
+    rates: tuple
     prior_style: str
     eta: float
     tau: float
@@ -265,8 +238,11 @@ class PosteriorGridSpec:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.prior_style not in ("conditional", "unconditional"):
             raise ValueError("prior_style must be 'conditional' or 'unconditional'")
-        if not (self.eta > 0 and 0.0 < self.tau < 1.0):
-            raise ValueError("need eta > 0 and tau in (0, 1)")
+        if not all(0.0 < r < math.inf for r in self.rates):
+            raise ValueError(f"penalty rates must be finite and > 0, got {self.rates!r}")
+        # the surface squares eta
+        if not (0.0 < self.eta and self.eta * self.eta < math.inf and 0.0 < self.tau < 1.0):
+            raise ValueError("need eta > 0 with a finite square, and tau in (0, 1)")
 
 
 def _log_k0(arg: np.ndarray) -> np.ndarray:
@@ -286,9 +262,11 @@ def _log_posterior(spec: PosteriorGridSpec, beta: np.ndarray, rho2: np.ndarray) 
     the residuals.  Its argument keeps an eta^2 floor, from the 1/sigma
     coefficient of the mixing prior, so it stays >= eta and the surface
     has no residual-interpolation singularities.  The prior style sets
-    only the coefficient scale (1/sqrt(rho2) on the l1 term and rho2
-    under the l2 term, or 1 for both) and the rho2 exponent (n + k/2 + 1
-    or n + 1, with k = 1 for the single-column design).
+    only the scales of ``spec.rates.log_prior`` (1/sqrt(rho2) on the l1
+    term and rho2 under the l2 term, or 1 for both) and the rho2
+    exponent (n + k/2 + 1 or n + 1, with k = 1 for the single-column
+    design); the conditional style is the chain's model at fixed eta and
+    rates.
     """
     n = spec.y.size
     resid = spec.y[None, :] - beta[:, None] * spec.x[:, 0][None, :]  # (B, n)
@@ -299,7 +277,7 @@ def _log_posterior(spec: PosteriorGridSpec, beta: np.ndarray, rho2: np.ndarray) 
         l1_scale, l2_scale, power = 1.0, 1.0, n + 1.0
     else:
         l1_scale, l2_scale, power = 1.0 / np.sqrt(rho2), rho2, n + 0.5 + 1.0
-    prior = spec.penalty.log_prior(beta[:, None], l1_scale, l2_scale) - power * np.log(rho2)
+    prior = spec.rates.log_prior(beta[:, None], l1_scale, l2_scale) - power * np.log(rho2)
     return loglik + prior
 
 

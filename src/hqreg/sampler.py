@@ -14,7 +14,8 @@ family is one object, its hyperparameter dataclass:
 
 Its fields are its config keys.  It names its study ``method`` label
 and ``Rates``, the NamedTuple of its rates whose field names are their
-sample columns, and gives ``init`` (a new state's ``latent`` and
+sample columns and whose ``log_prior`` is the beta | rho2 prior in closed
+form, and gives ``init`` (a new state's ``latent`` and
 ``rates``), ``prior_precision`` (the beta prior's diagonal),
 ``rho2_quadratic`` (rho2 * sum(beta_j^2 * prior_precision_j)),
 ``latent_params`` (the GIG(1/2) parameters of its latents) and
@@ -125,6 +126,11 @@ class LassoHyper:
     class Rates(NamedTuple):
         lambda1_sq: float
 
+        def log_prior(self, beta, l1_scale, l2_scale):
+            """-sqrt(lambda1_sq) |beta| l1_scale: the Laplace marginal of s (Park
+            & Casella 2008), up to a constant; l2_scale is unused."""
+            return -math.sqrt(self.lambda1_sq) * np.abs(beta) * l1_scale
+
     def __post_init__(self):
         if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):
             raise ValueError("lasso hyperparameters must be finite and > 0")
@@ -178,6 +184,12 @@ class ElasticNetHyper:
     class Rates(NamedTuple):
         lambda3_tilde: float
         lambda4: float
+
+        def log_prior(self, beta, l1_scale, l2_scale):
+            """-lambda3 |beta| l1_scale - lambda4 beta^2 / l2_scale, the marginal
+            of t up to a constant, with lambda3 = 2 sqrt(lambda3_tilde lambda4)."""
+            lambda3 = 2.0 * math.sqrt(self.lambda3_tilde * self.lambda4)
+            return -lambda3 * np.abs(beta) * l1_scale - self.lambda4 * beta**2 / l2_scale
 
     def __post_init__(self):
         if not all(0.0 < getattr(self, f.name) < math.inf for f in fields(self)):

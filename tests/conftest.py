@@ -36,28 +36,50 @@ def _chain_state(penalty, *, beta, v, sigma, rho2, eta, latent, **rates):
                       rates=penalty.Rates(**rates))
 
 
-# the step that draws each family's l1 rate, the first of its Rates
-_RATE_STEPS = {LassoHyper: "update_lambda1_sq", ElasticNetHyper: "mh_update_lambda3_tilde"}
+# the steps that draw each family's rates, in the order of its Rates
+_RATE_STEPS = {LassoHyper: ("update_lambda1_sq",),
+               ElasticNetHyper: ("mh_update_lambda3_tilde", "update_lambda4")}
 
 
 @pytest.fixture
 def pin_rate(monkeypatch):
-    """``pin_rate(family, value)`` starts ``family``'s l1 rate at ``value``
-    and makes its rate step return the current rate without drawing, so
-    every chain of the family holds it there: a prior off-switch for
-    nesting checks."""
+    """``pin_rate(family, *values)`` starts ``family``'s first rates, in
+    the order of its Rates, at ``values`` and makes their steps return the
+    current rate without drawing, so every chain of the family holds them
+    there: a prior off-switch for nesting checks, and fixed rates for the
+    surface oracle."""
 
-    def pin(family, value):
+    def pin(family, *values):
         init = family.init
-        name = family.Rates._fields[0]
+        names = family.Rates._fields[: len(values)]
 
         def pinned_init(self, k):
             latent, rates = init(self, k)
-            return latent, rates._replace(**{name: value})
+            return latent, rates._replace(**dict(zip(names, values)))
 
         monkeypatch.setattr(family, "init", pinned_init)
-        monkeypatch.setattr(sampler, _RATE_STEPS[family],
-                            lambda state, *args: getattr(state.rates, name))
+        for name, step in zip(names, _RATE_STEPS[family]):
+            monkeypatch.setattr(sampler, step,
+                                lambda state, *args, name=name: getattr(state.rates, name))
+
+    return pin
+
+
+@pytest.fixture
+def pin_eta(monkeypatch):
+    """``pin_eta(value)`` starts every chain's eta at ``value`` and makes
+    the eta step return the current eta without drawing."""
+
+    def pin(value):
+        initial_state = sampler.initial_state
+
+        def pinned_initial_state(data, spec):
+            state = initial_state(data, spec)
+            state.eta = value
+            return state
+
+        monkeypatch.setattr(sampler, "initial_state", pinned_initial_state)
+        monkeypatch.setattr(sampler, "update_eta_approx", lambda state, *args: state.eta)
 
     return pin
 

@@ -16,8 +16,6 @@ from scipy.integrate import quad
 
 from hqreg.cli import main as cli_main
 from hqreg.loss_density import (
-    ElasticNetPenalty,
-    LassoPenalty,
     LossParams,
     PosteriorGridSpec,
     asym_density,
@@ -134,10 +132,11 @@ def test_criterion_05_multimodality_demonstration():
     rgrid = np.exp(np.linspace(-9.0, 1.0, 200))
     counts = {}
     for label, pen, style in [
-        ("lasso-unconditional", LassoPenalty(1.0), "unconditional"),
-        ("lasso-conditional", LassoPenalty(1.0), "conditional"),
-        ("en-unconditional", ElasticNetPenalty(1.0, 1.0), "unconditional"),
-        ("en-conditional", ElasticNetPenalty(1.0, 1.0), "conditional"),
+        # lambda1 = 1; lambda3 = 2 sqrt(lambda3_tilde lambda4) = 1, lambda4 = 1
+        ("lasso-unconditional", LassoHyper.Rates(1.0), "unconditional"),
+        ("lasso-conditional", LassoHyper.Rates(1.0), "conditional"),
+        ("en-unconditional", ElasticNetHyper.Rates(0.25, 1.0), "unconditional"),
+        ("en-conditional", ElasticNetHyper.Rates(0.25, 1.0), "conditional"),
     ]:
         z = log_posterior_grid(PosteriorGridSpec(bgrid, rgrid, x, y, pen, style, 1.0, 0.5))
         counts[label] = count_strict_local_maxima(z)

@@ -535,6 +535,10 @@ class TestFailedRunOutput:
         ("contour", "lambda1=inf"),
         ("contour", "penalty=en;lambda3=nan"),
         ("contour", "penalty=en;lambda4=inf"),
+        # keys whose map to the family's rates leaves the double range
+        ("contour", "lambda1=1e200"),
+        ("contour", "lambda1=1e-200"),
+        ("contour", "penalty=en;lambda3=1e200"),
         ("contour", "log_beta_min=nan"),
         # a negative seed, a non-finite hyperparameter or fewer than 2 kept
         # draws is refused before the directory, not when the chain runs
@@ -634,6 +638,14 @@ class TestFailedRunOutput:
         # a flag is one config line, which holds no line break
         (["fit", "--out", "new/a\nb"], "", "config-error: "),
         (["fit", "--out", "new/a\u2028b"], "", "config-error: "),
+        # an eta the surface cannot square, and grid bounds whose exp
+        # overflows or underflows to 0 (on a 5-point grid only the first
+        # point underflows, so the grid still increases)
+        (["contour"], "eta=inf", "config-error: "),
+        (["contour"], "eta=1e200", "config-error: "),
+        (["contour"], "log_beta_min=-800\ngrid_size=5", "config-error: "),
+        (["contour"], "log_beta_max=800", "config-error: "),
+        (["contour"], "log_rho2_max=800", "config-error: "),
     ])
     def test_bad_input_prints_one_line(self, toy_csv, tmp_path, capsys, monkeypatch,
                                        args, config, start):

@@ -12,8 +12,6 @@ from scipy.special import k0, kv
 
 from hqreg import loss_density
 from hqreg.loss_density import (
-    ElasticNetPenalty,
-    LassoPenalty,
     LossParams,
     PosteriorGridSpec,
     asym_density,
@@ -27,6 +25,7 @@ from hqreg.loss_density import (
     scale_mixture_density,
 )
 from hqreg.randist import RngStream, ald_sample
+from hqreg.sampler import ElasticNetHyper, LassoHyper
 
 
 def toy_regression(seed: int = 36, n: int = 10, noise_sigma: float = 0.03):
@@ -148,7 +147,8 @@ def surface_oracle(spec, beta, rho2):
     """Log posterior at one (beta, rho2), point by point from the formula: the
     sum over i of log z_i^(lambda-1) K_(lambda-1)(z_i) at the chain's mixing
     index lambda, z_i = sqrt(eta^2 + eta rho_tau(y_i - beta x_i) / rho2),
-    plus the log prior of beta and rho2 under the spec's penalty and style."""
+    plus the log prior of beta and rho2 under the spec's rates and style: the
+    l1 rate is sqrt(lambda1_sq) or 2 sqrt(lambda3_tilde lambda4)."""
     eta, tau = spec.eta, spec.tau
     order = loss_density.CHAIN_MIXING_INDEX - 1.0
     loglik = 0.0
@@ -157,11 +157,11 @@ def surface_oracle(spec, beta, rho2):
         loss = e * (tau - (e < 0))
         z = math.sqrt(eta**2 + eta * loss / rho2)
         loglik += order * math.log(z) + math.log(kv(order, z))
-    pen = spec.penalty
-    if isinstance(pen, LassoPenalty):
-        l1, l2 = pen.lambda1, 0.0
+    rates = spec.rates
+    if isinstance(rates, LassoHyper.Rates):
+        l1, l2 = math.sqrt(rates.lambda1_sq), 0.0
     else:
-        l1, l2 = pen.lambda3, pen.lambda4
+        l1, l2 = 2.0 * math.sqrt(rates.lambda3_tilde * rates.lambda4), rates.lambda4
     n = spec.y.size
     if spec.prior_style == "conditional":
         # k = 1 coefficient
@@ -172,13 +172,17 @@ def surface_oracle(spec, beta, rho2):
     return loglik + prior
 
 
+# each penalty's rates at lambda1 = 0.7, and at lambda3 = 0.7, lambda4 = 1.3
+RATES_07 = [LassoHyper.Rates(0.7 * 0.7), ElasticNetHyper.Rates(0.7 * 0.7 / (4.0 * 1.3), 1.3)]
+
+
 class TestJointLogPosterior:
     def setup_method(self):
         x, y = toy_regression()
         self.bgrid = np.exp(np.linspace(-3.0, 2.0, 120))
         self.rgrid = np.exp(np.linspace(-9.0, 1.0, 120))
         self.spec = PosteriorGridSpec(
-            self.bgrid, self.rgrid, x, y, LassoPenalty(1.0), "unconditional", 1.0, 0.5
+            self.bgrid, self.rgrid, x, y, LassoHyper.Rates(1.0), "unconditional", 1.0, 0.5
         )
 
     def test_scalar_matches_grid(self):
@@ -188,7 +192,7 @@ class TestJointLogPosterior:
                 direct = joint_log_posterior(self.bgrid[i], self.rgrid[j], self.spec)
                 assert z[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
 
-    @pytest.mark.parametrize("penalty", [LassoPenalty(0.7), ElasticNetPenalty(0.7, 1.3)])
+    @pytest.mark.parametrize("penalty", RATES_07)
     @pytest.mark.parametrize("style", ["unconditional", "conditional"])
     def test_grid_matches_pointwise_oracle(self, penalty, style):
         x, y = toy_regression()
@@ -203,7 +207,7 @@ class TestJointLogPosterior:
         # n = 1, x = 0, y = 1: the residual is 1 at every beta, so at tau = 0.25
         # its check loss is 0.25; 0.75 would be the mirrored quantile's
         spec = PosteriorGridSpec(np.array([1.0, 2.0]), np.array([1.0, 2.0]), [0.0], [1.0],
-                                 LassoPenalty(1.0), "unconditional", 1.3, 0.25)
+                                 LassoHyper.Rates(1.0), "unconditional", 1.3, 0.25)
         expect = np.log(k0(np.sqrt(1.3**2 + 1.3 * 0.25))) - 1.0
         assert expect == pytest.approx(-2.4376, abs=1e-4)
         assert log_posterior_grid(spec)[0, 0] == pytest.approx(expect, rel=1e-12)
@@ -221,10 +225,10 @@ class TestJointLogPosterior:
         bgrid = np.exp(np.linspace(-3.0, 2.0, 200))
         rgrid = np.exp(np.linspace(-9.0, 1.0, 200))
         combos = [
-            (LassoPenalty(1.0), "unconditional"),
-            (LassoPenalty(1.0), "conditional"),
-            (ElasticNetPenalty(1.0, 1.0), "unconditional"),
-            (ElasticNetPenalty(1.0, 1.0), "conditional"),
+            (LassoHyper.Rates(1.0), "unconditional"),
+            (LassoHyper.Rates(1.0), "conditional"),
+            (ElasticNetHyper.Rates(0.25, 1.0), "unconditional"),
+            (ElasticNetHyper.Rates(0.25, 1.0), "conditional"),
         ]
         counts = []
         for pen, style in combos:
@@ -235,7 +239,7 @@ class TestJointLogPosterior:
         assert counts[2] >= 2
         assert counts[3] == 1
 
-    @pytest.mark.parametrize("penalty", [LassoPenalty(0.7), ElasticNetPenalty(0.7, 1.3)])
+    @pytest.mark.parametrize("penalty", RATES_07)
     @pytest.mark.parametrize("style", ["unconditional", "conditional"])
     def test_grid_rows_equal_whole_grid(self, penalty, style):
         x, y = toy_regression(n=37)
@@ -249,7 +253,7 @@ class TestJointLogPosterior:
         # beta row's is 160 kB
         x, y = toy_regression(n=100)
         spec = PosteriorGridSpec(np.exp(np.linspace(-3.0, 2.0, 200)),
-                                 np.exp(np.linspace(-9.0, 1.0, 200)), x, y, LassoPenalty(1.0),
+                                 np.exp(np.linspace(-9.0, 1.0, 200)), x, y, LassoHyper.Rates(1.0),
                                  "unconditional", 1.0, 0.5)
         tracemalloc.start()
         try:
@@ -272,7 +276,7 @@ class TestJointLogPosterior:
         # which is the substance of the claim, is what is asserted.)
         x, y = toy_regression()
         spec = PosteriorGridSpec(
-            self.bgrid, self.rgrid, x, y, LassoPenalty(1.0), "conditional", 1.0, 0.5
+            self.bgrid, self.rgrid, x, y, LassoHyper.Rates(1.0), "conditional", 1.0, 0.5
         )
 
         def g(phi, xi):
@@ -297,7 +301,7 @@ class TestJointLogPosterior:
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
             PosteriorGridSpec(
-                np.array([2.0, 1.0]), self.rgrid, [1.0], [1.0], LassoPenalty(1.0),
+                np.array([2.0, 1.0]), self.rgrid, [1.0], [1.0], LassoHyper.Rates(1.0),
                 "conditional", 1.0, 0.5,
             )
         with pytest.raises(ValueError):
@@ -310,7 +314,7 @@ class TestJointLogPosterior:
         grids = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])]
         grids[which][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            PosteriorGridSpec(*grids, [1.0], [1.0], LassoPenalty(1.0), "conditional", 1.0, 0.5)
+            PosteriorGridSpec(*grids, [1.0], [1.0], LassoHyper.Rates(1.0), "conditional", 1.0, 0.5)
 
 
 class TestLocalMaximaCounter:

@@ -1,5 +1,6 @@
-"""Gibbs updates against analytic full conditionals, moment oracles, and a
-joint prior-consistency (successive-conditional) check."""
+"""Gibbs updates against analytic full conditionals, moment oracles, a
+joint prior-consistency (successive-conditional) check, and the whole
+chain at fixed data against the posterior surface's quadrature."""
 
 import math
 import warnings
@@ -1148,3 +1149,74 @@ class TestPriorConsistency:
         z = (chain_mean - prior_mean) / np.sqrt(prior_se**2 + chain_se**2)
         assert np.all(np.abs(z) < 4.0), f"z-scores {z.round(2)}"
         assert health.eta_update_skips == 0
+
+
+def _batch_z(draws: np.ndarray, expect: np.ndarray, n_batches: int = 50) -> np.ndarray:
+    """(mean of each column - expect) / its batch-means standard error."""
+    usable = draws[: draws.shape[0] - draws.shape[0] % n_batches]
+    batch_means = usable.reshape(n_batches, -1, draws.shape[1]).mean(axis=1)
+    se = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return (draws.mean(axis=0) - expect) / se
+
+
+class TestSurfaceOracle:
+    """The whole chain at fixed data against an exact answer.
+
+    With eta and the penalty rates held fixed, one predictor and no
+    intercept, the conditional-style posterior surface is the chain's
+    (beta, rho2) marginal: sigma, v and the penalty latents integrate out
+    in closed form, and the coefficient prior is the family's own
+    ``Rates.log_prior``.  Its quadrature over beta x log rho2, with the
+    Jacobian rho2, gives the reference means and sds of beta and log rho2,
+    and the CDF of beta.  The seeds and thresholds were fixed before the
+    first run.
+    """
+
+    SCANS, BURN_IN, GRID, THIN = 20_000, 1_000, 601, 20
+
+    @pytest.mark.parametrize("family,tau,eta,rates", [
+        (LassoHyper, 0.5, 1.0, (1.0,)),
+        (LassoHyper, 0.3, 0.4, (4.0,)),
+        (ElasticNetHyper, 0.5, 1.0, (1.0, 1.0)),
+        (ElasticNetHyper, 0.3, 0.5, (0.3, 3.0)),
+    ])
+    def test_chain_matches_surface_quadrature(self, pin_rate, pin_eta, family, tau, eta, rates):
+        gen = RngStream(150).generator()
+        x = gen.standard_normal(20)
+        y = x + gen.standard_t(3, size=20)
+        pin_rate(family, *rates)
+        pin_eta(eta)
+        spec = ModelSpec(tau=tau, penalty=family(), n_iter=self.SCANS, burn_in=self.BURN_IN,
+                         seed=151)
+        samples = run_chain(Dataset(x[:, None], y), spec)
+        draws = np.column_stack([samples.draws[:, 0], np.log(samples.draws[:, 1])])
+        assert np.all(samples.draws[:, 2] == eta)
+        assert np.all(samples.draws[:, 3:] == rates)
+
+        # the window spans 15 chain sds each side (beta's tails are
+        # exponential); the edge check below shows it holds the surface's mass
+        centre, spread = draws.mean(axis=0), 15.0 * draws.std(axis=0)
+        bgrid, ugrid = (np.linspace(c - s, c + s, self.GRID) for c, s in zip(centre, spread))
+        surface = loss_density.PosteriorGridSpec(bgrid, np.exp(ugrid), x, y, family.Rates(*rates),
+                                                 "conditional", eta, tau)
+        logp = loss_density.log_posterior_grid(surface) + ugrid[None, :]
+        logp -= logp.max()
+        edges = np.concatenate([logp[0], logp[-1], logp[:, 0], logp[:, -1]])
+        assert edges.max() < -20.0
+        p = np.exp(logp)
+        p /= p.sum()
+        mean = np.array([bgrid @ p.sum(axis=1), ugrid @ p.sum(axis=0)])
+        var = np.array([(bgrid - mean[0]) ** 2 @ p.sum(axis=1),
+                        (ugrid - mean[1]) ** 2 @ p.sum(axis=0)])
+
+        # means of beta and log rho2, then their centred squares: the sds
+        z = _batch_z(np.column_stack([draws, (draws - mean) ** 2]), np.concatenate([mean, var]))
+        assert np.all(np.abs(z) < 4.0), f"z-scores {z.round(2)}"
+
+        # beta thinned to near-independence against the quadrature CDF,
+        # each grid cell's mass spread evenly over its width
+        step = bgrid[1] - bgrid[0]
+        cdf_knots = np.concatenate([[0.0], np.cumsum(p.sum(axis=1))])
+        cell_edges = np.concatenate([bgrid - step / 2, [bgrid[-1] + step / 2]])
+        ks = stats.kstest(draws[:: self.THIN, 0], lambda b: np.interp(b, cell_edges, cdf_knots))
+        assert ks.pvalue > 1e-3, f"KS p = {ks.pvalue:.2g}, z-scores {z.round(2)}"

@@ -53,6 +53,11 @@ COMMANDS = [
     ("sensitivity", ["sensitivity", "--iters", "300", "--burnin", "100", "--seed", "5"], None),
     *((f"contour-{pen}-{style}", ["contour", "--penalty", pen], [f"prior_style={style}"])
       for pen in ("lasso", "en") for style in ("unconditional", "conditional")),
+    # rates off the defaults, through each family's map from the contour keys
+    ("contour-lasso-rates", ["contour", "--penalty", "lasso", "--tau", "0.3"],
+     ["lambda1=0.7", "eta=1.3", "prior_style=conditional"]),
+    ("contour-en-rates", ["contour", "--penalty", "en"],
+     ["lambda3=0.7", "lambda4=1.3", "prior_style=conditional"]),
 ]
 
 # commands that must fail, one per error class: config-error, data-error,
