@@ -582,8 +582,14 @@ def cmd_contour(cfg: RunConfig) -> list:
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
+    # eta times a check loss over a tiny rho2 can overflow on a grid whose
+    # ends are each finite: refuse it before the directory is made
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            z = log_posterior_grid(spec)
+    except FloatingPointError as exc:
+        raise CliError("config-error", f"the log posterior is not finite on this grid: {exc}") from exc
     outdir = _outdir(cfg)
-    z = log_posterior_grid(spec)
     # one row per (beta_i, rho2_j), beta-major
     rows = np.column_stack([np.repeat(np.log(bgrid), size), np.tile(np.log(rgrid), size),
                             z.ravel()])

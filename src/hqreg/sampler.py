@@ -8,9 +8,9 @@ independent GIG(1/2) variables, so one GIG call draws all n + k of them
 family is one object, its hyperparameter dataclass:
 
 * LassoHyper: coefficient scales s_j with a gamma-updated squared rate;
-* ElasticNetHyper: shifted latents t_j > 1 with a gamma step for the
-  ridge rate and a one-step Metropolis-Hastings move for the
-  reparameterised l1 rate.
+* ElasticNetHyper: latents u_j = t_j - 1 > 0, stored as drawn, with a
+  gamma step for the ridge rate and a one-step Metropolis-Hastings move
+  for the reparameterised l1 rate.
 
 Its fields are its config keys.  It names its study ``method`` label
 and ``Rates``, the NamedTuple of its rates whose field names are their
@@ -19,8 +19,8 @@ form, and gives ``init`` (a new state's ``latent`` and
 ``rates``), ``prior_precision`` (the beta prior's diagonal),
 ``rho2_quadratic`` (rho2 * sum(beta_j^2 * prior_precision_j)),
 ``latent_params`` (the GIG(1/2) parameters of its latents) and
-``update`` (which takes the joint draw back, sets v and ``latent`` and
-draws ``rates``).  Every latent block has a generalised inverse Gaussian full conditional.  The
+``update`` (which draws ``rates``; :func:`run_chain` sets v and ``latent``
+from the joint draw).  Every latent block has a generalised inverse Gaussian full conditional.  The
 orders of the sigma and rho2 blocks follow the chain's GIG mixing index
 lambda, ``loss_density.CHAIN_MIXING_INDEX``.  The robustness parameter
 eta is updated by a gamma approximation whose (shape, rate) pair is
@@ -71,8 +71,6 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-300
-# 1 + 2^-52 is the double next above 1: the floor of t - 1 keeps t > 1
-_T_GAP_FLOOR = 2.0**-52
 _ETA_REFINE_ITERS = 10
 _ETA_REFINE_TOL = 1e-8
 
@@ -158,12 +156,7 @@ class LassoHyper:
         d /= math.sqrt(state.rho2)
         return math.sqrt(state.rates.lambda1_sq), d
 
-    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
-               drawn: np.ndarray) -> None:
-        """Take v and s from ``drawn`` (v's n draws, then s's k), clamped
-        together, then draw the rate."""
-        drawn = _clamp_positive(drawn, health)
-        state.v, state.latent = drawn[: data.n], drawn[data.n:]
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
         state.rates = self.Rates(update_lambda1_sq(state, data, spec, gen))
 
 
@@ -187,7 +180,7 @@ class ElasticNetHyper:
 
         def log_prior(self, beta, l1_scale, l2_scale):
             """-lambda3 |beta| l1_scale - lambda4 beta^2 / l2_scale, the marginal
-            of t up to a constant, with lambda3 = 2 sqrt(lambda3_tilde lambda4)."""
+            of u up to a constant, with lambda3 = 2 sqrt(lambda3_tilde lambda4)."""
             lambda3 = 2.0 * math.sqrt(self.lambda3_tilde * self.lambda4)
             return -lambda3 * np.abs(beta) * l1_scale - self.lambda4 * beta**2 / l2_scale
 
@@ -200,34 +193,28 @@ class ElasticNetHyper:
         return (self.a3, self.b3)
 
     def init(self, k: int) -> tuple:
-        return np.full(k, 2.0), self.Rates(1.0, 1.0)
+        return np.ones(k), self.Rates(1.0, 1.0)
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
-        return (2.0 * state.rates.lambda4 / state.rho2) * state.latent / (state.latent - 1.0)
+        return (2.0 * state.rates.lambda4 / state.rho2) * (1.0 + state.latent) / state.latent
 
     def rho2_quadratic(self, state: ChainState) -> float:
-        quad = 2.0 * state.rates.lambda4 * state.latent
+        quad = 1.0 + state.latent
+        quad *= 2.0 * state.rates.lambda4
         quad *= state.beta**2
-        quad /= state.latent - 1.0
+        quad /= state.latent
         return float(quad.sum())
 
     @staticmethod
     def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
-        """(c, d) of the GIG(1/2) t_j - 1: sqrt(2 l3t) and
+        """(c, d) of the GIG(1/2) u_j: sqrt(2 l3t) and
         |beta_j| sqrt(2 l4 / rho2), d written to ``out`` when given."""
         d = np.abs(state.beta, out=out)
         lam3_tilde, lam4 = state.rates
         d *= math.sqrt(2.0 * lam4 / state.rho2)
         return math.sqrt(2.0 * lam3_tilde), d
 
-    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health,
-               drawn: np.ndarray) -> None:
-        """Take v and t - 1 from ``drawn`` (v's n draws, then the k of
-        t - 1), then draw the rates."""
-        state.v = _clamp_positive(drawn[: data.n], health)
-        # the clamp sees (1 + x) - 1, which is 0 or at least 2^-52: an x
-        # below 2^-53 becomes 0, is counted and floored at 2^-52, so t > 1
-        state.latent = 1.0 + _clamp_positive((1.0 + drawn[data.n:]) - 1.0, health, _T_GAP_FLOOR)
+    def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
         lam4 = update_lambda4(state, data, spec, gen)
         lam3_tilde = mh_update_lambda3_tilde(state, data, spec, gen, health)
         state.rates = self.Rates(lam3_tilde, lam4)
@@ -276,7 +263,8 @@ class ChainState:
     """Current values of every sampled block.
 
     The penalty family's ``init`` gives ``latent``, its latents (s_j for
-    the lasso, t_j > 1 for the elastic net), and ``rates``, its ``Rates``.
+    the lasso; u_j = t_j - 1 for the elastic net, stored as drawn), and
+    ``rates``, its ``Rates``.
     """
 
     beta: np.ndarray
@@ -418,7 +406,7 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, gen,
                          resid: np.ndarray) -> np.ndarray:
     """v and the penalty family's latents in one GIG(1/2) call: the n
     draws of :func:`update_v`, then the k of :func:`update_s` (lasso) or
-    of :func:`update_t` less one (elastic net).
+    :func:`update_t` (elastic net, t_j - 1 as drawn).
 
     Given beta and sigma the two blocks are independent, and numpy draws
     Wald variates element by element in index order, so when every pair
@@ -469,67 +457,47 @@ def update_lambda1_sq(state: ChainState, data: Dataset, spec: ModelSpec, gen) ->
 
 
 def update_t(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
-    """Elastic-net latents t_j > 1; t_j - 1 is GIG(1/2, 2 l3t, 2 l4 beta_j^2/rho2)."""
-    return 1.0 + gig_rvs(gen, 0.5, *ElasticNetHyper.latent_params(state))
+    """Elastic-net latents u_j = t_j - 1, GIG(1/2, 2 l3t, 2 l4 beta_j^2/rho2)."""
+    return gig_rvs(gen, 0.5, *ElasticNetHyper.latent_params(state))
 
 
 def update_lambda4(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
-    """Gamma(k/2 + a2, sum(t beta^2 / (rho2 (t-1))) + b2) draw for the ridge rate."""
+    """Gamma(k/2 + a2, sum((1 + u) beta^2 / (rho2 u)) + b2) draw for the ridge rate."""
     hyper = spec.penalty
     shape = data.k / 2.0 + hyper.a2
-    quad = state.beta**2
-    quad *= state.latent
-    scaled = state.latent - 1.0
-    scaled *= state.rho2
-    quad /= scaled
+    quad = 1.0 + state.latent
+    quad *= state.beta**2
+    quad /= state.latent * state.rho2
     rate = float(quad.sum()) + hyper.b2
     return float(gen.gamma(shape) / rate)
 
 
-def _log_lambda3_target(lam: float, k: int, sum_t: float, a1: float, b1: float) -> float:
-    return (
-        -k * specfun.log_upper_gamma_half(lam)
-        + (k / 2.0 + a1 - 1.0) * math.log(lam)
-        - (sum_t + b1) * lam
-    )
-
-
-def lambda3_log_accept_ratio(current: float, proposal: float, k: int, sum_t: float,
-                             a1: float, b1: float) -> float:
+def lambda3_log_accept_ratio(current: float, proposal: float, k: int) -> float:
     """log of the Metropolis-Hastings ratio for the l1-rate move.
 
-    Target kernel Gamma^{-k}(1/2, lam) lam^{k/2+a1-1} exp(-(sum_t+b1) lam)
-    against the independence proposal Gamma(k+a1, b1 + sum_t - k);
-    identically zero when k = 0 (target and proposal coincide).
+    The target kernel Gamma^{-k}(1/2, lam) lam^{k/2+a1-1} exp(-(b1 + k + sum(u)) lam)
+    over the independence proposal Gamma(k + a1, b1 + sum(u)) is
+    exp(-k l(lam)), l(lam) = log Gamma(1/2, lam) + log(lam)/2 + lam: a1, b1
+    and sum(u) cancel.  Identically zero when k = 0.
     """
-    prop_rate = b1 + (sum_t - k)
-
-    def log_q(lam: float) -> float:
-        return (k + a1 - 1.0) * math.log(lam) - prop_rate * lam
-
-    return (
-        _log_lambda3_target(proposal, k, sum_t, a1, b1)
-        - _log_lambda3_target(current, k, sum_t, a1, b1)
-        + log_q(current)
-        - log_q(proposal)
-    )
+    ell_proposal, ell_current = (specfun.log_upper_gamma_half(lam) + 0.5 * math.log(lam) + lam
+                                 for lam in (proposal, current))
+    return -k * (ell_proposal - ell_current)
 
 
 def mh_update_lambda3_tilde(state: ChainState, data: Dataset, spec: ModelSpec, gen,
                             health: ChainHealth) -> float:
     """One Metropolis-Hastings step for the reparameterised l1 rate.
 
-    Independence proposal Gamma(k + a1, b1 + sum(t_j - 1)), whose tail
-    matches the target; the acceptance ratio is assembled entirely in
-    log space (the incomplete-gamma factor via its stable logarithm).
+    Independence proposal Gamma(k + a1, b1 + sum(u_j)), whose tail matches
+    the target; the acceptance ratio is assembled entirely in log space
+    (the incomplete-gamma factor via its stable logarithm).
     """
     hyper = spec.penalty
     k = data.k
     current = state.rates.lambda3_tilde
-    sum_t = float(state.latent.sum())
-    prop_rate = hyper.b1 + (sum_t - k)
-    proposal = float(gen.gamma(k + hyper.a1) / prop_rate)
-    log_ratio = lambda3_log_accept_ratio(current, proposal, k, sum_t, hyper.a1, hyper.b1)
+    proposal = float(gen.gamma(k + hyper.a1) / (hyper.b1 + float(state.latent.sum())))
+    log_ratio = lambda3_log_accept_ratio(current, proposal, k)
     u = gen.random()
     accept = math.log(u) < log_ratio if u > 0 else True
     health.mh_proposals += 1
@@ -593,17 +561,17 @@ def update_eta_approx(state: ChainState, spec: ModelSpec, gen,
     return float(gen.gamma(A) / B)
 
 
-def _clamp_positive(arr: np.ndarray, health: ChainHealth,
-                    floor: float = _POSITIVITY_FLOOR) -> np.ndarray:
-    """Floor a latent array at ``floor``, counting the floored entries.
+def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
+    """Floor a latent array at _POSITIVITY_FLOOR, counting the floored
+    entries.
 
     Returns ``arr`` itself when nothing is below the floor; NaN entries
     pass through uncounted.
     """
-    if arr.min(initial=math.inf) >= floor:
+    if arr.min(initial=math.inf) >= _POSITIVITY_FLOOR:
         return arr
-    health.positivity_clamps += int((arr < floor).sum())
-    return np.maximum(arr, floor)
+    health.positivity_clamps += int((arr < _POSITIVITY_FLOOR).sum())
+    return np.maximum(arr, _POSITIVITY_FLOOR)
 
 
 def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
@@ -642,9 +610,11 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
                 resid = data.y - data.X @ state.beta
                 state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
                 block = "v and penalty latents"
-                drawn = update_v_and_latents(state, data, spec, gen, resid)
+                drawn = _clamp_positive(update_v_and_latents(state, data, spec, gen, resid),
+                                        health)
+                state.v, state.latent = drawn[: data.n], drawn[data.n:]
                 block = "penalty"
-                penalty.update(state, data, spec, gen, health, drawn)
+                penalty.update(state, data, spec, gen, health)
                 block = "rho2"
                 state.rho2 = update_rho2(state, data, spec, gen)
                 if state.rho2 < _POSITIVITY_FLOOR:

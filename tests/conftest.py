@@ -30,7 +30,7 @@ def _linear_map(draw, n_normals):
 
 def _chain_state(penalty, *, beta, v, sigma, rho2, eta, latent, **rates):
     """A ChainState of ``penalty``'s family (its class or an instance):
-    ``latent`` is s (lasso) or t (elastic net), and ``rates`` are named by
+    ``latent`` is s (lasso) or t - 1 (elastic net), and ``rates`` are named by
     the family's rate columns."""
     return ChainState(beta=beta, v=v, sigma=sigma, rho2=rho2, eta=eta, latent=latent,
                       rates=penalty.Rates(**rates))

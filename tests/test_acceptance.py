@@ -200,12 +200,13 @@ def test_criterion_08_quantile_level_ordering():
 
 
 def test_criterion_09_mh_long_run_marginal(chain_state):
+    # the state holds u = t - 1 = (0.5, 0.5); the target below is written in t
     sum_t, a1, b1, k = 3.0, 1.0, 1.0, 2
     data = Dataset(np.ones((1, 2)), np.zeros(1))
     spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a1=a1, b1=b1))
     state = chain_state(
         ElasticNetHyper, beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0, eta=1.0,
-        latent=np.array([1.5, 1.5]), lambda3_tilde=1.0, lambda4=1.0,
+        latent=np.array([0.5, 0.5]), lambda3_tilde=1.0, lambda4=1.0,
     )
     gen = RngStream(9100).generator()
     n_steps = 100_000

@@ -315,6 +315,20 @@ class TestFitCommand:
         assert err.startswith("config-error: ") and f"key '{key}' is fixed at {fixed}" in err
         assert not out.exists()
 
+    def test_no_intercept_writes_k_columns(self, toy_csv, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        (tmp_path / "run.cfg").write_text("intercept=false\n")
+        assert run_cli(["fit", "--input", toy_csv, "--out", out1, "--config",
+                        tmp_path / "run.cfg", "--iters", 60, "--burnin", 10]) == 0
+        header = next(csv.reader(open(out1 / "samples.csv")))
+        assert [c for c in header if c.startswith("beta_")] == [
+            "beta_0:x1", "beta_1:x2", "beta_2:x3"]
+        assert not any("intercept" in c for c in header)
+        assert "intercept=false" in (out1 / "manifest.txt").read_text().splitlines()
+        assert run_cli(["fit", "--config", out1 / "manifest.txt", "--out", out2]) == 0
+        for name in ("samples.csv", "summary.csv", "chain-health.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_no_standardise_flag(self, toy_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(["fit", "--input", toy_csv, "--out", out1, "--iters", 60,
@@ -646,6 +660,11 @@ class TestFailedRunOutput:
         (["contour"], "log_beta_min=-800\ngrid_size=5", "config-error: "),
         (["contour"], "log_beta_max=800", "config-error: "),
         (["contour"], "log_rho2_max=800", "config-error: "),
+        # eta's square is finite, but eta times a check loss over the
+        # smallest rho2 overflows
+        (["contour"], "eta=1e100\nlog_rho2_min=-700\ngrid_size=5",
+         "config-error: the log posterior is not finite on this grid: "
+         "overflow encountered in divide\n"),
     ])
     def test_bad_input_prints_one_line(self, toy_csv, tmp_path, capsys, monkeypatch,
                                        args, config, start):

@@ -603,7 +603,7 @@ class TestGigAlwaysReturns:
 
 
 class TestGigShifted:
-    """1 + X with X ~ GIG, as the elastic-net latents t_j > 1 are drawn."""
+    """1 + X with X ~ GIG: the elastic-net latents t_j = 1 + u_j of drawn u_j stay above 1."""
 
     def test_always_above_one(self):
         out = 1.0 + gig_rvs(RngStream(20).generator(), 0.5, np.full(5000, 2.0), np.full(5000, 1.0))

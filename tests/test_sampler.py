@@ -185,7 +185,7 @@ class TestUpdateBetaForms:
         if isinstance(penalty, LassoHyper):
             latent, rates = gen0.uniform(0.5, 2.0, k), dict(lambda1_sq=1.0)
         else:
-            latent, rates = gen0.uniform(1.2, 3.0, k), dict(lambda3_tilde=1.0, lambda4=0.7)
+            latent, rates = gen0.uniform(0.2, 2.0, k), dict(lambda3_tilde=1.0, lambda4=0.7)
         state = chain_state(penalty, beta=np.zeros(k), v=v, sigma=sigma, rho2=0.8, eta=1.3,
                             latent=latent, **rates)
         return data, spec, state
@@ -196,8 +196,8 @@ class TestUpdateBetaForms:
         if isinstance(spec.penalty, LassoHyper):
             prior = 1.0 / (state.rho2 * state.latent)
         else:
-            t = state.latent
-            prior = 2.0 * state.rates.lambda4 * t / (state.rho2 * (t - 1.0))
+            u = state.latent
+            prior = 2.0 * state.rates.lambda4 * (1.0 + u) / (state.rho2 * u)
         precision = (data.X * winv[:, None]).T @ data.X + np.diag(prior)
         cov = np.linalg.inv(precision)
         h = (data.X * winv[:, None]).T @ (data.y - (1 - 2 * spec.tau) * state.v)
@@ -368,7 +368,7 @@ class TestUpdateRho2:
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
     def test_elastic_large_t_limit(self, chain_state, chain_index):
-        # t -> inf: the j-th 1/x coefficient term tends to 2 lam4 beta_j^2
+        # u = t - 1 -> inf: the j-th 1/x coefficient term tends to 2 lam4 beta_j^2
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
         state = chain_state(
@@ -429,19 +429,21 @@ class TestElasticBlock:
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
         state = chain_state(
             ElasticNetHyper, beta=np.array([0.0, 0.5, -2.0]), v=np.ones(1), sigma=np.ones(1),
-            rho2=1.0, eta=1.0, latent=np.full(3, 2.0), lambda3_tilde=0.8, lambda4=1.1,
+            rho2=1.0, eta=1.0, latent=np.ones(3), lambda3_tilde=0.8, lambda4=1.1,
         )
+        # the block draws u = t - 1, so t > 1 is u > 0
         draws = update_t(state, data, spec, RngStream(340).generator())
-        assert np.all(draws > 1.0)
+        assert np.all(draws > 0.0)
 
     def test_lambda4_gamma_moments(self, chain_state):
         data = Dataset(np.ones((1, 2)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a2=2.0, b2=1.5))
         state = chain_state(
             ElasticNetHyper, beta=np.array([0.5, 1.0]), v=np.ones(1), sigma=np.ones(1), rho2=2.0,
-            eta=1.0, latent=np.array([2.0, 3.0]), lambda3_tilde=1.0, lambda4=1.0,
+            eta=1.0, latent=np.array([1.0, 2.0]), lambda3_tilde=1.0, lambda4=1.0,
         )
-        rate = (2.0 * 0.25 / (2.0 * 1.0) + 3.0 * 1.0 / (2.0 * 2.0)) + 1.5
+        # sum((1 + u) beta^2 / (rho2 u)) + b2 at u = t - 1 = (1, 2)
+        rate = ((1.0 + 1.0) * 0.25 / (2.0 * 1.0) + (1.0 + 2.0) * 1.0 / (2.0 * 2.0)) + 1.5
         shape = 1.0 + 2.0
         gen = RngStream(341).generator()
         draws = np.array([update_lambda4(state, data, spec, gen) for _ in range(50_000)])
@@ -451,11 +453,13 @@ class TestElasticBlock:
         gen = RngStream(342).generator()
         for _ in range(20):
             cur, prop = gen.uniform(0.01, 5.0, size=2)
-            assert lambda3_log_accept_ratio(cur, prop, 0, 0.0, 1.3, 0.7) == pytest.approx(0.0, abs=1e-12)
+            assert lambda3_log_accept_ratio(cur, prop, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_mh_ratio_against_quadrature_oracle(self):
         # k = 2, sum t = 3, a1 = b1 = 1, move 1 -> 2, oracle via direct
-        # quadrature of the upper incomplete gamma factors
+        # quadrature of the upper incomplete gamma factors; the oracle keeps
+        # the full target and proposal in t, so it checks that a1, b1 and
+        # sum t cancel from the ratio
         def upper_half(x):
             val, _ = quad(lambda t: t**-0.5 * np.exp(-t), x, np.inf, epsabs=1e-14)
             return val
@@ -467,19 +471,19 @@ class TestElasticBlock:
             return 2.0 * math.log(lam) - 2.0 * lam
 
         oracle = (log_target(2.0) - log_target(1.0)) + (log_prop(1.0) - log_prop(2.0))
-        got = lambda3_log_accept_ratio(1.0, 2.0, 2, 3.0, 1.0, 1.0)
+        got = lambda3_log_accept_ratio(1.0, 2.0, 2)
         assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_mh_long_run_marginal(self, chain_state):
-        # frozen latents: the chain's stationary law must match the
-        # quadrature-normalised target (smaller companion of the full
-        # acceptance-scale run)
+        # frozen latents u = t - 1: the chain's stationary law must match the
+        # quadrature-normalised target, written in t (smaller companion of
+        # the full acceptance-scale run)
         sum_t, a1, b1, k = 3.0, 1.0, 1.0, 2
         data = Dataset(np.ones((1, 2)), np.zeros(1))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper(a1=a1, b1=b1))
         state = chain_state(
             ElasticNetHyper, beta=np.zeros(2), v=np.ones(1), sigma=np.ones(1), rho2=1.0,
-            eta=1.0, latent=np.array([1.5, 1.5]), lambda3_tilde=1.0, lambda4=1.0,
+            eta=1.0, latent=np.array([0.5, 0.5]), lambda3_tilde=1.0, lambda4=1.0,
         )
         gen = RngStream(343).generator()
         draws = np.empty(30_000)
@@ -520,7 +524,7 @@ def _full_state(chain_state, gen, n, k, penalty):
     if isinstance(penalty, LassoHyper):
         return chain_state(penalty, **state, latent=gen.uniform(0.05, 5.0, k),
                            lambda1_sq=gen.uniform(0.2, 3.0))
-    return chain_state(penalty, **state, latent=gen.uniform(1.01, 6.0, k),
+    return chain_state(penalty, **state, latent=gen.uniform(0.01, 5.0, k),
                        lambda3_tilde=gen.uniform(0.2, 3.0), lambda4=gen.uniform(0.2, 3.0))
 
 
@@ -578,10 +582,10 @@ class TestLeanBlocks:
                 quad_sum = float(np.sum(st.beta**2 / st.latent))
             else:
                 lam3_tilde, lam4 = st.rates
-                t = st.latent
+                u = st.latent
                 c_pen = math.sqrt(2.0 * lam3_tilde)
                 d_pen = np.sqrt(2.0 * lam4 / st.rho2) * np.abs(st.beta)
-                quad_sum = float(np.sum(2.0 * lam4 * t * st.beta**2 / (t - 1.0)))
+                quad_sum = float(np.sum(2.0 * lam4 * (1.0 + u) * st.beta**2 / u))
             c_rho2 = math.sqrt(st.eta * float(np.sum(1.0 / st.sigma)))
             d_rho2 = math.sqrt(st.eta * float(np.sum(st.sigma)) + quad_sum)
             lam = loss_density.CHAIN_MIXING_INDEX
@@ -629,7 +633,7 @@ class TestLeanBlocks:
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         spec = ModelSpec(tau=0.4, penalty=ElasticNetHyper())
         st = _full_state(chain_state, gen, n, k, spec.penalty)
-        rate = float(np.sum(st.latent * st.beta**2 / (st.rho2 * (st.latent - 1.0)))) + 1.0
+        rate = float(np.sum((1.0 + st.latent) * st.beta**2 / (st.rho2 * st.latent))) + 1.0
         draw = update_lambda4(st, data, spec, RngStream(383).generator())
         assert draw == float(RngStream(383).generator().gamma(k / 2.0 + 1.0) / rate)
         spec = ModelSpec(tau=0.4, penalty=LassoHyper())
@@ -746,8 +750,7 @@ def _scan_in_separate_calls(data, spec):
             state.latent = sampler._clamp_positive(update_s(state, data, spec, gen), health)
             state.rates = penalty.Rates(update_lambda1_sq(state, data, spec, gen))
         else:
-            state.latent = 1.0 + sampler._clamp_positive(update_t(state, data, spec, gen) - 1.0,
-                                                         health, sampler._T_GAP_FLOOR)
+            state.latent = sampler._clamp_positive(update_t(state, data, spec, gen), health)
             lam4 = update_lambda4(state, data, spec, gen)
             state.rates = penalty.Rates(mh_update_lambda3_tilde(state, data, spec, gen, health),
                                         lam4)
@@ -822,42 +825,47 @@ class TestJointLatentBlock:
         expect = gig_rvs(RngStream(393).generator(), 0.5, c, d)
         assert drawn.tobytes() == expect.tobytes()
 
-    def test_update_clamps_as_the_separate_calls(self, chain_state):
+    def test_update_clamps_as_the_separate_calls(self, monkeypatch):
+        # run_chain floors the joint draw once for both families, as the
+        # separate calls floored v and the latents: each entry below 1e-300
+        # is counted and floored, a small latent above it is kept as drawn
         n, k = 3, 2
         gen = RngStream(396).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         drawn = np.array([0.5, 0.0, 1e-310, 2.0, 1e-20])
-        st = _full_state(chain_state, gen, n, k, LassoHyper())
-        health = ChainHealth()
-        LassoHyper().update(st, data, ModelSpec(), gen, health, drawn.copy())
-        assert st.v.tolist() == [0.5, 1e-300, 1e-300] and st.latent.tolist() == [2.0, 1e-20]
-        assert health.positivity_clamps == 2
-        # t = 1 + x rounds x = 1e-20 to 0 before the clamp, which counts it
-        # and floors it at 2^-52
-        st = _full_state(chain_state, gen, n, k, ElasticNetHyper())
-        health = ChainHealth()
-        ElasticNetHyper().update(st, data, ModelSpec(penalty=ElasticNetHyper()), gen, health,
-                                 drawn.copy())
-        assert st.v.tolist() == [0.5, 1e-300, 1e-300]
-        assert st.latent.tolist() == [3.0, 1.0 + 2.0**-52]
-        assert health.positivity_clamps == 3
+        monkeypatch.setattr(sampler, "update_v_and_latents", lambda *args: drawn.copy())
+        monkeypatch.setattr(sampler, "update_eta_approx", lambda state, *args: state.eta)
+        for penalty in (LassoHyper(), ElasticNetHyper()):
+            seen = []
+            monkeypatch.setattr(sampler, "update_rho2", lambda state, *args: seen.append(
+                (state.v.tolist(), state.latent.tolist())) or 1.0)
+            samples = run_chain(data, ModelSpec(penalty=penalty, n_iter=2, burn_in=0, seed=3))
+            assert seen == [([0.5, 1e-300, 1e-300], [2.0, 1e-20])] * 2
+            assert samples.health.positivity_clamps == 2 * 2
 
-    def test_latent_below_half_an_ulp_keeps_t_above_one(self, chain_state):
-        # a t - 1 draw of 1e-17 rounds t to 1; the floor keeps t > 1, so the
-        # blocks that divide by t - 1 stay finite and warn of nothing
+    def test_underflowing_latent_is_floored_like_every_latent(self, monkeypatch, chain_state):
+        # a t - 1 draw that underflows to 0 is counted and floored at
+        # 1e-300, like every latent; the blocks that divide by t - 1 stay
+        # finite and warn of nothing
         n, k = 5, 3
         gen = RngStream(397).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
-        spec = ModelSpec(penalty=ElasticNetHyper())
+        spec = ModelSpec(penalty=ElasticNetHyper(), n_iter=2, burn_in=0, seed=4)
         st = _full_state(chain_state, gen, n, k, spec.penalty)
-        drawn = np.concatenate((st.v, [1e-17, 0.4, 2.0]))
-        health = ChainHealth()
+        drawn = np.concatenate((st.v, [0.0, 0.4, 2.0]))
+        monkeypatch.setattr(sampler, "update_v_and_latents", lambda *args: drawn.copy())
+        seen = []
+        monkeypatch.setattr(sampler, "update_rho2",
+                            lambda state, *args: seen.append(state.latent.tolist()) or 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ElasticNetHyper().update(st, data, spec, gen, health, drawn)
-            assert np.all(st.latent > 1.0) and st.latent[0] == 1.0 + 2.0**-52
-            assert health.positivity_clamps == 1
-            assert np.isfinite(st.rates.lambda4) and st.rates.lambda4 > 0
+            samples = run_chain(data, spec)
+        assert seen == [[1e-300, 0.4, 2.0]] * 2
+        assert samples.health.positivity_clamps == 2
+        assert np.isfinite(samples.draws).all() and np.all(samples.draws[:, -1] > 0)
+        st.latent = np.array([1e-300, 0.4, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert np.isfinite(update_beta(st, data, spec, gen)).all()
             assert np.isfinite(update_lambda4(st, data, spec, gen))
             assert np.isfinite(update_rho2(st, data, spec, gen))

@@ -44,6 +44,7 @@ COMMANDS = [
     ("fit-study-lasso", _fit("study", "lasso", "0.5"), None),
     ("fit-tall-en", _fit("tall", "en", "0.25"), None),
     ("fit-wide-lasso", _fit("wide", "lasso", "0.5", "--no-standardise"), None),
+    ("fit-wide-en", _fit("wide", "en", "0.5", "--no-standardise"), None),
     ("fit-study-en-seed-thin", _fit("study", "en", "0.5", "--seed", "7", "--thin", "2"), None),
     *((f"fit-{shape}-{pen}-q25", _fit(shape, pen, "0.25"), None)
       for shape in ("small", "study") for pen in ("lasso", "en")),
