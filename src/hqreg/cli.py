@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 import warnings
@@ -61,20 +62,24 @@ def ingest_csv(path):
     response.  Returns (Dataset, column names).
 
     Ragged rows, non-numeric cells and non-finite values are rejected
-    with their row (1-based, header = row 1) and column positions.  A
-    well-formed file is parsed in one pass by ``np.loadtxt``; any other
-    file takes the row scan of ``csv.reader``, which gives the same data
-    and names the first bad row.
+    with their row (1-based, header = row 1) and column positions, text
+    that does not decode as a parse-error.  The file is read once (an
+    OSError if it cannot be): a well-formed text is parsed in one pass by
+    ``np.loadtxt``, any other takes the row scan of ``csv.reader``, which
+    gives the same data and names the first bad row.
     """
     path = Path(path)
-    if not path.exists():
-        raise CliError("config-error", f"input file does not exist: {path}")
-    parsed = _ingest_one_pass(path)
-    return parsed if parsed is not None else _ingest_rows(path)
+    with open(path, newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CliError("parse-error", f"{path}: {exc}") from exc
+    parsed = _ingest_one_pass(text)
+    return parsed if parsed is not None else _ingest_rows(path, text)
 
 
-def _ingest_one_pass(path):
-    """(Dataset, header) of a well-formed file, or None for the row scan.
+def _ingest_one_pass(text):
+    """(Dataset, header) of a well-formed file's text, or None for the row scan.
 
     Well formed: no quote or NUL character, so that csv.reader's rows are
     the file's lines split at commas; no line longer than csv.reader's
@@ -83,11 +88,6 @@ def _ingest_one_pass(path):
     header cell, all finite.  Both passes parse each cell as ``float``
     does.  ``loadtxt`` skips blank lines, which the row count catches.
     """
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except (OSError, ValueError):
-        return None
     if '"' in text or "\0" in text:
         return None
     # csv.reader ends a line at \r\n, \r or \n
@@ -110,15 +110,11 @@ def _ingest_one_pass(path):
     return Dataset(data[:, :-1], data[:, -1]), header
 
 
-def _ingest_rows(path):
-    """(Dataset, header) from csv.reader's rows, or the error of the first
-    bad row."""
+def _ingest_rows(path, text):
+    """(Dataset, header) from csv.reader's rows of the text, or the first bad row's error."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise CliError("config-error", f"cannot read input file {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
         raise CliError("parse-error", f"{path}: {exc}") from exc
     if not rows:
         raise CliError("empty-dataset", f"{path}: file is empty")
@@ -293,10 +289,12 @@ class RunConfig:
 
 def parse_config_file(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise CliError("config-error", f"config file does not exist: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise CliError("config-error", f"{path}: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -359,10 +357,7 @@ def _model_spec(cfg: RunConfig, tau: float = None) -> ModelSpec:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.get("out"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("config-error", f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -627,6 +622,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    """Run the CLI.  A failure is one ``error-class: detail`` line and exit 1; an
+    OSError naming a file is a config-error, any other unexpected fault an internal-error."""
     parser = _Parser(
         prog="hqreg",
         description="Huberised regularised Bayesian quantile regression",
@@ -648,8 +645,11 @@ def main(argv=None) -> int:
     except ChainError as exc:
         print(f"chain-error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"config-error: {exc}", file=sys.stderr)
+        else:
+            print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

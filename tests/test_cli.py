@@ -2,6 +2,8 @@
 manifests and determinism."""
 
 import csv
+import errno
+import os
 import subprocess
 import sys
 import warnings
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqreg import cli
+from hqreg import cli, simbench
 from hqreg.cli import CliError, ingest_csv, main, standardise
 from hqreg.loss_density import count_strict_local_maxima
 
@@ -95,20 +97,26 @@ class TestIngest:
         assert data.X.tobytes() == np.array(expect)[:, :2].tobytes()
         assert data.y.tobytes() == np.array(expect)[:, 2].tobytes()
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(CliError) as err:
-            ingest_csv(tmp_path / "absent.csv")
-        assert err.value.error_class == "config-error"
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert main(["fit", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        assert capsys.readouterr().err == f"config-error: {missing}\n"
+        assert not (tmp_path / "o").exists()
 
 
-def _ingest_outcome(parse, path):
+def _text(path):
+    """The file's text as ingest_csv reads it."""
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def _ingest_outcome(parse, *args):
     """The parsed bits and header, or the error class and message."""
     try:
-        data, header = parse(path)
+        data, header = parse(*args)
     except CliError as exc:
         return ("error", exc.error_class, str(exc))
-    except Exception as exc:  # e.g. a decoding error, which both passes let through
-        return ("exception", type(exc).__name__, str(exc))
     return ("ok", data.X.shape, data.X.tobytes(), data.y.tobytes(), header)
 
 
@@ -153,24 +161,26 @@ class TestIngestParity:
     def test_same_result_both_ways(self, tmp_path, text, one_pass):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
-        rows = _ingest_outcome(cli._ingest_rows, path)
+        read = _text(path)
+        rows = _ingest_outcome(cli._ingest_rows, path, read)
         assert _ingest_outcome(ingest_csv, path) == rows
-        assert (cli._ingest_one_pass(path) is not None) == one_pass
+        assert (cli._ingest_one_pass(read) is not None) == one_pass
         if one_pass:
-            assert _ingest_outcome(cli._ingest_one_pass, path) == rows
+            assert _ingest_outcome(cli._ingest_one_pass, read) == rows
 
     def test_field_longer_than_csv_limit(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("a,y\n1.00000000000,2\n")
+        read = _text(path)
         old = csv.field_size_limit(8)
         try:
-            assert cli._ingest_one_pass(path) is None
-            rows = _ingest_outcome(cli._ingest_rows, path)
+            assert cli._ingest_one_pass(read) is None
+            rows = _ingest_outcome(cli._ingest_rows, path, read)
             assert rows[:2] == ("error", "parse-error")
             assert _ingest_outcome(ingest_csv, path) == rows
         finally:
             csv.field_size_limit(old)
-        assert cli._ingest_one_pass(path) is not None
+        assert cli._ingest_one_pass(read) is not None
 
     def test_large_file_takes_one_pass(self, tmp_path):
         gen = np.random.default_rng(9)
@@ -178,8 +188,9 @@ class TestIngestParity:
         path = tmp_path / "in.csv"
         np.savetxt(path, body, fmt="%.17g", delimiter=",",
                    header=",".join(f"x{j}" for j in range(8)), comments="")
-        data, header = cli._ingest_one_pass(path)
-        assert _ingest_outcome(cli._ingest_rows, path) == _ingest_outcome(ingest_csv, path)
+        read = _text(path)
+        data, header = cli._ingest_one_pass(read)
+        assert _ingest_outcome(cli._ingest_rows, path, read) == _ingest_outcome(ingest_csv, path)
         assert data.X.tobytes() == body[:, :-1].tobytes() and data.y.tobytes() == body[:, -1].tobytes()
 
 
@@ -721,6 +732,79 @@ class TestFailedRunOutput:
         assert capsys.readouterr().err.startswith("data-error: ")
         assert other.read_text() == "x"
         assert (parent / "a").is_dir()
+
+
+class TestFileFaults:
+    """An OSError that names a file, a config or input that cannot be read
+    or an output that cannot be written, is one config-error line with the
+    system's message; a config or input fault leaves no directory."""
+
+    # keys that keep each subcommand's run short
+    FAST = {
+        "fit": "input=toy.csv\niters=30\nburnin=10",
+        "cv": "input=toy.csv\niters=30\nburnin=10\nfolds=3",
+        "simulate": "n=25\nreps=1\niters=30\nburnin=10",
+        "sensitivity": "values=1\niters=30\nburnin=10",
+        "contour": "grid_size=5",
+    }
+
+    @pytest.mark.parametrize("subcommand,flags,named", [
+        ("fit", ["--config", "folder"], "folder"),
+        ("fit", ["--config", "undecodable.cfg"], "undecodable.cfg"),
+        ("fit", ["--config", "absent.cfg"], "absent.cfg"),
+        ("fit", ["--input", "absent.csv"], "absent.csv"),
+        ("fit", ["--input", "folder"], "folder"),
+        ("fit", ["--out", "toy.csv"], "toy.csv"),
+        # an output file that is a directory
+        *(("fit", [], f"out/{name}")
+          for name in ("samples.csv", "summary.csv", "chain-health.txt", "manifest.txt")),
+        ("cv", [], "out/cv-metrics.csv"),
+        ("simulate", [], "out/tables.csv"),
+        ("simulate", [], "out/eta-medians.csv"),
+        ("sensitivity", [], "out/curve.csv"),
+        ("contour", [], "out/grid.csv"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_file_fault_is_one_config_error_line(self, toy_csv, tmp_path, capsys, monkeypatch,
+                                                 subcommand, flags, named):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HQREG_THREADS", "1")
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "undecodable.cfg").write_bytes(b"seed=\xff\n")
+        (tmp_path / "run.cfg").write_text(self.FAST[subcommand] + "\n")
+        if not flags:
+            (tmp_path / named).mkdir(parents=True)
+        # a later flag wins
+        assert run_cli([subcommand, "--config", "run.cfg", "--out", "out", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: ") and err.count("\n") == 1
+        assert named in err
+        if flags[:1] in (["--config"], ["--input"]):
+            assert not (tmp_path / "out").exists()
+
+    def test_os_error_without_a_file_is_internal(self, tmp_path, capsys, monkeypatch):
+        def run_study(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(simbench, "run_study", run_study)
+        assert run_cli(["simulate", "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"internal-error: BlockingIOError: [Errno {errno.EAGAIN}] "
+                       "Resource temporarily unavailable\n")
+
+    def test_row_scan_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a","y"\n"1.5",2\n3,4\n')
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        data, header = ingest_csv(path)
+        assert opened == [path]
+        assert header == ["a", "y"] and data.y.tolist() == [2.0, 4.0]
+        assert cli._ingest_one_pass(_text(path)) is None  # the row scan parsed it
 
 
 class TestEntryPoint:

@@ -602,26 +602,6 @@ class TestGigAlwaysReturns:
         assert gen.bit_generator.state == before
 
 
-class TestGigShifted:
-    """1 + X with X ~ GIG: the elastic-net latents t_j = 1 + u_j of drawn u_j stay above 1."""
-
-    def test_always_above_one(self):
-        out = 1.0 + gig_rvs(RngStream(20).generator(), 0.5, np.full(5000, 2.0), np.full(5000, 1.0))
-        assert np.all(out > 1.0)
-
-    def test_zero_d_gamma_limit_no_error(self):
-        out = 1.0 + gig_rvs(RngStream(21).generator(), 0.5, np.full(5000, 2.0), np.full(5000, 0.0))
-        assert np.all(out > 1.0)
-
-    def test_shift_moments_match_oracle(self):
-        out = 1.0 + gig_rvs(RngStream(22).generator(), 0.5, np.full(400_000, 1.5),
-                            np.full(400_000, 0.9))
-        mean = gig_moment(0.5, 1.5, 0.9, 1.0)
-        var = gig_moment(0.5, 1.5, 0.9, 2.0) - mean**2
-        z = (np.mean(out - 1.0) - mean) / np.sqrt(var / out.size)
-        assert abs(z) < 3.0
-
-
 class TestMvnFromPrecision:
     def test_identity_precision(self):
         gen = RngStream(30).generator()

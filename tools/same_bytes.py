@@ -9,9 +9,13 @@ and compares every output file byte for byte.  A second list of commands
 must fail: each of those is compared by its exit code and standard error.
 The inputs are CSV files written here with 17 significant digits, and
 one malformed file for each error class of the input dialect.  Manifest
-lines that begin with ``#`` (the wall time) are ignored.  Prints one line per output file and per failing command,
-and exits 1 on any difference, on a command that fails where it should
-succeed, or on one that succeeds where it should fail.
+lines that begin with ``#`` (the wall time) are ignored.  No command
+reaches ``gig_rvs`` at orders other than +-1/2 on arrays, or its limit
+laws, so this checkout's ``tools/gig_sweep.py`` also runs against each
+tree, and their digest lines are compared.  Prints one line per output
+file, per failing command and for the sweep, and exits 1 on any
+difference, on a command or sweep that fails where it should succeed, or
+on a command that succeeds where it should fail.
 """
 
 from __future__ import annotations
@@ -136,6 +140,18 @@ def run_all(src: Path, work: Path) -> tuple:
     return failed, errors
 
 
+def sweep_digest(src: Path):
+    """The digest line of this checkout's GIG sweep run against ``src``,
+    or None if the sweep fails."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "gig_sweep.py")],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True)
+    if done.returncode:
+        print(f"{src}: gig_sweep failed: {done.stderr.strip()}", file=sys.stderr)
+        return None
+    return done.stdout.partition("\n")[0]
+
+
 def content(path: Path) -> bytes:
     data = path.read_bytes()
     if path.name == "manifest.txt":
@@ -154,12 +170,13 @@ def main(argv=None) -> int:
         write_inputs(tmp / "inputs")
         (tmp / "base-tree").mkdir()
         unpack(args.base_rev, tmp / "base-tree")
-        failed, errors = [], []
+        failed, errors, digests = [], [], []
         for side, src in (("base", tmp / "base-tree" / "src"), ("change", ROOT / "src")):
             (tmp / side).mkdir()
             side_failed, side_errors = run_all(src, tmp / side)
             failed += side_failed
             errors.append(side_errors)
+            digests.append(sweep_digest(src))
         base, change = tmp / "base" / "out", tmp / "change" / "out"
         files = sorted({p.relative_to(root) for root in (base, change) if root.exists()
                         for p in root.rglob("*") if p.is_file()})
@@ -181,9 +198,15 @@ def main(argv=None) -> int:
                 verdict = "identical" if (code_a, err_a) == (code_b, err_b) else "DIFFERENT"
             errors_differ += verdict != "identical"
             print(f"{verdict:>14}  {name}: exit {code_b}, {err_b.strip()}")
+        if None in digests:
+            sweep = "failed"
+        else:
+            sweep = "identical" if digests[0] == digests[1] else "DIFFERENT"
+        print(f"{sweep:>14}  gig_sweep: {digests[1]}")
         print(f"{len(files)} files, {differ} not identical, {len(failed)} failed commands; "
-              f"{len(FAILING)} failing commands, {errors_differ} not identical")
-        return 1 if differ or failed or errors_differ else 0
+              f"{len(FAILING)} failing commands, {errors_differ} not identical; "
+              f"GIG sweep {sweep}")
+        return 1 if differ or failed or errors_differ or sweep != "identical" else 0
 
 
 if __name__ == "__main__":
