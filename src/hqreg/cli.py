@@ -34,7 +34,6 @@ __all__ = [
     "CliError",
     "RunConfig",
     "ingest_csv",
-    "StandardisationRecord",
     "standardise",
     "run",
     "main",
@@ -59,7 +58,8 @@ def fmt(x: float) -> str:
 
 def ingest_csv(path):
     """Parse a rectangular numeric CSV: one header row, last column is the
-    response.  Returns (Dataset, column names).
+    response.  Returns (matrix, column names): one matrix row per data
+    row, the response in its last column.
 
     Ragged rows, non-numeric cells and non-finite values are rejected
     with their row (1-based, header = row 1) and column positions, text
@@ -79,7 +79,7 @@ def ingest_csv(path):
 
 
 def _ingest_one_pass(text):
-    """(Dataset, header) of a well-formed file's text, or None for the row scan.
+    """(matrix, header) of a well-formed file's text, or None for the row scan.
 
     Well formed: no quote or NUL character, so that csv.reader's rows are
     the file's lines split at commas; no line longer than csv.reader's
@@ -107,11 +107,11 @@ def _ingest_one_pass(text):
         return None
     if data.shape != (len(lines) - 1, len(header)) or not np.isfinite(data).all():
         return None
-    return Dataset(data[:, :-1], data[:, -1]), header
+    return data, header
 
 
 def _ingest_rows(path, text):
-    """(Dataset, header) from csv.reader's rows of the text, or the first bad row's error."""
+    """(matrix, header) from csv.reader's rows of the text, or the first bad row's error."""
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
@@ -137,7 +137,7 @@ def _ingest_rows(path, text):
         raise CliError(
             "non-finite-rows", f"{path}: non-finite values in rows {bad_rows}"
         )
-    return Dataset(data[:, :-1], data[:, -1]), header
+    return data, header
 
 
 def _raise_first_bad_row(path, header, body):
@@ -161,38 +161,12 @@ def _raise_first_bad_row(path, header, body):
 # --- standardisation ------------------------------------------------------------
 
 
-@dataclass
-class StandardisationRecord:
-    """Per-column location/scale used, enough to invert the transform.
-
-    Constant columns (sd 0) are passed through with applied=False.
-    sd uses the n-1 denominator.
-    """
-
-    names: list
-    mean: np.ndarray
-    sd: np.ndarray
-    applied: np.ndarray
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        out = np.array(matrix, dtype=float)
-        cols = np.where(self.applied)[0]
-        out[:, cols] = (out[:, cols] - self.mean[cols]) / self.sd[cols]
-        return out
-
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        out = np.array(matrix, dtype=float)
-        cols = np.where(self.applied)[0]
-        out[:, cols] = out[:, cols] * self.sd[cols] + self.mean[cols]
-        return out
-
-
 def standardise(matrix, names):
     """Centre/scale every non-constant column to mean 0, sd 1 (ddof 1).
 
-    Returns (matrix', record, warnings); constant columns trigger a
-    warning and pass through unscaled.  Raises ValueError naming the
-    first column whose mean or sd overflows.
+    Returns (matrix', warnings), matrix' a new array; constant columns
+    trigger a warning and pass through unchanged.  Raises ValueError
+    naming the first column whose mean or sd overflows.
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
@@ -208,8 +182,9 @@ def standardise(matrix, names):
         f"column '{names[j]}' is constant; left unscaled"
         for j in np.where(~applied)[0]
     ]
-    record = StandardisationRecord(list(names), mean, np.where(applied, sd, 1.0), applied)
-    return record.transform(matrix), record, warnings
+    out = np.array(matrix)
+    out[:, applied] = (out[:, applied] - mean[applied]) / sd[applied]
+    return out, warnings
 
 
 # --- configuration ---------------------------------------------------------------
@@ -236,24 +211,19 @@ _DEFAULTS = {
     "n": "100",
     "vary": "b",
     "values": "1,2",
-    "toy_seed": "36",
-    "toy_n": "10",
-    "noise_sigma": "0.03",
     "eta": "1.0",
     "lambda1": "1.0",
     "lambda3": "1.0",
     "lambda4": "1.0",
     "prior_style": "unconditional",
-    "grid_size": "200",
-    "log_beta_min": "-3.0",
-    "log_beta_max": "2.0",
-    "log_rho2_min": "-9.0",
-    "log_rho2_max": "1.0",
 }
 
-# keys that manifests held before their values became sampler constants;
-# a config may still give them, at these values only
-_RETIRED = {"eta_iters": "10", "eta_tol": "1e-8"}
+# keys that manifests held before their values became constants of the
+# sampler or of the contour and sensitivity fixtures; a config may still
+# give them, at these values only
+_RETIRED = {"eta_iters": "10", "eta_tol": "1e-8", "toy_seed": "36", "toy_n": "10",
+            "noise_sigma": "0.03", "grid_size": "200", "log_beta_min": "-3.0",
+            "log_beta_max": "2.0", "log_rho2_min": "-9.0", "log_rho2_max": "1.0"}
 
 
 @dataclass
@@ -387,27 +357,27 @@ def _write_manifest(outdir: Path, cfg: RunConfig, wall_time: float):
 
 
 def _prepare_fit_data(cfg: RunConfig):
+    """(Dataset, predictor names, warnings) of the input file, standardised
+    and given an intercept column unless the config turns these off."""
     if not cfg.get("input"):
         raise CliError("config-error", "this subcommand requires input=<csv path>")
-    data, names = ingest_csv(cfg.get("input"))
-    matrix = np.column_stack([data.X, data.y])
+    matrix, names = ingest_csv(cfg.get("input"))
+    warnings = []
     if cfg.get_bool("standardise"):
         try:
-            matrix, _, warnings = standardise(matrix, names)
+            matrix, warnings = standardise(matrix, names)
         except ValueError as exc:
             raise CliError("data-error", f"{cfg.get('input')}: {exc}") from exc
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
     X, y = matrix[:, :-1], matrix[:, -1]
     names_x = names[:-1]
     if cfg.get_bool("intercept"):
         X = np.column_stack([np.ones(X.shape[0]), X])
         names_x = ["intercept"] + names_x
-    return Dataset(X, y), names_x
+    return Dataset(X, y), names_x, warnings
 
 
 def cmd_fit(cfg: RunConfig) -> list:
-    data, names_x = _prepare_fit_data(cfg)
+    data, names_x, warnings = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     outdir = _outdir(cfg)
     samples = run_chain(data, model)
@@ -417,11 +387,11 @@ def cmd_fit(cfg: RunConfig) -> list:
     rows = zip(columns, *summarize(samples))
     _write_csv(outdir / "summary.csv", ["parameter", "median", "lower", "upper"], rows)
     (outdir / "chain-health.txt").write_text("\n".join(samples.health.as_lines()) + "\n")
-    return [outdir / "samples.csv", outdir / "summary.csv", outdir / "chain-health.txt"]
+    return warnings
 
 
 def cmd_cv(cfg: RunConfig) -> list:
-    data, _ = _prepare_fit_data(cfg)
+    data, _, warnings = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     folds = cfg.get_int("folds")
     if folds < 2:
@@ -431,29 +401,20 @@ def cmd_cv(cfg: RunConfig) -> list:
     except ValueError as exc:
         raise CliError("data-error", str(exc)) from exc
     outdir = _outdir(cfg)
-    try:
-        result = simbench.cross_validate(data, model, folds=folds)
-    except ValueError as exc:
-        raise CliError("data-error", str(exc)) from exc
+    result = simbench.cross_validate(data, model, folds=folds)
     rows = [(
         cfg.get("penalty"), fmt(cfg.get_float("tau")), str(folds),
         result.mspe, result.mape, result.mhpe, result.medspe,
     )]
     _write_csv(outdir / "cv-metrics.csv",
                ["method", "tau", "folds", "mspe", "mape", "mhpe", "medspe"], rows)
-    return [outdir / "cv-metrics.csv"]
+    return warnings
 
 
-def cmd_simulate(cfg: RunConfig) -> list:
+def cmd_simulate(cfg: RunConfig) -> None:
     reps = cfg.get_int("reps")
     if reps < 1:
         raise CliError("config-error", f"reps must be >= 1, got {reps}")
-    if reps >= 300:
-        print(
-            "warning: full-scale replication counts take hours; "
-            "desk-scale default is 20",
-            file=sys.stderr,
-        )
     try:
         sim_ids = [int(s) for s in cfg.get("scenarios").split(",") if s.strip()]
         taus = [float(t) for t in cfg.get("tau").split(",") if t.strip()]
@@ -472,6 +433,12 @@ def cmd_simulate(cfg: RunConfig) -> list:
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
     outdir = _outdir(cfg)
+    if reps >= 300:
+        print(
+            "warning: full-scale replication counts take hours; "
+            "desk-scale default is 20",
+            file=sys.stderr,
+        )
     cells = simbench.run_study([(scen, model) for scen in scenarios for model in models], reps)
     table_rows = []
     eta_rows = []
@@ -492,16 +459,13 @@ def cmd_simulate(cfg: RunConfig) -> list:
                 "failures", "complete"], table_rows)
     _write_csv(outdir / "eta-medians.csv",
                ["scenario", "tau", "n", "replication", "eta_median"], eta_rows)
-    written = [outdir / "tables.csv", outdir / "eta-medians.csv"]
     # only a run with a failed replication has this file
     if failure_rows:
         _write_csv(outdir / "failures.csv",
                    ["scenario", "tau", "n", "replication", "message"], failure_rows)
-        written.append(outdir / "failures.csv")
-    return written
 
 
-def cmd_sensitivity(cfg: RunConfig) -> list:
+def cmd_sensitivity(cfg: RunConfig) -> None:
     vary = cfg.get("vary")
     family = next((name for name, cls in _PENALTIES.items()
                    if vary in (f.name for f in fields(cls))), None)
@@ -517,50 +481,30 @@ def cmd_sensitivity(cfg: RunConfig) -> list:
     for val in values:
         sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})
         models.append((f"{vary}={val:g}", _model_spec(sub)))
-    noise_sigma = _noise_sigma(cfg)
     outdir = _outdir(cfg)
-    curves = simbench.sensitivity_curve_study(models, noise_sigma=noise_sigma)
+    curves = simbench.sensitivity_curve_study(models)
     rows = []
     for label, grid, fitted, truth in curves:
         for x, f, t in zip(grid, fitted, truth):
             rows.append((label, x, f, t))
     _write_csv(outdir / "curve.csv", ["setting", "x", "fitted", "truth"], rows)
-    return [outdir / "curve.csv"]
 
 
-def _noise_sigma(cfg: RunConfig) -> float:
-    sigma = cfg.get_float("noise_sigma")
-    if not 0.0 < sigma < float("inf"):
-        raise CliError("config-error", f"noise_sigma must be finite and > 0, got {sigma}")
-    return sigma
-
-
-def _toy_contour_data(cfg: RunConfig):
-    n = cfg.get_int("toy_n")
-    if n < 0:
-        raise CliError("config-error", f"toy_n must be >= 0, got {n}")
-    sigma = _noise_sigma(cfg)
-    try:
-        gen = RngStream(cfg.get_int("toy_seed")).generator()
-    except ValueError as exc:
-        raise CliError("config-error", str(exc)) from exc
-    x = gen.standard_normal(n)
-    y = x + ald_sample(gen, 0.0, sigma, 0.5, size=n)
+def _toy_contour_data():
+    """The paper's toy fixture: 10 points x ~ N(0, 1) and y = x plus
+    asymmetric-Laplace noise at the median with scale 0.03, both drawn
+    from ``RngStream(36)``."""
+    gen = RngStream(36).generator()
+    x = gen.standard_normal(10)
+    y = x + ald_sample(gen, 0.0, 0.03, 0.5, size=10)
     return x, y
 
 
-def cmd_contour(cfg: RunConfig) -> list:
-    x, y = _toy_contour_data(cfg)
-    size = cfg.get_int("grid_size")
-    if size < 2:
-        raise CliError("config-error", f"grid_size must be >= 2, got {size}")
-    # the surface refuses a grid point that overflows to inf, and a zero rho2
-    with np.errstate(over="ignore"):
-        bgrid, rgrid = (np.exp(np.linspace(cfg.get_float(f"log_{name}_min"),
-                                           cfg.get_float(f"log_{name}_max"), size))
-                        for name in ("beta", "rho2"))
-    if bgrid[0] == 0.0:
-        raise CliError("config-error", "exp(log_beta_min) underflows to 0")
+def cmd_contour(cfg: RunConfig) -> None:
+    x, y = _toy_contour_data()
+    # the paper's 200 x 200 grid over log beta in [-3, 2] and log rho2 in [-9, 1]
+    size = 200
+    bgrid, rgrid = np.exp(np.linspace(-3.0, 2.0, size)), np.exp(np.linspace(-9.0, 1.0, size))
     # the contour keys keep their names, so that old manifests replay, and
     # map to the family's pinned rates: lambda1_sq = lambda1^2, or
     # lambda3_tilde = lambda3^2 / (4 lambda4) and lambda4
@@ -577,8 +521,8 @@ def cmd_contour(cfg: RunConfig) -> list:
                                  cfg.get_float("eta"), cfg.get_float("tau"))
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
-    # eta times a check loss over a tiny rho2 can overflow on a grid whose
-    # ends are each finite: refuse it before the directory is made
+    # eta times a check loss, or lambda4 times beta^2, over a tiny rho2 can
+    # overflow at a grid point: refuse it before the directory is made
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             z = log_posterior_grid(spec)
@@ -589,7 +533,6 @@ def cmd_contour(cfg: RunConfig) -> list:
     rows = np.column_stack([np.repeat(np.log(bgrid), size), np.tile(np.log(rgrid), size),
                             z.ravel()])
     _write_csv(outdir / "grid.csv", ["log_beta", "log_rho2", "log_posterior"], rows)
-    return [outdir / "grid.csv"]
 
 
 _RUNNERS = {
@@ -601,17 +544,20 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> list:
-    """Execute one resolved configuration; returns the written files.
+def run(cfg: RunConfig) -> None:
+    """Execute one resolved configuration: write its output files, then
+    its manifest.
 
     Each subcommand checks its keys before it creates the output
-    directory, so a config-error leaves none behind.
+    directory, so a config-error leaves none behind.  ``fit`` and ``cv``
+    return the input's warnings, printed once every file is written, so
+    that a failed run prints its error line alone.
     """
     t0 = time.perf_counter()
-    written = _RUNNERS[cfg.subcommand](cfg)
-    outdir = _outdir(cfg)
-    _write_manifest(outdir, cfg, time.perf_counter() - t0)
-    return written + [outdir / "manifest.txt"]
+    warnings = _RUNNERS[cfg.subcommand](cfg)
+    _write_manifest(_outdir(cfg), cfg, time.perf_counter() - t0)
+    for w in warnings or ():
+        print(f"warning: {w}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):

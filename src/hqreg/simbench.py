@@ -302,13 +302,14 @@ def sensitivity_design() -> tuple:
     return grid, design
 
 
-def sensitivity_curve_study(models: Sequence[tuple], noise_sigma: float = 0.03) -> list:
+def sensitivity_curve_study(models: Sequence[tuple]) -> list:
     """Fit each (label, ModelSpec) on a draw of the logistic design.
 
     The response is the true curve plus asymmetric-Laplace noise at the
-    median, drawn from ``RngStream(model.seed).child(90)``; the chain
-    draws from ``.child(91)``.  Settings that share a seed therefore
-    share one dataset, bit for bit.  Each reports its posterior-median
+    median with scale 0.03, the paper's fixture, drawn from
+    ``RngStream(model.seed).child(90)``; the chain draws from
+    ``.child(91)``.  Settings that share a seed therefore share one
+    dataset, bit for bit.  Each reports its posterior-median
     fitted values at the 50 design points.  Returns a list of
     (label, grid, fitted, truth) tuples.
     """
@@ -317,8 +318,7 @@ def sensitivity_curve_study(models: Sequence[tuple], noise_sigma: float = 0.03) 
     out = []
     for label, model in models:
         stream = RngStream(model.seed)
-        y = truth + ald_sample(stream.child(90).generator(), 0.0, noise_sigma, 0.5,
-                               size=grid.size)
+        y = truth + ald_sample(stream.child(90).generator(), 0.0, 0.03, 0.5, size=grid.size)
         samples = run_chain(Dataset(design, y), model, rng=stream.child(91).generator())
         median, _, _ = summarize(samples)
         out.append((label, grid, design @ median[: design.shape[1]], truth))

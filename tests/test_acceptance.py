@@ -324,10 +324,6 @@ def test_criterion_12_manifest_determinism(tmp_path):
             cfg = tmp_path / "sim.cfg"
             cfg.write_text("scenarios=1\nn=25\n")
             extra = ["--config", cfg]
-        if name == "contour":
-            cfg = tmp_path / "cont.cfg"
-            cfg.write_text("grid_size=60\n")
-            extra = ["--config", cfg]
         code = cli_main([str(a) for a in args + extra + ["--out", out1, "--seed", "6"]])
         assert code == 0, name
         code = cli_main(["fit" if False else name, "--config", str(out1 / "manifest.txt"),

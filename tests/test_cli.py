@@ -38,10 +38,10 @@ class TestIngest:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "ok.csv"
         write_csv(path, ["a", "b", "y"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        data, names = ingest_csv(path)
-        assert data.n == 3 and data.k == 2
+        matrix, names = ingest_csv(path)
+        assert matrix.shape == (3, 3)
         assert names == ["a", "b", "y"]
-        np.testing.assert_array_equal(data.y, [3.0, 6.0, 9.0])
+        np.testing.assert_array_equal(matrix[:, -1], [3.0, 6.0, 9.0])
 
     def test_na_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "na.csv"
@@ -92,10 +92,8 @@ class TestIngest:
     def test_cells_parse_as_python_floats(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("a,b,y\n 1.5 ,1_0,-0\n1e-320,0.1,3\n")
-        data, _ = ingest_csv(path)
-        expect = [[1.5, 10.0, -0.0], [1e-320, 0.1, 3.0]]
-        assert data.X.tobytes() == np.array(expect)[:, :2].tobytes()
-        assert data.y.tobytes() == np.array(expect)[:, 2].tobytes()
+        matrix, _ = ingest_csv(path)
+        assert matrix.tobytes() == np.array([[1.5, 10.0, -0.0], [1e-320, 0.1, 3.0]]).tobytes()
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "absent.csv"
@@ -114,10 +112,10 @@ def _text(path):
 def _ingest_outcome(parse, *args):
     """The parsed bits and header, or the error class and message."""
     try:
-        data, header = parse(*args)
+        matrix, header = parse(*args)
     except CliError as exc:
         return ("error", exc.error_class, str(exc))
-    return ("ok", data.X.shape, data.X.tobytes(), data.y.tobytes(), header)
+    return ("ok", matrix.shape, matrix.tobytes(), header)
 
 
 class TestIngestParity:
@@ -189,9 +187,9 @@ class TestIngestParity:
         np.savetxt(path, body, fmt="%.17g", delimiter=",",
                    header=",".join(f"x{j}" for j in range(8)), comments="")
         read = _text(path)
-        data, header = cli._ingest_one_pass(read)
+        matrix, header = cli._ingest_one_pass(read)
         assert _ingest_outcome(cli._ingest_rows, path, read) == _ingest_outcome(ingest_csv, path)
-        assert data.X.tobytes() == body[:, :-1].tobytes() and data.y.tobytes() == body[:, -1].tobytes()
+        assert matrix.tobytes() == body.tobytes()
 
 
 def test_array_rows_write_like_csv_writer(tmp_path):
@@ -208,14 +206,14 @@ def test_array_rows_write_like_csv_writer(tmp_path):
 
 class TestStandardise:
     def test_simple_column(self):
-        out, record, warnings = standardise(np.array([[1.0], [2.0], [3.0]]), ["a"])
+        out, warnings = standardise(np.array([[1.0], [2.0], [3.0]]), ["a"])
         np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0], atol=1e-15)
         assert not warnings
 
     def test_moments_after_transform(self):
         gen = np.random.default_rng(5)
         m = gen.normal(3.0, 2.5, size=(200, 4))
-        out, record, _ = standardise(m, list("abcd"))
+        out, _ = standardise(m, list("abcd"))
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
@@ -223,15 +221,15 @@ class TestStandardise:
         gen = np.random.default_rng(6)
         m = gen.standard_normal((100, 2))
         m = (m - m.mean(axis=0)) / m.std(axis=0, ddof=1)
-        out, _, _ = standardise(m, ["a", "b"])
+        out, _ = standardise(m, ["a", "b"])
         np.testing.assert_allclose(out, m, atol=1e-12)
 
     def test_constant_column_passthrough_with_warning(self):
         m = np.column_stack([np.ones(5), np.arange(5.0)])
-        out, record, warnings = standardise(m, ["const", "x"])
+        out, warnings = standardise(m, ["const", "x"])
         np.testing.assert_array_equal(out[:, 0], np.ones(5))
+        np.testing.assert_allclose(out[:, 1], (np.arange(5.0) - 2.0) / np.sqrt(2.5), atol=1e-15)
         assert len(warnings) == 1 and "const" in warnings[0]
-        assert not record.applied[0] and record.applied[1]
 
     # an sd that overflows, then a mean
     @pytest.mark.parametrize("column", [[1e308, -1e308, 1e308, -1e308], [1e308] * 4])
@@ -241,12 +239,6 @@ class TestStandardise:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^column 'b' cannot be standardised"):
                 standardise(m, ["a", "b"])
-
-    def test_inverse_round_trip(self):
-        gen = np.random.default_rng(7)
-        m = gen.normal(-2.0, 7.0, size=(60, 3))
-        out, record, _ = standardise(m, list("abc"))
-        np.testing.assert_allclose(record.inverse(out), m, atol=1e-10)
 
 
 def run_cli(args):
@@ -295,25 +287,37 @@ class TestFitCommand:
         m2 = [l for l in (out2 / "manifest.txt").read_text().splitlines() if not skip(l)]
         assert m1 == m2
 
-    # manifests written before the eta refinement budget became fixed hold
-    # both keys at their fixed values; the values are compared as numbers
-    @pytest.mark.parametrize("retired", [("eta_iters=10", "eta_tol=1e-8"),
-                                         ("eta_iters=10.0", "eta_tol=1.0E-08")])
+    # manifests written before the eta refinement budget and the contour
+    # and sensitivity fixtures became fixed hold their keys at the fixed
+    # values; the values are compared as numbers
+    @pytest.mark.parametrize("retired", [
+        ("eta_iters=10", "eta_tol=1e-8", "toy_seed=36", "toy_n=10", "noise_sigma=0.03",
+         "grid_size=200", "log_beta_min=-3.0", "log_beta_max=2.0", "log_rho2_min=-9.0",
+         "log_rho2_max=1.0"),
+        ("eta_iters=10.0", "eta_tol=1.0E-08", "log_beta_min=-3", "log_rho2_max=1"),
+    ])
     def test_manifest_with_retired_keys_replays(self, toy_csv, tmp_path, retired):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["fit", "--input", toy_csv, "--out", out1,
-                        "--iters", 80, "--burnin", 20, "--seed", 12]) == 0
-        old = tmp_path / "old-manifest.txt"
-        lines = (out1 / "manifest.txt").read_text().splitlines()
-        old.write_text("\n".join(sorted(lines + list(retired))) + "\n")
-        assert run_cli(["fit", "--config", old, "--out", out2]) == 0
-        for name in ("samples.csv", "summary.csv", "chain-health.txt"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        manifest = (out2 / "manifest.txt").read_text().splitlines()
-        assert not [line for line in manifest if line.startswith(("eta_iters=", "eta_tol="))]
+        runs = {
+            "fit": (["--input", toy_csv, "--iters", 80, "--burnin", 20, "--seed", 12],
+                    ("samples.csv", "summary.csv", "chain-health.txt")),
+            "contour": (["--penalty", "en"], ("grid.csv",)),
+        }
+        for subcommand, (flags, files) in runs.items():
+            out1, out2 = tmp_path / f"{subcommand}-a", tmp_path / f"{subcommand}-b"
+            assert run_cli([subcommand, *flags, "--out", out1]) == 0
+            old = tmp_path / f"{subcommand}-old-manifest.txt"
+            lines = (out1 / "manifest.txt").read_text().splitlines()
+            old.write_text("\n".join(sorted(lines + list(retired))) + "\n")
+            assert run_cli([subcommand, "--config", old, "--out", out2]) == 0
+            for name in files:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            keys = {line.partition("=")[0] for line in retired}
+            manifest = (out2 / "manifest.txt").read_text().splitlines()
+            assert not [line for line in manifest if line.partition("=")[0] in keys]
 
     @pytest.mark.parametrize("setting,fixed", [
         ("eta_iters=5", "10"), ("eta_iters=ten", "10"), ("eta_tol=1e-6", "1e-8"),
+        ("grid_size=50", "200"), ("log_rho2_min=-700", "-9.0"),
     ])
     def test_retired_key_at_another_value_is_config_error(self, toy_csv, tmp_path, capsys,
                                                           setting, fixed):
@@ -505,14 +509,13 @@ class TestOtherCommands:
 
     def test_contour_grid_and_mode_counts(self, tmp_path):
         # the two shallow modes of the unconditional surface sit ~0.2 apart
-        # in log beta; the default 200-point grid resolves them, coarse
-        # grids merge them
+        # in log beta; the 200-point grid resolves them, coarse grids merge
+        # them
         out_u = tmp_path / "unc"
         out_c = tmp_path / "cond"
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("grid_size=200\n")
-        assert run_cli(["contour", "--config", cfg, "--out", out_u]) == 0
-        cfg.write_text("grid_size=200\nprior_style=conditional\n")
+        cfg.write_text("prior_style=conditional\n")
+        assert run_cli(["contour", "--out", out_u]) == 0
         assert run_cli(["contour", "--config", cfg, "--out", out_c]) == 0
 
         def grid_of(path):
@@ -547,13 +550,16 @@ class TestFailedRunOutput:
         ("simulate", "reps=0"),
         ("simulate", "seed=x"),
         ("sensitivity", "values="),
+        # a retired key away from its fixed value
         ("sensitivity", "noise_sigma=x"),
         ("sensitivity", "noise_sigma=-1"),
-        ("contour", "prior_style=sideways"),
-        ("contour", "tau=2"),
         ("contour", "grid_size=-1"),
         ("contour", "toy_n=-1"),
         ("contour", "noise_sigma=0"),
+        ("contour", "log_beta_min=nan"),
+        ("contour", "toy_seed=-1"),
+        ("contour", "prior_style=sideways"),
+        ("contour", "tau=2"),
         ("contour", "lambda1=-1"),
         # a rate that is not finite would fill grid.csv with nan or -inf
         ("contour", "lambda1=nan"),
@@ -564,14 +570,12 @@ class TestFailedRunOutput:
         ("contour", "lambda1=1e200"),
         ("contour", "lambda1=1e-200"),
         ("contour", "penalty=en;lambda3=1e200"),
-        ("contour", "log_beta_min=nan"),
         # a negative seed, a non-finite hyperparameter or fewer than 2 kept
         # draws is refused before the directory, not when the chain runs
         ("fit", "seed=-1"),
         ("cv", "seed=-1"),
         ("simulate", "seed=-1"),
         ("sensitivity", "seed=-1"),
-        ("contour", "toy_seed=-1"),
         ("fit", "a=nan"),
         ("fit", "penalty=en;b1=inf"),  # a lasso run never reads b1
         ("sensitivity", "values=nan"),
@@ -579,6 +583,12 @@ class TestFailedRunOutput:
         ("fit", "iters=50;burnin=10;thin=100"),
         ("cv", "iters=50;burnin=10;thin=100"),
         ("simulate", "iters=50;burnin=10;thin=100"),
+        ("fit", "standardise=maybe"),
+        ("fit", "justtext"),  # a line with no '='
+        ("simulate", "scenarios=1,x"),
+        ("simulate", "scenarios= , "),
+        ("sensitivity", "vary=zzz"),
+        ("sensitivity", "values=1,x"),
     ])
     def test_config_error_leaves_no_directory(self, toy_csv, tmp_path, capsys,
                                               subcommand, config):
@@ -663,19 +673,23 @@ class TestFailedRunOutput:
         # a flag is one config line, which holds no line break
         (["fit", "--out", "new/a\nb"], "", "config-error: "),
         (["fit", "--out", "new/a\u2028b"], "", "config-error: "),
-        # an eta the surface cannot square, and grid bounds whose exp
-        # overflows or underflows to 0 (on a 5-point grid only the first
-        # point underflows, so the grid still increases)
+        # an eta the surface cannot square
         (["contour"], "eta=inf", "config-error: "),
         (["contour"], "eta=1e200", "config-error: "),
+        # retired grid keys away from their fixed values
         (["contour"], "log_beta_min=-800\ngrid_size=5", "config-error: "),
         (["contour"], "log_beta_max=800", "config-error: "),
         (["contour"], "log_rho2_max=800", "config-error: "),
-        # eta's square is finite, but eta times a check loss over the
-        # smallest rho2 overflows
-        (["contour"], "eta=1e100\nlog_rho2_min=-700\ngrid_size=5",
+        # each rate is finite, but lambda4 beta^2 over the smallest rho2
+        # overflows
+        (["contour"], "penalty=en\nlambda4=1e305\nprior_style=conditional",
          "config-error: the log posterior is not finite on this grid: "
          "overflow encountered in divide\n"),
+        # a run that fails prints no warning before its error line: a
+        # constant column's, or the one for a full-scale study
+        (["fit", "--input", "constant.csv", "--iters", "0"], "", "config-error: "),
+        (["cv", "--input", "constant.csv", "--folds", "3"], "", "data-error: fold too small"),
+        (["simulate", "--reps", "300", "--tau", "abc"], "", "config-error: bad scenarios/tau"),
     ])
     def test_bad_input_prints_one_line(self, toy_csv, tmp_path, capsys, monkeypatch,
                                        args, config, start):
@@ -683,6 +697,7 @@ class TestFailedRunOutput:
         # and exit 2
         monkeypatch.chdir(tmp_path)
         (tmp_path / "undecodable.csv").write_bytes(b"x,y\n1,\xff\n")
+        (tmp_path / "constant.csv").write_text("c,x,y\n1,5,1\n1,6,2\n1,7,3\n1,8,5\n")
         (tmp_path / "run.cfg").write_text(config + "\n")
         if args:
             if "--out" not in args:
@@ -745,7 +760,7 @@ class TestFileFaults:
         "cv": "input=toy.csv\niters=30\nburnin=10\nfolds=3",
         "simulate": "n=25\nreps=1\niters=30\nburnin=10",
         "sensitivity": "values=1\niters=30\nburnin=10",
-        "contour": "grid_size=5",
+        "contour": "",
     }
 
     @pytest.mark.parametrize("subcommand,flags,named", [
@@ -801,9 +816,9 @@ class TestFileFaults:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(cli, "open", counting_open, raising=False)
-        data, header = ingest_csv(path)
+        matrix, header = ingest_csv(path)
         assert opened == [path]
-        assert header == ["a", "y"] and data.y.tolist() == [2.0, 4.0]
+        assert header == ["a", "y"] and matrix[:, -1].tolist() == [2.0, 4.0]
         assert cli._ingest_one_pass(_text(path)) is None  # the row scan parsed it
 
 

@@ -1033,6 +1033,24 @@ class TestRunChain:
         m2 = np.median(run_chain(data, pinned).draws[:, :k], axis=0)
         assert np.max(np.abs(m1 - m2)) < 0.05
 
+    def test_rho2_below_the_floor_is_kept_at_the_floor(self, monkeypatch, pin_eta):
+        # a rho2 draw of 1e-310 is kept as the floor 1e-300 and counted; eta
+        # is pinned, as its step cannot take a rho2 that small
+        update_rho2 = sampler.update_rho2
+        calls = iter(range(1, 100))
+
+        def tiny_last(*args):
+            drawn = update_rho2(*args)
+            return 1e-310 if next(calls) == 5 else drawn
+
+        monkeypatch.setattr(sampler, "update_rho2", tiny_last)
+        pin_eta(1.0)
+        data, _ = sim1_dataset(405, n=30)
+        samples = run_chain(data, ModelSpec(tau=0.5, n_iter=5, burn_in=0, seed=2))
+        assert samples.draws[-1, samples.columns.index("rho2")] == 1e-300
+        assert samples.health.positivity_clamps == 1
+        assert np.all(np.isfinite(samples.draws))
+
     def test_chain_error_carries_context(self, monkeypatch):
         import hqreg.sampler as sampler_mod
 

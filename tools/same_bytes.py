@@ -50,6 +50,10 @@ COMMANDS = [
     ("fit-wide-lasso", _fit("wide", "lasso", "0.5", "--no-standardise"), None),
     ("fit-wide-en", _fit("wide", "en", "0.5", "--no-standardise"), None),
     ("fit-study-en-seed-thin", _fit("study", "en", "0.5", "--seed", "7", "--thin", "2"), None),
+    # no intercept column: unstandardised, X is a view of the ingested matrix
+    ("fit-study-en-no-intercept", _fit("study", "en", "0.5", "--no-standardise"),
+     ["intercept=false"]),
+    ("fit-study-lasso-no-intercept", _fit("study", "lasso", "0.5"), ["intercept=false"]),
     *((f"fit-{shape}-{pen}-q25", _fit(shape, pen, "0.25"), None)
       for shape in ("small", "study") for pen in ("lasso", "en")),
     ("simulate", ["simulate", "--tau", "0.25,0.5", "--reps", "2", "--iters", "200",
@@ -67,9 +71,11 @@ COMMANDS = [
 
 # commands that must fail, one per error class: config-error, data-error,
 # each CSV error of the input dialect and chain-error; the k > n fit near
-# 1e200 keeps the beta block's own line for a Gram product that overflows
+# 1e200 keeps the beta block's own line for a Gram product that overflows,
+# and a constant column's warning is not printed by a run that fails
 FAILING = [
     ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
+    ("fail-constant-column", ["fit", "--input", "../inputs/constant.csv", "--iters", "0"], None),
     ("fail-cv-folds", ["cv", *_fit("study", "lasso", "0.5", "--folds", "1000")[1:]], None),
     *((f"fail-{name}", _fit(name, "lasso", "0.5"), None)
       for name in ("ragged", "non-numeric", "non-finite", "header-only", "long-cell")),
@@ -101,6 +107,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "non-finite.csv").write_text("x1,y\n1,2\nnan,4\n")
     (directory / "header-only.csv").write_text("x1,y\n")
     (directory / "long-cell.csv").write_text(f"x1,y\n1,{'1' * (csv.field_size_limit() + 1)}\n")
+    (directory / "constant.csv").write_text("c,x1,y\n1,0.5,1\n1,1.5,2\n1,2.5,4\n")
 
 
 def unpack(rev: str, directory: Path) -> None:
