@@ -1,8 +1,18 @@
 """Gibbs samplers for Huberised regularised quantile regression.
 
-One scan updates beta, sigma, then v with the penalty latents, the penalty
-rates, rho2 and eta.  Given beta and sigma, v and the penalty latents are
-independent GIG(1/2) variables, so one GIG call draws all n + k of them
+One scan updates, in order:
+
+1. beta, one Gaussian block;
+2. eta from its conditional with sigma integrated out (:func:`update_eta`);
+3. sigma given that eta (:func:`update_sigma`), which completes the
+   partially collapsed (eta, sigma) block of van Dyk & Park (2008, JASA);
+4. v with the penalty latents, then the penalty rates;
+5. rho2 by a scale-group move (:func:`update_rho2`);
+6. at k > n only, a level move along eta and the level of sigma
+   (:func:`update_level`).
+
+Given beta and sigma, v and the penalty latents are independent GIG(1/2)
+variables, so one GIG call draws all n + k of them
 (:func:`update_v_and_latents`), with the variates of the separate calls
 :func:`update_v` and :func:`update_s` / :func:`update_t`.  Each penalty
 family is one object, its hyperparameter dataclass:
@@ -18,15 +28,24 @@ sample columns and whose ``log_prior`` is the beta | rho2 prior in closed
 form, and gives ``init`` (a new state's ``latent`` and
 ``rates``), ``prior_precision`` (the beta prior's diagonal),
 ``rho2_quadratic`` (rho2 * sum(beta_j^2 * prior_precision_j)),
-``latent_params`` (the GIG(1/2) parameters of its latents) and
+``latent_params`` (the GIG(1/2) parameters of its latents),
+``scale_orbit`` (its share of the rho2 scale move) and
 ``update`` (which draws ``rates``; :func:`run_chain` sets v and ``latent``
-from the joint draw).  Every latent block has a generalised inverse Gaussian full conditional.  The
-orders of the sigma and rho2 blocks follow the chain's GIG mixing index
-lambda, ``loss_density.CHAIN_MIXING_INDEX``.  The robustness parameter
-eta is updated by a gamma approximation whose (shape, rate) pair is
-refined by a fixed-point iteration, at most 10 passes to a relative
-tolerance of 1e-8, before a single draw is taken; that step is written
-for index 1 only.
+from the joint draw).  Every latent block has a generalised inverse
+Gaussian full conditional.  The order of the sigma block follows the
+chain's GIG mixing index lambda, ``loss_density.CHAIN_MIXING_INDEX``; the
+rho2 move holds at any index, while the eta step and the level move carry
+K_1 and are written for index 1 only.
+
+Steps 2, 5 and 6 are each one stepping-out slice step (Neal 2003, Ann.
+Statist.) on a scalar, with closed-form log densities: eta's on log eta,
+and the two group moves' on their group element (Liu & Sabatti 2000,
+JASA), which leave the posterior invariant.  At k > n the group moves
+also shift beta along X'(XX')^-1 r, which maps the residual r to g r;
+X'(XX')^-1 is formed once per chain.  The previous eta step, a refined gamma
+approximation (:func:`update_eta_approx`), is no longer in the scan; it
+stays, with the functions the scan no longer calls, for the benchmark's
+tracer, which wraps them by name (ROADMAP item 14).
 The block updates draw from the ``np.random.Generator`` that
 :func:`run_chain` passes them.
 """
@@ -39,6 +58,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import loss_density, specfun
 from .randist import RngStream, gig_rvs, mvn_from_precision, mvn_low_rank
@@ -54,10 +74,13 @@ __all__ = [
     "ChainError",
     "initial_state",
     "update_beta",
+    "sigma_quadratic",
+    "update_eta",
     "update_sigma",
     "update_v",
     "update_v_and_latents",
     "update_rho2",
+    "update_level",
     "update_s",
     "update_lambda1_sq",
     "update_t",
@@ -66,6 +89,8 @@ __all__ = [
     "lambda3_log_accept_ratio",
     "refine_eta_gamma_params",
     "update_eta_approx",
+    "wide_projector",
+    "residual_shift",
     "run_chain",
     "summarize",
 ]
@@ -73,6 +98,16 @@ __all__ = [
 _POSITIVITY_FLOOR = 1e-300
 _ETA_REFINE_ITERS = 10
 _ETA_REFINE_TOL = 1e-8
+# slice widths: over sqrt(n) for eta (on log eta) and for rho2 while beta
+# stays fixed (on log g); the moves that shift beta and the level move take 1
+_ETA_SLICE_WIDTH = 10.0
+_RHO2_SLICE_WIDTH = 3.0
+# the stepping-out limit m of Neal (2003), in widths on each side together
+_SLICE_MAX_STEPS = 50
+# a row of XX' whose Cholesky pivot is below this share of its diagonal is
+# taken as dependent on the rows before it
+_WIDE_PIVOT_TOL = 1e-10
+_SLICE_BLOCKS = ("eta", "rho2", "level")
 
 
 class ChainError(RuntimeError):
@@ -156,6 +191,14 @@ class LassoHyper:
         d /= math.sqrt(state.rho2)
         return math.sqrt(state.rates.lambda1_sq), d
 
+    def scale_orbit(self, state: ChainState) -> tuple:
+        """The lasso's share of the rho2 scale move g: (s, l1sq) -> (s/g, g l1sq),
+        which keeps rho2 s_j and l1sq s_j.  Returns (alpha, R), which add
+        alpha log g - R g to the move's log density, and the map of g to the
+        new (latent, rates)."""
+        lam = state.rates.lambda1_sq
+        return self.a, self.b * lam, lambda g: (state.latent / g, self.Rates(g * lam))
+
     def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
         state.rates = self.Rates(update_lambda1_sq(state, data, spec, gen))
 
@@ -213,6 +256,14 @@ class ElasticNetHyper:
         lam3_tilde, lam4 = state.rates
         d *= math.sqrt(2.0 * lam4 / state.rho2)
         return math.sqrt(2.0 * lam3_tilde), d
+
+    def scale_orbit(self, state: ChainState) -> tuple:
+        """The elastic net's share of the rho2 scale move g: lambda4 -> g lambda4,
+        which keeps lambda4 / rho2; u and lambda3_tilde stay.  Returns (alpha,
+        R) = (a2, b2 lambda4) and the map of g to the new (latent, rates)."""
+        lam3_tilde, lam4 = state.rates
+        return (self.a2, self.b2 * lam4,
+                lambda g: (state.latent, self.Rates(lam3_tilde, g * lam4)))
 
     def update(self, state: ChainState, data: Dataset, spec: ModelSpec, gen, health) -> None:
         lam4 = update_lambda4(state, data, spec, gen)
@@ -278,22 +329,32 @@ class ChainState:
 
 @dataclass
 class ChainHealth:
-    """Counters for numerically guarded events during a run."""
+    """Counters for numerically guarded events during a run, and the slice
+    steps of the eta, rho2 and level blocks with their log-density
+    evaluations.  ``eta_update_skips`` counted the skips of the gamma
+    approximation, which the scan no longer takes; it stays 0."""
 
     positivity_clamps: int = 0
     eta_update_skips: int = 0
     mh_proposals: int = 0
     mh_accepts: int = 0
+    slice_steps: dict = field(default_factory=lambda: dict.fromkeys(_SLICE_BLOCKS, 0))
+    slice_evals: dict = field(default_factory=lambda: dict.fromkeys(_SLICE_BLOCKS, 0))
 
     def as_lines(self) -> list:
         rate = self.mh_accepts / self.mh_proposals if self.mh_proposals else float("nan")
-        return [
+        lines = [
             f"positivity_clamps={self.positivity_clamps}",
             f"eta_update_skips={self.eta_update_skips}",
             f"mh_proposals={self.mh_proposals}",
             f"mh_accepts={self.mh_accepts}",
             f"mh_accept_rate={rate:.6f}" if self.mh_proposals else "mh_accept_rate=nan",
         ]
+        for block in _SLICE_BLOCKS:
+            steps = self.slice_steps[block]
+            mean = f"{self.slice_evals[block] / steps:.6f}" if steps else "nan"
+            lines.append(f"{block}_slice_evals_per_step={mean}")
+        return lines
 
 
 @dataclass
@@ -357,24 +418,36 @@ def update_beta(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.nd
     return mvn_from_precision(gen, precision, linear_term)
 
 
-def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
-                 resid: np.ndarray) -> np.ndarray:
-    """Per-observation GIG(lambda - 3/2) draws for the global mixing
-    latents, lambda the chain's mixing index (order -1/2 at lambda = 1).
+def sigma_quadratic(state: ChainState, spec: ModelSpec, resid: np.ndarray) -> np.ndarray:
+    """q_i = (resid_i - (1 - 2 tau) v_i)^2 / (4 v_i) + tau (1 - tau) v_i: sigma's
+    d^2 less eta rho2, which the eta step and the sigma block share.
 
     ``resid`` is y - X beta at the state; it is only read.
     """
     tau = spec.tau
-    # d^2 = (resid - (1 - 2 tau) v)^2 / (4 v) + tau (1 - tau) v + eta rho2,
-    # built in place in d and one scratch array
-    d = (1.0 - 2.0 * tau) * state.v
-    np.subtract(resid, d, out=d)
-    d *= d
+    # built in place in q and one scratch array
+    q = (1.0 - 2.0 * tau) * state.v
+    np.subtract(resid, q, out=q)
+    q *= q
     scratch = 4.0 * state.v
-    d /= scratch
+    q /= scratch
     np.multiply(tau * (1.0 - tau), state.v, out=scratch)
-    d += scratch
-    d += state.eta * state.rho2
+    q += scratch
+    return q
+
+
+def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
+                 resid: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-observation GIG(lambda - 3/2) draws for the global mixing
+    latents, lambda the chain's mixing index (order -1/2 at lambda = 1).
+
+    c = sqrt(eta / rho2) and d_i = sqrt(q_i + eta rho2), with q from
+    :func:`sigma_quadratic` of ``resid`` unless the scan passes it; q is
+    only read.
+    """
+    if q is None:
+        q = sigma_quadratic(state, spec, resid)
+    d = q + state.eta * state.rho2
     np.sqrt(d, out=d)
     c = math.sqrt(state.eta / state.rho2)
     return gig_rvs(gen, loss_density.CHAIN_MIXING_INDEX - 1.5, c, d)
@@ -425,22 +498,78 @@ def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, gen,
     return gig_rvs(gen, 0.5, c, d)
 
 
-def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> float:
-    """Single GIG draw for the scale; order -(lambda n + k/2) under the
-    invariant prior, lambda the chain's mixing index.
+def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen, resid: np.ndarray,
+                health: ChainHealth, shift: Optional[np.ndarray] = None) -> float:
+    """The rho2 block: a scale-group move g (rho2, sigma, v) with the
+    penalty family's scale (its ``scale_orbit``), g drawn by one slice step
+    on u = log g from u = 0.  Returns g rho2; sigma, v (floored and
+    counted), the family's latent and rates, and beta where it shifts,
+    take their images in ``state``.
 
-    A proper inverse-gamma prior (shape a0, rate g0) shifts the order by
-    -a0 and adds 2 g0 to the 1/x coefficient.
+    With beta fixed, log p(u) = (alpha - n - a0) u - A e^-2u + B e^-u
+    - R e^u, where A = sum(r^2 / (8 sigma v)) and B = (1 - 2 tau)
+    sum(r / (4 sigma)) - g0 / rho2, (alpha, R) the family's and (a0, g0)
+    ``rho2_invgamma`` (0 when unset).  The power of g holds at any mixing
+    index lambda: sigma's prior gives rho2^-lambda sigma^(lambda - 1) per
+    observation, and both scale with g.  A family whose ``scale_orbit``
+    is None keeps its scale: g moves (rho2, sigma, v) alone and the beta
+    prior adds -(k/2) u - (Q/2) e^-u, Q = ``rho2_quadratic`` / rho2.
+
+    Given ``shift``, delta = X'(XX')^-1 r from :func:`residual_shift`
+    (k > n), and a family scale, the residual is free: beta moves to
+    beta + (1 - g) delta, which maps r to g r and keeps the likelihood,
+    and log p(u) = (alpha - a0) u - R e^u - (g0 / rho2) e^-u
+    - (1 - g) S_bd - (1 - g)^2 S_dd / 2, with S_bd = sum(pi beta delta),
+    S_dd = sum(pi delta^2) and pi the beta prior precision, which the move
+    keeps.  The move then scales ``shift`` by g in place, which makes it
+    the shift of the moved residual.  ``resid`` is y - X beta at the
+    state; it is only read.
     """
     n, k = data.n, data.k
-    c_sq = state.eta * float((1.0 / state.sigma).sum())
-    d_sq = state.eta * float(state.sigma.sum()) + spec.penalty.rho2_quadratic(state)
-    nu = -(loss_density.CHAIN_MIXING_INDEX * n + k / 2.0)
-    if spec.rho2_invgamma is not None:
-        a0, g0 = spec.rho2_invgamma
-        nu -= a0
-        d_sq += 2.0 * g0
-    return float(gig_rvs(gen, nu, math.sqrt(c_sq), math.sqrt(d_sq)))
+    rho2 = state.rho2
+    a0, g0 = spec.rho2_invgamma or (0.0, 0.0)
+    orbit = spec.penalty.scale_orbit(state)
+    if orbit is None:
+        # the beta prior's precision then moves with rho2, and the shifted
+        # form below holds it fixed: keep beta
+        alpha, big_r, scaled, shift = 0.0, 0.0, None, None
+    else:
+        alpha, big_r, scaled = orbit
+    if shift is None:
+        ratio = resid / state.sigma
+        big_a = 0.125 * float(np.dot(ratio, resid / state.v))
+        big_b = 0.25 * (1.0 - 2.0 * spec.tau) * float(ratio.sum()) - g0 / rho2
+        power = alpha - n - a0
+        if orbit is None:
+            power -= k / 2.0
+            big_b -= 0.5 * spec.penalty.rho2_quadratic(state) / rho2
+        width = _RHO2_SLICE_WIDTH / math.sqrt(n)
+
+        def log_density(u):
+            inv = math.exp(-u)
+            return power * u - big_a * inv * inv + big_b * inv - big_r * math.exp(u)
+    else:
+        s_bd, s_dd = _shift_prior_terms(spec.penalty.prior_precision(state), state.beta, shift)
+        power = alpha - a0
+        inv_rate = g0 / rho2
+        width = 1.0
+
+        def log_density(u):
+            g = math.exp(u)
+            return (power * u - big_r * g - inv_rate / g - (1.0 - g) * s_bd
+                    - 0.5 * (1.0 - g) ** 2 * s_dd)
+
+    g = _group_element("g", _slice_step(log_density, 0.0, width, gen, health, "rho2"))
+    state.sigma = _scale_floored(state.sigma, g, health)
+    state.v = _scale_floored(state.v, g, health)
+    if scaled is not None:
+        latent, state.rates = scaled(g)
+        # s / g can fall below the floor only when g > 1
+        state.latent = _clamp_positive(latent, health) if g > 1.0 else latent
+    if shift is not None:
+        state.beta = state.beta + (1.0 - g) * shift
+        shift *= g
+    return rho2 * g
 
 
 def update_s(state: ChainState, data: Dataset, spec: ModelSpec, gen) -> np.ndarray:
@@ -561,6 +690,14 @@ def update_eta_approx(state: ChainState, spec: ModelSpec, gen,
     return float(gen.gamma(A) / B)
 
 
+def _scale_floored(arr: np.ndarray, g: float, health: ChainHealth) -> np.ndarray:
+    """arr * g for a floored latent array, floored and counted as
+    :func:`_clamp_positive` does; with g >= 1 no entry can fall below the
+    floor, and the check is skipped."""
+    out = arr * g
+    return _clamp_positive(out, health) if g < 1.0 else out
+
+
 def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
     """Floor a latent array at _POSITIVITY_FLOOR, counting the floored
     entries.
@@ -574,11 +711,235 @@ def _clamp_positive(arr: np.ndarray, health: ChainHealth) -> np.ndarray:
     return np.maximum(arr, _POSITIVITY_FLOOR)
 
 
+def _slice_step(log_density, x0: float, width: float, gen, health: ChainHealth,
+                block: str) -> float:
+    """One slice step from x0 on a scalar log density, by stepping out at
+    most _SLICE_MAX_STEPS widths and shrinking (Neal 2003, Ann. Statist.,
+    figs. 3 and 5); it leaves the normalised density invariant.
+
+    An evaluation that overflows or leaves the density's domain (a math
+    error) counts as log density -inf.  The step and its evaluations,
+    x0's included, are counted under ``block`` in ``health``.  A
+    non-finite log density at x0 raises ValueError.
+    """
+    def above(x):
+        nonlocal evals
+        evals += 1
+        try:
+            return log_density(x) > level
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return False
+
+    evals = 1
+    start = log_density(x0)
+    if not -math.inf < start < math.inf:
+        raise ValueError(f"{block} log density at the current state is {start}")
+    # the slice level (log1p(-u) is minus a standard exponential), the
+    # interval's place around x0 and the split of the step-out budget
+    u_level, u_place, u_split = gen.random(3).tolist()
+    level = start + math.log1p(-u_level)
+    left = x0 - width * u_place
+    right = left + width
+    steps_left = int(_SLICE_MAX_STEPS * u_split)
+    steps_right = _SLICE_MAX_STEPS - 1 - steps_left
+    while steps_left > 0 and above(left):
+        left -= width
+        steps_left -= 1
+    while steps_right > 0 and above(right):
+        right += width
+        steps_right -= 1
+    while True:
+        x = left + (right - left) * gen.random()
+        if above(x):
+            break
+        if x < x0:
+            left = x
+        elif x > x0:
+            right = x
+        else:  # the interval has shrunk onto x0
+            break
+    health.slice_steps[block] += 1
+    health.slice_evals[block] += evals
+    return x
+
+
+def _group_element(name: str, log_value: float) -> float:
+    """exp(log_value), a drawn group element or eta, when it is finite and
+    > 0; otherwise ValueError."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} = {value!r} is not finite and > 0")
+    return value
+
+
+def wide_projector(X: np.ndarray) -> Optional[np.ndarray]:
+    """P = X'(XX')^-1, k x n, for the group moves that shift beta, or None:
+    when k <= n, and when XX' is not numerically positive definite (a
+    rank-deficient X, such as one with a repeated row), where those moves
+    keep beta fixed.  One Cholesky factor of XX' per chain."""
+    n, k = X.shape
+    if k <= n:
+        return None
+    with np.errstate(all="ignore"):
+        gram = X @ X.T
+    if not np.isfinite(gram).all():
+        return None
+    lower, info = lapack.dpotrf(gram, lower=1, clean=1)
+    if info != 0 or np.any(np.diag(lower) ** 2 <= _WIDE_PIVOT_TOL * np.diag(gram)):
+        return None
+    solved, _ = lapack.dpotrs(lower, X, lower=1)
+    return solved.T
+
+
+def residual_shift(projector: Optional[np.ndarray], resid: np.ndarray) -> Optional[np.ndarray]:
+    """delta = X'(XX')^-1 resid, the beta direction that maps the residual
+    to g times itself under beta + (1 - g) delta, from ``projector``, the
+    :func:`wide_projector` of X; None without one."""
+    if projector is None:
+        return None
+    return projector @ resid
+
+
+def _shift_prior_terms(precision: np.ndarray, beta: np.ndarray, shift: np.ndarray) -> tuple:
+    """(sum(pi beta delta), sum(pi delta^2)): the beta prior's change under
+    beta + (1 - g) delta is -(1 - g) S_bd - (1 - g)^2 S_dd / 2."""
+    weighted = precision * shift
+    return float(weighted @ beta), float(weighted @ shift)
+
+
+def update_eta(state: ChainState, spec: ModelSpec, gen, q: np.ndarray,
+               health: ChainHealth) -> float:
+    """eta from its conditional given beta, v and rho2, with sigma
+    integrated out: one slice step on log eta, width 10/sqrt(n), with its
+    Jacobian.  sigma must be drawn next, given this eta.
+
+    sigma_i | . is GIG(-1/2, c, d_i), c = sqrt(eta / rho2) and d_i =
+    sqrt(q_i + eta rho2) with q from :func:`sigma_quadratic`, whose
+    normaliser is sqrt(2 pi) e^(-c d_i) / d_i; so, with (a, b) the
+    family's ``eta_prior``,
+
+        log p(eta | beta, v, rho2) = (a - 1) log eta - b eta
+            - n log K_1(eta) - sum(log d_i + c d_i).
+
+    Written for the chain's mixing index 1.  With no observations (n = 0)
+    this is the Gamma(a, b) prior, drawn directly.
+    """
+    a, b = spec.penalty.eta_prior
+    n = q.size
+    if n == 0:
+        return float(gen.gamma(a) / b)
+    rho2 = state.rho2
+    d_sq = np.empty(n)
+    # log d^2 and d side by side, summed by one product: this runs about 6
+    # times a scan, and at n = 100 the calls cost more than the arithmetic
+    terms = np.empty((2, n))
+    logs, roots = terms
+    ones = np.ones(n)
+
+    def log_density(u):
+        eta = math.exp(u)
+        np.add(q, eta * rho2, out=d_sq)
+        np.log(d_sq, out=logs)
+        np.sqrt(d_sq, out=roots)
+        log_sum, root_sum = np.dot(terms, ones).tolist()
+        return (a * u - b * eta - n * specfun.log_k1(eta) - 0.5 * log_sum
+                - math.sqrt(eta / rho2) * root_sum)
+
+    return _group_element("eta", _slice_step(log_density, math.log(state.eta),
+                                             _ETA_SLICE_WIDTH / math.sqrt(n), gen, health, "eta"))
+
+
+def update_level(state: ChainState, data: Dataset, spec: ModelSpec, gen, shift: np.ndarray,
+                 health: ChainHealth) -> float:
+    """The level move, k > n only: along the ridge on which eta and the level
+    of sigma / rho2 move together.  Returns the new eta; sigma and v
+    (floored and counted) and beta take their images in ``state``.
+
+    For s in (R, +), G = exp((e^s - 1) / eta) and eta' = eta e^-s, it maps
+    (sigma, v) to G (sigma, v), eta to eta' and beta to beta + (1 - G)
+    delta, with ``shift`` delta = X'(XX')^-1 r at the state's residual r
+    (:func:`residual_shift`), so r goes to G r; rho2 and the penalty
+    stay.  It is a group action, so one slice step on s (width 1) from 0
+    on
+
+        n log G - (eta'/2)(G S1 + S2/G) - n log K_1(eta') - a s - b eta'
+            - (1 - G) S_bd - (1 - G)^2 S_dd / 2,
+
+    S1 = sum(sigma) / rho2, S2 = rho2 sum(1/sigma), (a, b) the family's
+    ``eta_prior`` and S_bd, S_dd as in :func:`update_rho2`, leaves the
+    posterior invariant.  Written for the chain's mixing index 1.
+    ``shift`` is only read.
+    """
+    a, b = spec.penalty.eta_prior
+    n, eta, rho2 = data.n, state.eta, state.rho2
+    s_bd, s_dd = _shift_prior_terms(spec.penalty.prior_precision(state), state.beta, shift)
+    s1 = float(state.sigma.sum()) / rho2
+    s2 = rho2 * float(np.reciprocal(state.sigma).sum())
+
+    def log_density(s):
+        log_g = math.expm1(s) / eta
+        g = math.exp(log_g)
+        eta_new = eta * math.exp(-s)
+        return (n * log_g - 0.5 * eta_new * (g * s1 + s2 / g) - n * specfun.log_k1(eta_new)
+                - a * s - b * eta_new - (1.0 - g) * s_bd - 0.5 * (1.0 - g) ** 2 * s_dd)
+
+    s = _slice_step(log_density, 0.0, 1.0, gen, health, "level")
+    try:
+        log_g = math.expm1(s) / eta
+    except OverflowError:
+        log_g = math.inf
+    g = _group_element("G", log_g)
+    eta_new = _group_element("eta'", math.log(eta) - s)
+    state.sigma = _scale_floored(state.sigma, g, health)
+    state.v = _scale_floored(state.v, g, health)
+    state.beta = state.beta + (1.0 - g) * shift
+    return eta_new
+
+
+def _scan(state: ChainState, data: Dataset, spec: ModelSpec, gen, health: ChainHealth,
+          projector: Optional[np.ndarray], it: int) -> None:
+    """One systematic scan of :func:`run_chain` at iteration ``it``, in the
+    module docstring's order; ``projector`` is :func:`wide_projector` of X.
+    A block that fails raises ChainError naming the block and ``it``."""
+    block = "beta"
+    try:
+        state.beta = update_beta(state, data, spec, gen)
+        block = "eta"
+        # eta, sigma, v and the rho2 move read y - X beta, and beta stays
+        # fixed until a move shifts it
+        resid = data.y - data.X @ state.beta
+        q = sigma_quadratic(state, spec, resid)
+        state.eta = update_eta(state, spec, gen, q, health)
+        block = "sigma"
+        state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid, q), health)
+        block = "v and penalty latents"
+        drawn = _clamp_positive(update_v_and_latents(state, data, spec, gen, resid), health)
+        state.v, state.latent = drawn[: data.n], drawn[data.n:]
+        block = "penalty"
+        spec.penalty.update(state, data, spec, gen, health)
+        block = "rho2"
+        # at k > n the rho2 move scales the shift with the residual, and the
+        # level move takes it so
+        shift = residual_shift(projector, resid)
+        state.rho2 = update_rho2(state, data, spec, gen, resid, health, shift)
+        if state.rho2 < _POSITIVITY_FLOOR:
+            state.rho2 = _POSITIVITY_FLOOR
+            health.positivity_clamps += 1
+        if shift is not None:
+            block = "level"
+            state.eta = update_level(state, data, spec, gen, shift, health)
+    except Exception as exc:
+        raise ChainError(f"update '{block}' failed at iteration {it}: {exc}") from exc
+
+
 def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     """Run one systematic-scan chain and collect thinned post-burn-in draws.
 
-    Scan order: beta, sigma, v with the penalty latents, the penalty
-    rates, rho2, eta.  Retains
+    Scan order: beta, eta, sigma, v with the penalty latents, the penalty
+    rates, the rho2 move and, at k > n, the level move.  Retains
     floor((n_iter - burn_in)/thin) rows of (beta, rho2, eta, penalty
     rates).  Draws from the Generator ``rng``, or from spec.seed's stream
     when ``rng`` is None.  A block that fails raises ChainError naming
@@ -589,10 +950,9 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     gen = rng if rng is not None else RngStream(spec.seed).generator()
     state = initial_state(data, spec)
     health = ChainHealth()
-    penalty = spec.penalty
     k = data.k
 
-    columns = [f"beta_{j}" for j in range(k)] + ["rho2", "eta", *penalty.Rates._fields]
+    columns = [f"beta_{j}" for j in range(k)] + ["rho2", "eta", *spec.penalty.Rates._fields]
     n_keep = (spec.n_iter - spec.burn_in) // spec.thin
     draws = np.empty((n_keep, len(columns)))
     row = 0
@@ -600,31 +960,9 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     # one filter for the whole chain, not a numpy errstate per scan
     with warnings.catch_warnings():
         warnings.filterwarnings("error", category=RuntimeWarning, module="hqreg")
+        projector = wide_projector(data.X)
         for it in range(1, spec.n_iter + 1):
-            block = "beta"
-            try:
-                state.beta = update_beta(state, data, spec, gen)
-                block = "sigma"
-                # sigma and v both read y - X beta, and beta stays fixed until
-                # the next scan
-                resid = data.y - data.X @ state.beta
-                state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid), health)
-                block = "v and penalty latents"
-                drawn = _clamp_positive(update_v_and_latents(state, data, spec, gen, resid),
-                                        health)
-                state.v, state.latent = drawn[: data.n], drawn[data.n:]
-                block = "penalty"
-                penalty.update(state, data, spec, gen, health)
-                block = "rho2"
-                state.rho2 = update_rho2(state, data, spec, gen)
-                if state.rho2 < _POSITIVITY_FLOOR:
-                    state.rho2 = _POSITIVITY_FLOOR
-                    health.positivity_clamps += 1
-                block = "eta"
-                state.eta = update_eta_approx(state, spec, gen, health)
-            except Exception as exc:
-                raise ChainError(f"update '{block}' failed at iteration {it}: {exc}") from exc
-
+            _scan(state, data, spec, gen, health, projector, it)
             if it > spec.burn_in and (it - spec.burn_in) % spec.thin == 0 and row < n_keep:
                 draws[row, :k] = state.beta
                 draws[row, k:] = (state.rho2, state.eta, *state.rates)

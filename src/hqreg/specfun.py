@@ -3,8 +3,9 @@
 Everything here wraps or combines the exponentially scaled Bessel routines
 from scipy.special so that ratios and logarithms stay finite across the
 full argument range the Gibbs updates visit (roughly 1e-6 .. 1e6).
-``log_k1_derivs`` and ``log_upper_gamma_half`` take the float that the
-chain passes them (an int works too); ``log_bessel_k`` also takes arrays.
+``log_k1``, ``log_k1_derivs`` and ``log_upper_gamma_half`` take the float
+that the chain passes them (an int works too); ``log_bessel_k`` also takes
+arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy import special as _sp
 
 __all__ = [
     "log_bessel_k",
+    "log_k1",
     "log_k1_derivs",
     "log_k1_deriv",
     "log_k1_deriv2",
@@ -33,6 +35,16 @@ def log_bessel_k(nu, x):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def log_k1(x):
+    """log K_1(x) for one float x > 0, the normaliser that the chain's eta
+    steps evaluate at its mixing index 1; one call of the order-1 scaled
+    Bessel function ``k1e``, several times faster than ``kve`` at one
+    point."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be finite and > 0")
+    return math.log(_sp.k1e(x)) - x
 
 
 _K_ORDERS_0_TO_3 = np.arange(4.0)

@@ -1,10 +1,15 @@
 """Shared test helpers."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import kve
 
 from hqreg import sampler
-from hqreg.sampler import ChainState, ElasticNetHyper, LassoHyper
+from hqreg.randist import RngStream
+from hqreg.sampler import ChainState, Dataset, ElasticNetHyper, LassoHyper, ModelSpec
 
 
 class FixedNormals(np.random.Generator):
@@ -39,6 +44,8 @@ def _chain_state(penalty, *, beta, v, sigma, rho2, eta, latent, **rates):
 # the steps that draw each family's rates, in the order of its Rates
 _RATE_STEPS = {LassoHyper: ("update_lambda1_sq",),
                ElasticNetHyper: ("mh_update_lambda3_tilde", "update_lambda4")}
+# the rate that each family's share of the rho2 scale move scales
+_SCALED_RATE = {LassoHyper: "lambda1_sq", ElasticNetHyper: "lambda4"}
 
 
 @pytest.fixture
@@ -47,7 +54,8 @@ def pin_rate(monkeypatch):
     the order of its Rates, at ``values`` and makes their steps return the
     current rate without drawing, so every chain of the family holds them
     there: a prior off-switch for nesting checks, and fixed rates for the
-    surface oracle."""
+    surface oracle.  A pinned rate stays out of the rho2 scale move, which
+    then scales (rho2, sigma, v) alone."""
 
     def pin(family, *values):
         init = family.init
@@ -61,6 +69,8 @@ def pin_rate(monkeypatch):
         for name, step in zip(names, _RATE_STEPS[family]):
             monkeypatch.setattr(sampler, step,
                                 lambda state, *args, name=name: getattr(state.rates, name))
+        if _SCALED_RATE[family] in names:
+            monkeypatch.setattr(family, "scale_orbit", lambda self, state: None)
 
     return pin
 
@@ -68,7 +78,8 @@ def pin_rate(monkeypatch):
 @pytest.fixture
 def pin_eta(monkeypatch):
     """``pin_eta(value)`` starts every chain's eta at ``value`` and makes
-    the eta step return the current eta without drawing."""
+    the eta step and the level move return the current eta without
+    drawing; the level move then moves nothing."""
 
     def pin(value):
         initial_state = sampler.initial_state
@@ -79,7 +90,8 @@ def pin_eta(monkeypatch):
             return state
 
         monkeypatch.setattr(sampler, "initial_state", pinned_initial_state)
-        monkeypatch.setattr(sampler, "update_eta_approx", lambda state, *args: state.eta)
+        for step in ("update_eta", "update_level"):
+            monkeypatch.setattr(sampler, step, lambda state, *args: state.eta)
 
     return pin
 
@@ -97,3 +109,57 @@ def fixed_normals():
 @pytest.fixture
 def linear_map():
     return _linear_map
+
+
+def _quadrature_ks(draws, log_density):
+    """KS p-value of draws against a scalar log density normalised by
+    trapezoid quadrature on 2001 points over their mean +- 12 sds, whose
+    edges must hold no mass."""
+    centre, spread = draws.mean(), 12.0 * draws.std()
+    grid = np.linspace(centre - spread, centre + spread, 2001)
+    logp = np.array([log_density(x) for x in grid])
+    logp -= logp.max()
+    assert max(logp[0], logp[-1]) < -20.0
+    pdf = np.exp(logp)
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(grid))])
+    cdf /= cdf[-1]
+    return stats.kstest(draws, lambda x: np.interp(x, grid, cdf)).pvalue
+
+
+@pytest.fixture
+def quadrature_ks():
+    return _quadrature_ks
+
+
+def _eta_conditional():
+    """A fixed (r, v, rho2) at n = 8, tau = 0.3 for the eta step: (data, spec,
+    state, resid, q, ks_pvalue).  ``ks_pvalue(draws)`` drops the first 100
+    of a run of eta draws, thins the rest by 2 and gives the KS p-value of
+    their logs against eta's conditional given (r, v, rho2), with sigma
+    integrated out, written from its formula and normalised by quadrature
+    on log eta."""
+    gen = RngStream(353).generator()
+    n, tau = 8, 0.3
+    data = Dataset(np.ones((n, 1)), gen.standard_normal(n))
+    spec = ModelSpec(tau=tau, penalty=LassoHyper(c=1.5, d=0.5))
+    state = _chain_state(LassoHyper, beta=np.zeros(1), v=gen.uniform(0.3, 2.0, n),
+                         sigma=np.ones(n), rho2=0.6, eta=1.0, latent=np.ones(1), lambda1_sq=1.0)
+    resid = data.y - data.X @ state.beta
+    q = (resid - (1 - 2 * tau) * state.v) ** 2 / (4 * state.v) + tau * (1 - tau) * state.v
+    a, b = spec.penalty.eta_prior
+
+    def log_p(eta):
+        d = np.sqrt(q + eta * state.rho2)
+        return ((a - 1) * math.log(eta) - b * eta - n * (math.log(kve(1, eta)) - eta)
+                - float(np.sum(np.log(d) + math.sqrt(eta / state.rho2) * d)))
+
+    def ks_pvalue(draws):
+        # on log eta, with its Jacobian
+        return _quadrature_ks(np.log(draws[100::2]), lambda u: log_p(math.exp(u)) + u)
+
+    return data, spec, state, resid, q, ks_pvalue
+
+
+@pytest.fixture
+def eta_conditional():
+    return _eta_conditional

@@ -613,9 +613,9 @@ class TestFailedRunOutput:
         assert not (tmp_path / "new").exists()
 
     def test_numeric_failure_is_chain_error(self, tmp_path, capsys):
-        # valid keys whose chain breaks down: an l1-rate shape of 1e308
+        # valid keys whose chain breaks down: an eta prior shape of 1e308
         cfg = tmp_path / "s.cfg"
-        cfg.write_text("vary=a\nvalues=1e308\niters=20\nburnin=5\n")
+        cfg.write_text("vary=c\nvalues=1e308\niters=20\nburnin=5\n")
         assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("chain-error: update '") and err.count("\n") == 1
@@ -631,9 +631,10 @@ class TestFailedRunOutput:
         pytest.param(40, (slice(None), 1e200), ["--no-standardise"],
                      "chain-error: update 'beta' failed at iteration 1: "
                      "Gaussian draw needs finite inputs", id="40"),
-        # a response near 1e160 overflows the sigma block's squared residuals
+        # a response near 1e160 overflows the squared residuals of sigma's q,
+        # which the eta step computes first
         pytest.param(3, (slice(-1, None), 1e160), ["--no-standardise"],
-                     "chain-error: update 'sigma' failed at iteration 1: "
+                     "chain-error: update 'eta' failed at iteration 1: "
                      "overflow encountered in multiply", id="sigma"),
         # and values near 1e200 overflow the standardisation's sd
         pytest.param(3, (slice(None), 1e200), [],

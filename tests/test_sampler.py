@@ -3,8 +3,9 @@ joint prior-consistency (successive-conditional) check, and the whole
 chain at fixed data against the posterior surface's quadrature."""
 
 import math
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,9 +31,11 @@ from hqreg.sampler import (
     run_chain,
     summarize,
     update_beta,
+    update_eta,
     update_eta_approx,
     update_lambda1_sq,
     update_lambda4,
+    update_level,
     update_rho2,
     update_s,
     update_sigma,
@@ -336,7 +339,49 @@ class TestUpdateSigmaV:
         assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
 
 
+def _log_gig(x, lam, c, d):
+    """log density of GIG(lam, c, d), proportional to x^(lam-1) e^-(c^2 x + d^2/x)/2."""
+    return (lam * np.log(c / d) - math.log(2.0) - np.log(kve(lam, c * d)) + c * d
+            + (lam - 1.0) * np.log(x) - 0.5 * (c * c * x + d * d / x))
+
+
+def _log_joint(data, spec, st, lam):
+    """The model's log density at ``st`` given y, written out block by block:
+    y | beta, sigma, v, then v | sigma, sigma | eta, rho2 at mixing index
+    ``lam``, the family's beta prior, latent prior and rate priors that
+    the rho2 move scales, and rho2's prior.  Terms that the move keeps
+    fixed (eta's prior, the elastic net's u and lambda3_tilde) are left
+    out."""
+    tau = spec.tau
+    resid = data.y - data.X @ st.beta
+    out = np.sum(stats.norm.logpdf(resid, (1.0 - 2.0 * tau) * st.v, np.sqrt(4.0 * st.sigma * st.v)))
+    out += np.sum(stats.expon.logpdf(st.v, scale=2.0 * st.sigma / (tau * (1.0 - tau))))
+    out += np.sum(_log_gig(st.sigma, lam, math.sqrt(st.eta / st.rho2), math.sqrt(st.eta * st.rho2)))
+    hyper = spec.penalty
+    if isinstance(hyper, LassoHyper):
+        out += np.sum(stats.norm.logpdf(st.beta, 0.0, np.sqrt(st.rho2 * st.latent)))
+        out += np.sum(stats.expon.logpdf(st.latent, scale=2.0 / st.rates.lambda1_sq))
+        out += stats.gamma.logpdf(st.rates.lambda1_sq, hyper.a, scale=1.0 / hyper.b)
+    else:
+        u, lam4 = st.latent, st.rates.lambda4
+        out += np.sum(stats.norm.logpdf(st.beta, 0.0,
+                                        np.sqrt(st.rho2 * u / (2.0 * lam4 * (1.0 + u)))))
+        out += stats.gamma.logpdf(lam4, hyper.a2, scale=1.0 / hyper.b2)
+    if spec.rho2_invgamma is None:
+        return out - math.log(st.rho2)
+    a0, g0 = spec.rho2_invgamma
+    return out + stats.invgamma.logpdf(st.rho2, a0, scale=g0)
+
+
 class TestUpdateRho2:
+    """The rho2 block is a scale-group move: repeated from one state with
+    beta fixed, it walks the orbit g x of that state, and log g must follow
+    the orbit's law, the joint density at g x times the Jacobian of x ->
+    g x, which is written here from the model and normalised by
+    quadrature."""
+
+    STEPS, THIN = 20_000, 5
+
     @staticmethod
     def _state(chain_state, **kw):
         base = dict(beta=np.array([0.3]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
@@ -344,43 +389,92 @@ class TestUpdateRho2:
         base.update(kw)
         return chain_state(LassoHyper, **base)
 
-    def test_fixture_moments(self, chain_state, chain_index):
-        data = Dataset(np.array([[1.0]]), np.array([0.0]))
-        spec = ModelSpec(tau=0.5)
-        state = self._state(chain_state)
-        # order -(lambda n + k/2) at n = k = 1, c^2 = 0.7/2, d^2 = 0.7*2 + 0.09/1.5
-        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4 + 0.06))
-        gen = RngStream(320).generator()
-        draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(*p, 1.0)
-        var = gig_moment(*p, 2.0) - mean**2
-        assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
+    def _check_orbit_law(self, quadrature_ks, data, spec, state, lam, seed, family_scales=True):
+        """At k > n (a projector exists) the move also shifts beta along
+        delta = X'(XX')^-1 r, and beta's n directions add n to the power of
+        g in the Jacobian."""
+        n, k = data.n, data.k
+        x0 = SimpleNamespace(**vars(state))
+        projector = sampler.wide_projector(data.X)
+        delta = sampler.residual_shift(projector, data.y - data.X @ state.beta)
+        lasso = isinstance(spec.penalty, LassoHyper)
 
-    def test_zero_beta_drops_penalty_term(self, chain_state, chain_index):
-        data = Dataset(np.array([[1.0]]), np.array([0.0]))
-        spec = ModelSpec(tau=0.5)
-        state = self._state(chain_state, beta=np.zeros(1))
-        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4))
-        gen = RngStream(321).generator()
-        draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(*p, 1.0)
-        var = gig_moment(*p, 2.0) - mean**2
-        assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
+        def log_orbit(u):
+            g = math.exp(u)
+            st = SimpleNamespace(**vars(x0))
+            st.rho2, st.sigma, st.v = g * x0.rho2, g * x0.sigma, g * x0.v
+            jacobian = 2 * n + 1
+            if family_scales and lasso:
+                st.latent = x0.latent / g
+                st.rates = x0.rates._replace(lambda1_sq=g * x0.rates.lambda1_sq)
+                jacobian += 1 - k
+            elif family_scales:
+                st.rates = x0.rates._replace(lambda4=g * x0.rates.lambda4)
+                jacobian += 1
+            if delta is not None:
+                st.beta = x0.beta + (1.0 - g) * delta
+                jacobian += n
+            return _log_joint(data, spec, st, lam) + jacobian * u
 
-    def test_elastic_large_t_limit(self, chain_state, chain_index):
-        # u = t - 1 -> inf: the j-th 1/x coefficient term tends to 2 lam4 beta_j^2
+        gen = RngStream(seed).generator()
+        health = ChainHealth()
+        logs = np.empty(self.STEPS)
+        for i in range(self.STEPS):
+            resid = data.y - data.X @ state.beta
+            shift = sampler.residual_shift(projector, resid)
+            state.rho2 = update_rho2(state, data, spec, gen, resid, health, shift)
+            logs[i] = math.log(state.rho2 / x0.rho2)
+        # the rest of the orbit moved with rho2
+        g = state.rho2 / x0.rho2
+        np.testing.assert_allclose(state.sigma, g * x0.sigma, rtol=1e-9)
+        np.testing.assert_allclose(state.v, g * x0.v, rtol=1e-9)
+        if delta is not None:
+            np.testing.assert_allclose(state.beta, x0.beta + (1.0 - g) * delta,
+                                       rtol=1e-7, atol=1e-9)
+        assert health.slice_steps["rho2"] == self.STEPS
+
+        p = quadrature_ks(logs[500:: self.THIN], log_orbit)
+        assert p > 1e-3, f"KS p = {p:.2g}"
+
+    def test_fixture_moments(self, chain_state, chain_index, quadrature_ks):
+        data = Dataset(np.array([[1.0]]), np.array([0.0]))
+        self._check_orbit_law(quadrature_ks, data, ModelSpec(tau=0.5), self._state(chain_state),
+                              chain_index, 320)
+
+    def test_zero_beta_drops_penalty_term(self, chain_state, chain_index, monkeypatch,
+                                          quadrature_ks):
+        # a family that keeps its scale (a pinned rate): the move scales
+        # (rho2, sigma, v) alone, and the beta prior's rho2 factor enters;
+        # at beta = 0 its quadratic is 0.  tau 0.3 and rho2_invgamma bring in
+        # the B term and (a0, g0)
+        monkeypatch.setattr(LassoHyper, "scale_orbit", lambda self, state: None)
+        data = Dataset(np.array([[1.0]]), np.array([0.8]))
+        spec = ModelSpec(tau=0.3, rho2_invgamma=(2.0, 1.5))
+        for beta, seed in ((0.0, 321), (0.3, 323)):
+            state = self._state(chain_state, beta=np.array([beta]))
+            self._check_orbit_law(quadrature_ks, data, spec, state, chain_index, seed,
+                                  family_scales=False)
+
+    def test_elastic_large_t_limit(self, chain_state, chain_index, quadrature_ks):
+        # u = t - 1 -> inf: the move scales lambda4 with rho2 and keeps u
         data = Dataset(np.array([[1.0]]), np.array([0.0]))
         spec = ModelSpec(tau=0.5, penalty=ElasticNetHyper())
         state = chain_state(
             ElasticNetHyper, beta=np.array([0.6]), v=np.ones(1), sigma=np.array([2.0]), rho2=1.0,
             eta=0.7, latent=np.array([1e9]), lambda3_tilde=1.0, lambda4=1.2,
         )
-        p = (-(chain_index + 0.5), math.sqrt(0.35), math.sqrt(1.4 + 2.0 * 1.2 * 0.36))
-        gen = RngStream(322).generator()
-        draws = np.array([update_rho2(state, data, spec, gen) for _ in range(100_000)])
-        mean = gig_moment(*p, 1.0)
-        var = gig_moment(*p, 2.0) - mean**2
-        assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
+        self._check_orbit_law(quadrature_ks, data, spec, state, chain_index, 322)
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
+    def test_wide_state_shifts_beta_along_the_orbit(self, penalty, chain_state, quadrature_ks):
+        # k > n: the residual is free, and beta moves with g
+        gen = RngStream(365).generator()
+        n, k = 3, 5
+        X = gen.standard_normal((n, k))
+        data = Dataset(X, X @ gen.standard_normal(k) + gen.standard_normal(n))
+        spec = ModelSpec(tau=0.3, penalty=penalty, rho2_invgamma=(2.0, 1.0))
+        state = _full_state(chain_state, gen, n, k, penalty)
+        self._check_orbit_law(quadrature_ks, data, spec, state, 1.0, 366)
 
 
 class TestLassoBlock:
@@ -572,28 +666,25 @@ class TestLeanBlocks:
             update_sigma(st, data, spec, gen, resid)
             update_v(st, data, spec, gen, resid)
             (update_s if isinstance(penalty, LassoHyper) else update_t)(st, data, spec, gen)
-            update_rho2(st, data, spec, gen)
+            # the eta step and the rho2 move draw no GIG variate; the move
+            # takes a copy, as it sets the state's fields
+            update_eta(st, spec, gen, sampler.sigma_quadratic(st, spec, resid), ChainHealth())
+            update_rho2(replace(st), data, spec, gen, resid, ChainHealth())
             r_sig = resid - (1.0 - 2.0 * tau) * st.v
             d_sq = r_sig * r_sig / (4.0 * st.v) + tau * (1.0 - tau) * st.v + st.eta * st.rho2
             c_v = 0.5 / np.sqrt(st.sigma)
             if isinstance(penalty, LassoHyper):
                 c_pen = math.sqrt(st.rates.lambda1_sq)
                 d_pen = np.abs(st.beta) / math.sqrt(st.rho2)
-                quad_sum = float(np.sum(st.beta**2 / st.latent))
             else:
                 lam3_tilde, lam4 = st.rates
-                u = st.latent
                 c_pen = math.sqrt(2.0 * lam3_tilde)
                 d_pen = np.sqrt(2.0 * lam4 / st.rho2) * np.abs(st.beta)
-                quad_sum = float(np.sum(2.0 * lam4 * (1.0 + u) * st.beta**2 / u))
-            c_rho2 = math.sqrt(st.eta * float(np.sum(1.0 / st.sigma)))
-            d_rho2 = math.sqrt(st.eta * float(np.sum(st.sigma)) + quad_sum)
             lam = loss_density.CHAIN_MIXING_INDEX
             expected = [
                 (lam - 1.5, math.sqrt(st.eta / st.rho2), np.sqrt(d_sq)),
                 (0.5, c_v, np.abs(resid) * c_v),
                 (0.5, c_pen, d_pen),
-                (-(lam * n + k / 2.0), c_rho2, d_rho2),
             ]
             assert len(calls) == len(expected)
             for got, want in zip(calls, expected):
@@ -661,7 +752,11 @@ class TestLeanBlocks:
         update_sigma(st, data, spec, gen, resid)
         update_v(st, data, spec, gen, resid)
         update_v_and_latents(st, data, spec, gen, resid)
-        update_rho2(st, data, spec, gen)
+        q = sampler.sigma_quadratic(st, spec, resid)
+        kept = q.copy()
+        update_sigma(st, data, spec, gen, resid, q)
+        update_eta(st, spec, gen, q, ChainHealth())
+        assert q.tobytes() == kept.tobytes()
         update_eta_approx(st, spec, gen, ChainHealth())
         penalty.rho2_quadratic(st)
         penalty.prior_precision(st)
@@ -675,6 +770,27 @@ class TestLeanBlocks:
         for f, arr in before.items():
             assert getattr(st, f).tobytes() == arr.tobytes(), f
         assert data.X.tobytes() == X.tobytes() and data.y.tobytes() == y.tobytes()
+        # the group moves set new arrays in the state, and write into none
+        # of the arrays they were given, nor into the residual; the rho2
+        # move scales the shift by its g, which the level move only reads
+        arrays = {f: getattr(st, f) for f in before}
+        projector = sampler.wide_projector(data.X)
+        assert (projector is None) == (k <= n)
+        shift = sampler.residual_shift(projector, resid)
+        kept = None if shift is None else shift.copy()
+        g = update_rho2(st, data, spec, gen, resid, ChainHealth(), shift) / st.rho2
+        if shift is not None:
+            np.testing.assert_allclose(shift, g * kept, rtol=1e-12)
+            # the shift of the moved residual
+            np.testing.assert_allclose(
+                shift, sampler.residual_shift(projector, data.y - data.X @ st.beta),
+                rtol=1e-6, atol=1e-9)
+            kept = shift.copy()
+            update_level(st, data, spec, gen, shift, ChainHealth())
+            assert shift.tobytes() == kept.tobytes()
+        for f, arr in before.items():
+            assert arrays[f].tobytes() == arr.tobytes(), f
+        assert resid.tobytes() == (y - X @ before["beta"]).tobytes()
 
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("n,k", [(12, 4), (5, 9)])
@@ -714,23 +830,45 @@ class TestLeanBlocks:
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
     def test_run_chain_shares_the_post_beta_residual(self, penalty, monkeypatch):
-        # sigma and the joint v block get y - X beta at the beta of their
-        # own scan
+        # sigma, the joint v block and the rho2 move get y - X beta at the
+        # beta of their own scan, the eta step that residual's q; at k > n
+        # the level move gets the shift of the residual at the beta the rho2
+        # move shifted
         seen = []
-        for name in ("update_sigma", "update_v_and_latents"):
+
+        def spy_on(name):
             block = getattr(sampler, name)
 
-            def spy(state, data, spec, gen, resid, block=block, name=name):
-                seen.append((name, resid.tobytes(),
-                             (data.y - data.X @ state.beta).tobytes()))
-                return block(state, data, spec, gen, resid)
+            def spy(state, data, spec, gen, resid, *args):
+                seen.append((name, resid.tobytes() == (data.y - data.X @ state.beta).tobytes()))
+                return block(state, data, spec, gen, resid, *args)
 
             monkeypatch.setattr(sampler, name, spy)
-        gen = RngStream(387).generator()
-        data = Dataset(gen.standard_normal((15, 4)), gen.standard_normal(15))
-        run_chain(data, ModelSpec(tau=0.3, penalty=penalty, n_iter=6, burn_in=2, seed=5))
-        assert [name for name, _, _ in seen] == ["update_sigma", "update_v_and_latents"] * 6
-        assert all(resid == plain for _, resid, plain in seen)
+
+        def eta_spy(state, spec, gen, q, health, block=sampler.update_eta):
+            plain = sampler.sigma_quadratic(state, spec, data.y - data.X @ state.beta)
+            seen.append(("update_eta", q.tobytes() == plain.tobytes()))
+            return block(state, spec, gen, q, health)
+
+        def level_spy(state, data, spec, gen, shift, health, block=sampler.update_level):
+            plain = sampler.residual_shift(sampler.wide_projector(data.X),
+                                           data.y - data.X @ state.beta)
+            seen.append(("update_level", np.allclose(shift, plain, rtol=1e-6, atol=1e-9)))
+            return block(state, data, spec, gen, shift, health)
+
+        for name in ("update_sigma", "update_v_and_latents", "update_rho2"):
+            spy_on(name)
+        monkeypatch.setattr(sampler, "update_eta", eta_spy)
+        monkeypatch.setattr(sampler, "update_level", level_spy)
+        for n, k, order in ((15, 4, []), (5, 9, ["update_level"])):
+            seen.clear()
+            gen = RngStream(387).generator()
+            data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+            run_chain(data, ModelSpec(tau=0.3, penalty=penalty, n_iter=6, burn_in=2, seed=5))
+            assert [name for name, _ in seen] == ["update_eta", "update_sigma",
+                                                  "update_v_and_latents", "update_rho2",
+                                                  *order] * 6
+            assert all(same for _, same in seen)
 
 
 def _scan_in_separate_calls(data, spec):
@@ -740,11 +878,15 @@ def _scan_in_separate_calls(data, spec):
     state = initial_state(data, spec)
     health = ChainHealth()
     penalty = spec.penalty
+    projector = sampler.wide_projector(data.X)
     rows = []
     for it in range(1, spec.n_iter + 1):
         state.beta = update_beta(state, data, spec, gen)
         resid = data.y - data.X @ state.beta
-        state.sigma = sampler._clamp_positive(update_sigma(state, data, spec, gen, resid), health)
+        q = sampler.sigma_quadratic(state, spec, resid)
+        state.eta = update_eta(state, spec, gen, q, health)
+        state.sigma = sampler._clamp_positive(update_sigma(state, data, spec, gen, resid, q),
+                                              health)
         state.v = sampler._clamp_positive(update_v(state, data, spec, gen, resid), health)
         if isinstance(penalty, LassoHyper):
             state.latent = sampler._clamp_positive(update_s(state, data, spec, gen), health)
@@ -754,11 +896,13 @@ def _scan_in_separate_calls(data, spec):
             lam4 = update_lambda4(state, data, spec, gen)
             state.rates = penalty.Rates(mh_update_lambda3_tilde(state, data, spec, gen, health),
                                         lam4)
-        state.rho2 = update_rho2(state, data, spec, gen)
+        shift = sampler.residual_shift(projector, resid)
+        state.rho2 = update_rho2(state, data, spec, gen, resid, health, shift)
         if state.rho2 < 1e-300:
             state.rho2 = 1e-300
             health.positivity_clamps += 1
-        state.eta = update_eta_approx(state, spec, gen, health)
+        if shift is not None:
+            state.eta = update_level(state, data, spec, gen, shift, health)
         if it > spec.burn_in:
             rows.append([*state.beta, state.rho2, state.eta, *state.rates])
     return np.array(rows), health
@@ -834,7 +978,7 @@ class TestJointLatentBlock:
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         drawn = np.array([0.5, 0.0, 1e-310, 2.0, 1e-20])
         monkeypatch.setattr(sampler, "update_v_and_latents", lambda *args: drawn.copy())
-        monkeypatch.setattr(sampler, "update_eta_approx", lambda state, *args: state.eta)
+        monkeypatch.setattr(sampler, "update_eta", lambda state, *args: state.eta)
         for penalty in (LassoHyper(), ElasticNetHyper()):
             seen = []
             monkeypatch.setattr(sampler, "update_rho2", lambda state, *args: seen.append(
@@ -868,7 +1012,8 @@ class TestJointLatentBlock:
             warnings.simplefilter("error")
             assert np.isfinite(update_beta(st, data, spec, gen)).all()
             assert np.isfinite(update_lambda4(st, data, spec, gen))
-            assert np.isfinite(update_rho2(st, data, spec, gen))
+            resid = data.y - data.X @ st.beta
+            assert np.isfinite(update_rho2(st, data, spec, gen, resid, ChainHealth()))
 
     def test_wald_range_error_from_the_joint_block(self, chain_state):
         # c = sqrt(l1sq) = 1e150 and d = 1e-160 for one coefficient: c*d is
@@ -888,6 +1033,41 @@ class TestJointLatentBlock:
 
 
 class TestEtaUpdate:
+    STEPS = 40_000
+    def test_collapsed_step_matches_two_block_gibbs(self, eta_conditional):
+        # the sigma-collapsed step, repeated at a fixed (r, v, rho2), and an
+        # exact two-block Gibbs run on the same conditional (sigma | eta,
+        # then an exact slice step on eta | sigma) both give the eta law of
+        # the formula, normalised by quadrature
+        data, spec, state, resid, q, ks_pvalue = eta_conditional()
+        assert sampler.sigma_quadratic(state, spec, resid) == pytest.approx(q, rel=1e-12)
+        a, b = spec.penalty.eta_prior
+        n = q.size
+        gen = RngStream(354).generator()
+        health = ChainHealth()
+        collapsed = np.empty(self.STEPS)
+        for i in range(self.STEPS):
+            state.eta = collapsed[i] = update_eta(state, spec, gen, q, health)
+        assert health.slice_steps["eta"] == self.STEPS
+        assert 4.0 < health.slice_evals["eta"] / self.STEPS < 8.0
+
+        state.eta = 1.0
+        gibbs = np.empty(self.STEPS)
+        for i in range(self.STEPS):
+            state.sigma = update_sigma(state, data, spec, gen, resid, q)
+            s_sum = 0.5 * float(np.sum(state.sigma / state.rho2 + state.rho2 / state.sigma))
+
+            def log_eta_given_sigma(u):
+                eta = math.exp(u)
+                return a * u - (b + s_sum) * eta - n * (math.log(kve(1, eta)) - eta)
+
+            state.eta = gibbs[i] = math.exp(sampler._slice_step(
+                log_eta_given_sigma, math.log(state.eta), 1.0, gen, ChainHealth(), "eta"))
+
+        for draws in (collapsed, gibbs):
+            p = ks_pvalue(draws)
+            assert p > 1e-3, f"KS p = {p:.2g}"
+
     def test_no_data_draws_prior(self, chain_state):
         spec = ModelSpec(tau=0.5, penalty=LassoHyper(c=2.0, d=3.0))
         state = chain_state(LassoHyper, beta=np.zeros(1), v=np.zeros(0), sigma=np.zeros(0),
@@ -973,6 +1153,143 @@ class TestEtaUpdate:
         out = sampler_mod.update_eta_approx(state, spec, RngStream(352).generator(), health)
         assert out == 0.77
         assert health.eta_update_skips == 1
+
+
+class TestGroupMoves:
+    """The slice helper that the eta step and the two group moves share,
+    the moves' guards, and the k > n projector they shift beta with."""
+
+    def test_slice_step_keeps_its_target(self):
+        # a skewed target, log density 3u - e^u (log of a Gamma(3, 1)): a
+        # chain of slice steps, thinned, against its CDF
+        gen = RngStream(360).generator()
+        health = ChainHealth()
+        x, draws = 0.0, np.empty(20_000)
+        for i in range(draws.size):
+            x = draws[i] = sampler._slice_step(lambda u: 3.0 * u - math.exp(u), x, 1.0, gen,
+                                               health, "rho2")
+        assert health.slice_steps == {"eta": 0, "rho2": 20_000, "level": 0}
+        assert stats.kstest(np.exp(draws[100::4]), stats.gamma(3.0).cdf).pvalue > 1e-3
+
+    def test_slice_step_counts_an_overflow_as_outside(self):
+        gen = RngStream(361).generator()
+        x = sampler._slice_step(lambda u: -math.exp(u * u), 0.0, 100.0, gen, ChainHealth(),
+                                "eta")
+        assert abs(x) < 2.0
+        with pytest.raises(ValueError, match="eta log density at the current state is -inf"):
+            sampler._slice_step(lambda u: -math.inf, 0.0, 1.0, gen, ChainHealth(), "eta")
+
+    def test_level_move_keeps_its_orbit_law(self, chain_state, quadrature_ks):
+        # repeated alone, s = log(eta_0 / eta) follows the joint density at
+        # T_s x_0, eta's prior included, times the Jacobian e^-s G^(3n)
+        gen = RngStream(367).generator()
+        n, k = 3, 5
+        X = gen.standard_normal((n, k))
+        data = Dataset(X, X @ gen.standard_normal(k) + gen.standard_normal(n))
+        spec = ModelSpec(tau=0.3, penalty=LassoHyper(c=1.5, d=0.5), rho2_invgamma=(2.0, 1.0))
+        state = _full_state(chain_state, gen, n, k, spec.penalty)
+        a, b = spec.penalty.eta_prior
+        projector = sampler.wide_projector(data.X)
+        x0 = SimpleNamespace(**vars(state))
+        delta = sampler.residual_shift(projector, data.y - data.X @ state.beta)
+
+        def log_orbit(s):
+            log_g = math.expm1(s) / x0.eta
+            g = math.exp(log_g)
+            st = SimpleNamespace(**vars(x0))
+            st.eta, st.sigma, st.v = x0.eta * math.exp(-s), g * x0.sigma, g * x0.v
+            st.beta = x0.beta + (1.0 - g) * delta
+            return (_log_joint(data, spec, st, 1.0) + stats.gamma.logpdf(st.eta, a, scale=1.0 / b)
+                    - s + 3 * n * log_g)
+
+        gen = RngStream(368).generator()
+        health = ChainHealth()
+        logs = np.empty(20_000)
+        for i in range(logs.size):
+            shift = sampler.residual_shift(projector, data.y - data.X @ state.beta)
+            state.eta = update_level(state, data, spec, gen, shift, health)
+            logs[i] = math.log(x0.eta / state.eta)
+        assert health.slice_steps["level"] == logs.size
+        p = quadrature_ks(logs[200::5], log_orbit)
+        assert p > 1e-3, f"KS p = {p:.2g}"
+
+    def test_rank_deficient_wide_design_keeps_beta_fixed(self, monkeypatch):
+        # at k > n a repeated row makes XX' singular: no projector, so the
+        # rho2 move keeps beta and there is no level move
+        gen = RngStream(362).generator()
+        n, k = 4, 9
+        X = gen.standard_normal((n, k))
+        projector = sampler.wide_projector(X)
+        np.testing.assert_allclose(X @ projector, np.eye(n), atol=1e-12)
+        X[3] = X[0]
+        assert sampler.wide_projector(X) is None
+        assert sampler.wide_projector(np.full((2, 5), 1e200)) is None  # XX' overflows
+        data = Dataset(X, X @ gen.standard_normal(k) + gen.standard_normal(n))
+        moved = []
+        rho2_move = sampler.update_rho2
+
+        def spy(state, *args):
+            beta = state.beta
+            out = rho2_move(state, *args)
+            moved.append(state.beta is not beta)
+            return out
+
+        monkeypatch.setattr(sampler, "update_rho2", spy)
+        for penalty in (LassoHyper(), ElasticNetHyper()):
+            samples = run_chain(data, ModelSpec(tau=0.4, penalty=penalty, n_iter=200,
+                                                burn_in=50, seed=8))
+            assert np.isfinite(samples.draws).all()
+            assert samples.health.slice_steps["level"] == 0
+            assert samples.health.slice_steps["rho2"] == 200
+        assert moved == [False] * 400
+
+    @pytest.mark.parametrize("block,drawn,shape,line", [
+        ("rho2", 800.0, (15, 4), "update 'rho2' failed at iteration 1: g = inf is not finite"),
+        ("rho2", -800.0, (5, 9), "update 'rho2' failed at iteration 1: g = 0.0 is not finite"),
+        ("level", 800.0, (5, 9), "update 'level' failed at iteration 1: G = inf is not finite"),
+        ("level", -800.0, (5, 9),
+         "update 'level' failed at iteration 1: eta' = inf is not finite"),
+        ("eta", 800.0, (15, 4), "update 'eta' failed at iteration 1: eta = inf is not finite"),
+    ])
+    def test_non_finite_draw_is_one_chain_error(self, monkeypatch, capsys, tmp_path, block,
+                                                drawn, shape, line):
+        step = sampler._slice_step
+
+        def far(log_density, x0, width, gen, health, name):
+            out = step(log_density, x0, width, gen, health, name)
+            return drawn if name == block else out
+
+        monkeypatch.setattr(sampler, "_slice_step", far)
+        gen = RngStream(363).generator()
+        n, k = shape
+        data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+        with pytest.raises(ChainError, match="^" + re.escape(line)):
+            run_chain(data, ModelSpec(tau=0.3, n_iter=5, burn_in=0))
+        # the CLI prints it as one line
+        from hqreg.cli import main
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.column_stack([data.X, data.y]), delimiter=",",
+                   header=",".join([f"x{j}" for j in range(k)] + ["y"]), comments="")
+        assert main(["fit", "--input", str(path), "--no-standardise", "--iters", "5",
+                     "--burnin", "0", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("chain-error: " + line[:20])
+
+    def test_health_reports_slice_evaluations(self):
+        gen = RngStream(364).generator()
+        for (n, k), level in (((30, 4), "nan"), ((6, 10), None)):
+            data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
+            health = run_chain(data, ModelSpec(n_iter=300, burn_in=0, seed=2)).health
+            lines = dict(line.split("=") for line in health.as_lines())
+            assert health.slice_steps["eta"] == health.slice_steps["rho2"] == 300
+            for block in ("eta", "rho2", "level"):
+                value = lines[f"{block}_slice_evals_per_step"]
+                if block == "level" and level == "nan":
+                    assert value == "nan" and health.slice_steps["level"] == 0
+                else:
+                    assert 3.0 < float(value) < 12.0, (block, value)
+                    assert float(value) == pytest.approx(
+                        health.slice_evals[block] / health.slice_steps[block], abs=1e-6)
 
 
 class TestRunChain:
@@ -1065,14 +1382,14 @@ class TestRunChain:
     @pytest.mark.parametrize("action", ["ignore", "default"])
     def test_numeric_warning_fails_its_block(self, action):
         # whatever the caller's filters, an overflow inside a block is that
-        # block's failure: a response near 1e160 overflows sigma's squared
-        # residuals
+        # block's failure: a response near 1e160 overflows the squared
+        # residuals of sigma's q, which the eta step computes first
         gen = RngStream(404).generator()
         X = np.column_stack([np.ones(30), gen.standard_normal((30, 3))])
         data = Dataset(X, 1e160 * gen.standard_normal(30))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            with pytest.raises(ChainError, match="^update 'sigma' failed at iteration 1: "
+            with pytest.raises(ChainError, match="^update 'eta' failed at iteration 1: "
                                                  "overflow encountered in multiply$"):
                 run_chain(data, ModelSpec(tau=0.5, n_iter=20, burn_in=5))
         assert caught == []
@@ -1107,31 +1424,24 @@ class TestSummarize:
 
 
 class TestPriorConsistency:
-    """Joint check of every full conditional: alternating data/parameter
-    simulation must preserve the prior's moments.
-
-    The robustness-parameter step is a designed gamma approximation, not
-    an exact conditional draw; at n = 5 its stationary bias on E[eta] is
-    about -1% on this fixture, far inside the 4-standard-error band that
-    catches real conditional errors (wrong quadratic coefficients or
-    swapped parameters move these statistics by tens of sigmas).
+    """Joint check of every step of the scan (Geweke 2004): alternating
+    data and parameter simulation, y given the state's (beta, sigma, v) and
+    then one scan of the chain on that y, must keep the prior's moments.
+    Every step of the scan is exact: the eta step, the rho2 move and the
+    level move each leave the posterior invariant, so the band of 4
+    standard errors is a test of the whole scan.  Wrong quadratic
+    coefficients, swapped parameters or a wrong power of g move these
+    statistics by tens of sigmas.
     """
 
-    def test_successive_conditional_moments(self, chain_state):
-        n, k, tau = 5, 2, 0.3
-        X = RngStream(100).generator().standard_normal((n, k))
-        hyper = LassoHyper(a=3.0, b=1.0, c=2.0, d=2.0)
-        spec = ModelSpec(tau=tau, penalty=hyper, rho2_invgamma=(6.0, 5.0),
-                         n_iter=10, burn_in=0)
+    HYPER = LassoHyper(a=3.0, b=1.0, c=2.0, d=2.0)
+    INVGAMMA = (6.0, 5.0)
 
-        def stat_row(st):
-            return (st.beta[0], st.beta[0] ** 2, st.beta[1] ** 2, st.rho2,
-                    st.rho2**2, st.eta, st.eta**2, st.rates.lambda1_sq)
-
-        # marginal-conditional side: iid prior draws, vectorised
+    def _prior_moments(self, k):
+        """The prior mean of each statistic and its Monte Carlo error."""
         gen = RngStream(201).generator()
         m = 1_000_000
-        rho2 = 5.0 / gen.gamma(6.0, size=m)
+        rho2 = self.INVGAMMA[1] / gen.gamma(self.INVGAMMA[0], size=m)
         eta = gen.gamma(2.0, 0.5, size=m)
         lam1 = gen.gamma(3.0, 1.0, size=m)
         s = gen.exponential(size=(m, k)) * (2.0 / lam1)[:, None]
@@ -1139,31 +1449,30 @@ class TestPriorConsistency:
         prior_stats = np.column_stack(
             [beta[:, 0], beta[:, 0] ** 2, beta[:, 1] ** 2, rho2, rho2**2, eta, eta**2, lam1]
         )
-        prior_mean = prior_stats.mean(axis=0)
-        prior_se = prior_stats.std(axis=0) / math.sqrt(m)
+        return prior_stats.mean(axis=0), prior_stats.std(axis=0) / math.sqrt(m)
 
-        # successive-conditional side: y | params, then one Gibbs scan
+    def _successive_conditional_z(self, chain_state, n, k, tau, sweeps):
+        X = RngStream(100).generator().standard_normal((n, k))
+        spec = ModelSpec(tau=tau, penalty=self.HYPER, rho2_invgamma=self.INVGAMMA,
+                         n_iter=10, burn_in=0)
+        prior_mean, prior_se = self._prior_moments(k)
+
+        # successive-conditional side: y | params, then one scan
         gen = RngStream(202).generator()
         state = chain_state(
-            hyper, beta=np.zeros(k), v=np.ones(n), sigma=np.ones(n), rho2=1.0, eta=1.0,
+            self.HYPER, beta=np.zeros(k), v=np.ones(n), sigma=np.ones(n), rho2=1.0, eta=1.0,
             latent=np.ones(k), lambda1_sq=1.0,
         )
-        sweeps = 20_000
+        projector = sampler.wide_projector(X)
+        assert (projector is None) == (k <= n)
         rows = np.empty((sweeps, 8))
         health = ChainHealth()
         for i in range(sweeps):
             y = (X @ state.beta + (1 - 2 * tau) * state.v
                  + np.sqrt(4.0 * state.sigma * state.v) * gen.standard_normal(n))
-            data = Dataset(X, y)
-            state.beta = update_beta(state, data, spec, gen)
-            resid = data.y - data.X @ state.beta
-            state.sigma = update_sigma(state, data, spec, gen, resid)
-            state.v = update_v(state, data, spec, gen, resid)
-            state.latent = update_s(state, data, spec, gen)
-            state.rates = hyper.Rates(update_lambda1_sq(state, data, spec, gen))
-            state.rho2 = float(update_rho2(state, data, spec, gen))
-            state.eta = update_eta_approx(state, spec, gen, health)
-            rows[i] = stat_row(state)
+            sampler._scan(state, Dataset(X, y), spec, gen, health, projector, i + 1)
+            rows[i] = (state.beta[0], state.beta[0] ** 2, state.beta[1] ** 2, state.rho2,
+                       state.rho2**2, state.eta, state.eta**2, state.rates.lambda1_sq)
         burn = 500
         rows = rows[burn:]
         n_batches = 50
@@ -1171,10 +1480,18 @@ class TestPriorConsistency:
         batch_means = usable.reshape(n_batches, -1, 8).mean(axis=1)
         chain_mean = rows.mean(axis=0)
         chain_se = batch_means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+        assert health.positivity_clamps == 0 and health.eta_update_skips == 0
+        assert health.slice_steps["level"] == (sweeps if projector is not None else 0)
+        return (chain_mean - prior_mean) / np.sqrt(prior_se**2 + chain_se**2)
 
-        z = (chain_mean - prior_mean) / np.sqrt(prior_se**2 + chain_se**2)
+    def test_successive_conditional_moments(self, chain_state):
+        z = self._successive_conditional_z(chain_state, n=5, k=2, tau=0.3, sweeps=20_000)
         assert np.all(np.abs(z) < 4.0), f"z-scores {z.round(2)}"
-        assert health.eta_update_skips == 0
+
+    def test_successive_conditional_moments_wide(self, chain_state):
+        # k > n: the rho2 move shifts beta, and the level move runs
+        z = self._successive_conditional_z(chain_state, n=4, k=9, tau=0.5, sweeps=40_000)
+        assert np.all(np.abs(z) < 4.0), f"z-scores {z.round(2)}"
 
 
 def _batch_z(draws: np.ndarray, expect: np.ndarray, n_batches: int = 50) -> np.ndarray:
