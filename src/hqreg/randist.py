@@ -2,14 +2,14 @@
 
 The generalised inverse Gaussian (GIG) sampler is the workhorse: every
 latent block of the Gibbs scans is GIG-distributed.  Its one entry point,
-``gig_rvs``, takes one scalar order per call and arrays of c and d.
-Orders +-1/2 are an inverse Gaussian or its reciprocal and are drawn
-exactly, without rejection, by the transformation method of Michael,
-Schucany & Haas (1976) (``Generator.wald``).  Every other order goes
-through the uniformly fast rejection algorithm of Devroye (2014, Stat.
-Comput. 24), vectorised over an array of c*d at the one order, with a
-``math``-module twin for single scalar draws.  Gamma / inverse-gamma
-limits are dispatched at the degenerate boundaries.
+``gig_rvs``, takes one scalar order per call and arrays of c and d; a
+scalar pair is drawn as a one-element array.  Orders +-1/2 are an
+inverse Gaussian or its reciprocal and are drawn exactly, without
+rejection, by the transformation method of Michael, Schucany & Haas
+(1976) (``Generator.wald``).  Every other order goes through the
+uniformly fast rejection algorithm of Devroye (2014, Stat. Comput. 24),
+vectorised over an array of c*d at the one order.  Gamma /
+inverse-gamma limits are dispatched at the degenerate boundaries.
 
 Every draw takes a ``np.random.Generator``.  Streams are derived from
 (seed, key-path) pairs via numpy's SeedSequence spawning, so parallel
@@ -182,94 +182,6 @@ def _devroye_gig_two_param(gen: np.random.Generator, lam: float, omega: np.ndarr
     return np.exp(out) * (lam / omega + np.sqrt(1.0 + (lam / omega) ** 2))
 
 
-def _devroye_gig_scalar(gen: np.random.Generator, lam: float, omega: float):
-    """Scalar twin of :func:`_devroye_gig_two_param` in the ``math`` module.
-
-    Same hat, same arithmetic and the same uniforms in the same order, but
-    the ``math`` functions and numpy's ufuncs can round differently in the
-    last bit, and the gap grows with omega = c*d.  So one stream gives
-    the array path's draw to within 1e-13 relative up to omega near 1e5,
-    about 1.5e-12 at 1e7 and 1.6e-10 at 1e11 (sweeps of 32,000 inputs);
-    from omega near 1e12 (first seen at 4e12) a flipped accept test can
-    make the two forms accept on different rounds and give different
-    draws.  Where float arithmetic cannot build the hat (a zero divisor
-    or an overflow) it raises, having drawn nothing, the ValueError that
-    the array path raises after its bounded rounds.
-    """
-    def psi(x):
-        return -alpha * (math.cosh(x) - 1.0) - lam * (math.expm1(x) - x)
-
-    def dpsi(x):
-        return -alpha * math.sinh(x) - lam * math.expm1(x)
-
-    try:
-        alpha = math.sqrt(omega * omega + lam * lam) - lam
-        m = -psi(1.0)
-        if 0.5 <= m <= 2.0:
-            t = 1.0
-        elif m > 2.0:
-            t = math.sqrt(2.0 / (alpha + lam))
-        else:
-            t = math.log(4.0 / (alpha + 2.0 * lam))
-        m = -psi(-1.0)
-        if 0.5 <= m <= 2.0:
-            s = 1.0
-        elif m > 2.0:
-            s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
-        else:
-            # alpha rounds to 0 where omega is tiny beside lam; 1/alpha is
-            # then inf, as in the array path
-            s = min(
-                1.0 / lam if lam > 0 else math.inf,
-                math.log1p(1.0 / alpha + math.sqrt(1.0 / (alpha * alpha) + 2.0 / alpha))
-                if alpha > 0.0 else math.inf,
-            )
-        eta = -psi(t)
-        zeta = -dpsi(t)
-        theta = -psi(-s)
-        xi = dpsi(-s)
-        p = 1.0 / xi
-        r = 1.0 / zeta
-    except (ZeroDivisionError, OverflowError, ValueError):
-        _no_acceptance(lam, omega)
-    td = t - r * eta
-    sd = s - p * theta
-    q = td + sd
-    total = p + q + r
-
-    for _ in range(_DEVROYE_MAX_ROUNDS):
-        u = gen.random()
-        v = gen.random()
-        w = gen.random()
-        if u < q / total:
-            cand = -sd + q * v
-        elif v == 0.0:
-            continue  # an exponential tail at log(0): no mass, redraw
-        elif u < (q + r) / total:
-            cand = td - r * math.log(v)
-        else:
-            cand = -sd + p * math.log(v)
-        if cand > td:
-            upper = math.exp(-eta - zeta * (cand - t))
-        elif cand < -sd:
-            upper = math.exp(-theta + xi * (cand + s))
-        else:
-            upper = 1.0
-        try:
-            logf = -alpha * (math.cosh(cand) - 1.0) - lam * (math.expm1(cand) - cand)
-        except OverflowError:
-            logf = -math.inf
-        log_w = math.log(w) if w > 0.0 else -math.inf
-        log_upper = math.log(upper) if upper > 0.0 else -math.inf
-        if log_w + log_upper <= logf:
-            break
-    else:
-        _no_acceptance(lam, omega)
-
-    ratio = lam / omega
-    return math.exp(cand) * (ratio + math.sqrt(1.0 + ratio * ratio))
-
-
 def _extremes(c, d) -> tuple:
     """(min c, max c, min c*d, max c*d) as Python floats; NaN propagates,
     and an empty array gives inf for its minimum and -inf for its maximum.
@@ -278,8 +190,6 @@ def _extremes(c, d) -> tuple:
     are c*min(d) and c*max(d) and no c*d array is built.
     """
     if isinstance(c, float):
-        if isinstance(d, float):
-            return c, c, c * d, c * d
         return (c, c, c * float(d.min(initial=math.inf)),
                 c * float(d.max(initial=-math.inf)))
     # an inf product is screened as out of range by the caller
@@ -326,43 +236,31 @@ def _wald_gig_half_order(gen: np.random.Generator, negative: bool, c, d, bounds)
                 raise ValueError(f"GIG({order}) Wald {name} {form} {fate}; "
                                  f"the parameters leave the double range")
     x = gen.wald(mean, shape)
-    if negative:
-        return x
-    return np.divide(1.0, x, out=x) if isinstance(x, np.ndarray) else 1.0 / x
+    return x if negative else np.divide(1.0, x, out=x)
 
 
 def _gig_interior(gen: np.random.Generator, nu: float, c, d, bounds):
     """GIG draws for pairs away from the gamma / inverse-gamma limits.
 
-    Orders +-1/2 are drawn by Wald; any other order by Devroye's sampler,
-    through its ``math`` twin when c and d are floats, else through the
-    array form, which takes the one order |nu| and c*d flattened.  A
-    scale d/c that underflows to 0 raises ValueError before anything is
-    drawn; a draw that overflows raises after.
+    c or d is an array (a scalar pair comes as a one-element d).  Orders
+    +-1/2 are drawn by Wald; any other order by Devroye's sampler, which
+    takes the one order |nu| and c*d flattened.  A scale d/c that
+    underflows to 0 raises ValueError before anything is drawn; a draw
+    that overflows raises after.
     """
     if abs(nu) == 0.5:
         return _wald_gig_half_order(gen, nu < 0, c, d, bounds)
-    scalar = isinstance(c, float) and isinstance(d, float)
-    if scalar:
+    # a scale d/c that overflows raises after the draw, below
+    with np.errstate(over="ignore"):
         scale = d / c
-    else:
-        # a scale d/c that overflows raises after the draw, below
-        with np.errstate(over="ignore"):
-            scale = d / c
-            omega = c * d
-    if (scale if scalar else scale.min(initial=math.inf)) == 0.0:
+        omega = c * d
+    if scale.min(initial=math.inf) == 0.0:
         raise ValueError(f"GIG({nu:g}) scale d/c underflows to 0; "
                          f"the parameters leave the double range")
-    if scalar:
-        y = _devroye_gig_scalar(gen, abs(nu), c * d)
+    y = _devroye_gig_two_param(gen, abs(nu), omega.ravel()).reshape(omega.shape)
+    with np.errstate(divide="ignore", over="ignore"):
         x = (1.0 / y if nu < 0 else y) * scale
-        finite = math.isfinite(x)
-    else:
-        y = _devroye_gig_two_param(gen, abs(nu), omega.ravel()).reshape(omega.shape)
-        with np.errstate(divide="ignore", over="ignore"):
-            x = (1.0 / y if nu < 0 else y) * scale
-        finite = np.isfinite(x).all()
-    if not finite:
+    if not np.isfinite(x).all():
         raise ValueError(f"GIG({nu:g}) draw overflows to inf; "
                          f"the scale d/c leaves the double range")
     return x
@@ -425,19 +323,18 @@ def gig_rvs(gen: np.random.Generator, nu, c, d):
 
     Density proportional to x^(nu-1) exp(-(c^2 x + d^2 / x) / 2).  nu is
     one scalar order: an array raises ValueError.  Scalar c and d give a
-    float.
+    float: the pair is drawn as a one-element array, with the same draw
+    and the same stream state as that array gives.
 
     Every input is screened once by the extremes of c and c*d.  When nu
     is finite, c > 0 and GIG_BOUNDARY_EPS <= c*d < inf for every pair,
     the pairs are interior: orders +-1/2 are drawn exactly by the Wald
-    law and every other order by Devroye's rejection sampler, whose
-    ``math``-module twin draws a single scalar pair with the same draw
-    from the same stream.  Any other input must be finite with c >= 0
-    and d >= 0.  Its pairs with c*d below GIG_BOUNDARY_EPS then draw
-    Gamma(nu, rate c^2/2) when nu > 0 (this is the d = 0 case too) and
-    the mirrored inverse-gamma limit when nu < 0, before the other pairs
-    are drawn, so one call over pairs with a zero d orders its draws by
-    kind, not by index.
+    law and every other order by Devroye's rejection sampler.  Any other
+    input must be finite with c >= 0 and d >= 0.  Its pairs with c*d
+    below GIG_BOUNDARY_EPS then draw Gamma(nu, rate c^2/2) when nu > 0
+    (this is the d = 0 case too) and the mirrored inverse-gamma limit
+    when nu < 0, before the other pairs are drawn, so one call over pairs
+    with a zero d orders its draws by kind, not by index.
 
     Raises ValueError for parameters outside that law (a zero d needs
     nu > 0, a zero c needs nu < 0, order 0 needs c*d >= GIG_BOUNDARY_EPS),
@@ -458,20 +355,22 @@ def gig_rvs(gen: np.random.Generator, nu, c, d):
         if np.ndim(nu):
             raise ValueError("gig_rvs takes one scalar order nu")
         nu = float(nu)
-    if not (type(c) is float and type(d) is float):
-        c, d = (float(a) if isinstance(a, float) or np.ndim(a) == 0
-                else np.asarray(a, dtype=float) for a in (c, d))
+    c, d = (float(a) if isinstance(a, float) or np.ndim(a) == 0
+            else np.asarray(a, dtype=float) for a in (c, d))
+    scalar = isinstance(c, float) and isinstance(d, float)
+    if scalar:
+        d = np.array([d])
     bounds = _extremes(c, d)
     c_lo, _, cd_lo, cd_hi = bounds
     if math.isfinite(nu) and c_lo > 0.0 and cd_lo >= GIG_BOUNDARY_EPS and cd_hi < math.inf:
-        return _gig_interior(gen, nu, c, d, bounds)
-
-    c, d = np.broadcast_arrays(c, d)
-    if not (math.isfinite(nu) and np.isfinite(c).all() and np.isfinite(d).all()
-            and (c >= 0).all() and (d >= 0).all()):
-        raise ValueError("GIG parameters must be finite with c >= 0, d >= 0")
-    out = _gig_with_limits(gen, nu, c, d)
-    return float(out) if out.ndim == 0 else out
+        out = _gig_interior(gen, nu, c, d, bounds)
+    else:
+        c, d = np.broadcast_arrays(c, d)
+        if not (math.isfinite(nu) and np.isfinite(c).all() and np.isfinite(d).all()
+                and (c >= 0).all() and (d >= 0).all()):
+            raise ValueError("GIG parameters must be finite with c >= 0, d >= 0")
+        out = _gig_with_limits(gen, nu, c, d)
+    return float(out[0]) if scalar else out
 
 
 def gig_moment(nu: float, c: float, d: float, order: float) -> float:

@@ -943,9 +943,10 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
     floor((n_iter - burn_in)/thin) rows of (beta, rho2, eta, penalty
     rates).  Draws from the Generator ``rng``, or from spec.seed's stream
     when ``rng`` is None.  A block that fails raises ChainError naming
-    the block and the iteration; a numeric RuntimeWarning raised in an
-    ``hqreg`` module (an overflow, a 0/0) is such a failure, whatever
-    warning filters the caller has set.
+    the block and the iteration; a numeric RuntimeWarning raised while
+    the chain runs (an overflow, a 0/0), in ``hqreg`` or in a numpy
+    reduction it calls, is such a failure, whatever warning filters the
+    caller has set.
     """
     gen = rng if rng is not None else RngStream(spec.seed).generator()
     state = initial_state(data, spec)
@@ -959,7 +960,7 @@ def run_chain(data: Dataset, spec: ModelSpec, rng=None) -> PosteriorSamples:
 
     # one filter for the whole chain, not a numpy errstate per scan
     with warnings.catch_warnings():
-        warnings.filterwarnings("error", category=RuntimeWarning, module="hqreg")
+        warnings.filterwarnings("error", category=RuntimeWarning)
         projector = wide_projector(data.X)
         for it in range(1, spec.n_iter + 1):
             _scan(state, data, spec, gen, health, projector, it)

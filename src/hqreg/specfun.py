@@ -62,10 +62,12 @@ def log_k1_derivs(eta):
         (log K_1)'' = (3 + K_3/K_1) / 4 - ((K_0 + K_2) / (2 K_1))^2.
 
     The first is always negative (K_1 is decreasing); the second is
-    positive for every eta > 0 (log-convexity of K_nu), and the
-    fixed-point refinement of the robustness-parameter update relies on
-    that sign.  Evaluated through scaled Bessel ratios so the exp(-eta)
-    factors cancel exactly.
+    positive for every eta > 0 (log-convexity of K_nu).  Evaluated
+    through scaled Bessel ratios so the exp(-eta) factors cancel exactly.
+    Its only caller is ``sampler.refine_eta_gamma_params``, the
+    fixed-point refinement of the approximate eta step, which relies on
+    that sign; the scan no longer runs that step, and both stay for the
+    benchmark's tracer, which wraps them by name (ROADMAP item 14).
     """
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be finite and > 0")

@@ -621,6 +621,17 @@ class TestFailedRunOutput:
         assert err.startswith("chain-error: update '") and err.count("\n") == 1
         assert "failed at iteration" in err
 
+    def test_overflowing_reduction_is_its_blocks_chain_error(self, tmp_path, capsys):
+        # a prior rate b = 1e308 on the squared l1 rate drives the lasso
+        # latents up until their sum overflows in the rate's update; numpy
+        # raises that warning from its own module, and the chain's filter
+        # still makes it that block's one error line
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("vary=b\nvalues=1e308\niters=20\nburnin=5\n")
+        assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == ("chain-error: update 'penalty' failed at iteration 3: "
+                                           "overflow encountered in reduce\n")
+
     @pytest.mark.parametrize("predictors,scaled,flags,line", [
         # values near 1e200 overflow the response variance and the Gram
         # products, in the k < n and in the k > n beta draw; the k < n

@@ -1,5 +1,6 @@
 """Random-variate generators against moment, CDF and closure oracles."""
 
+import contextlib
 import math
 import signal
 
@@ -178,66 +179,24 @@ class TestGigHalfOrders:
 
 
 class TestGigScalarPath:
-    """A single scalar draw takes the math-module twin of the Devroye sampler."""
-
-    @pytest.mark.parametrize(
-        "nu,c,d",
-        [(-110.5, 14.0, 9.0), (-2010.0, 45.0, 50.0), (0.0, 1.0, 1e-3), (3.0, 1e-4, 1e-4),
-         (2.0, 50.0, 200.0)],
-    )
-    def test_matches_array_path_draw_for_draw(self, nu, c, d):
-        # a one-element array c takes the array sampler
-        g_scalar = RngStream(35).generator()
-        g_array = RngStream(35).generator()
-        for _ in range(500):
-            x = gig_rvs(g_scalar, nu, c, d)
-            assert isinstance(x, float)
-            y = gig_rvs(g_array, nu, np.array([c]), d)[0]
-            assert x == pytest.approx(y, rel=1e-13)
-        # both streams consumed the same uniforms
-        assert g_scalar.random() == g_array.random()
-
-    @pytest.mark.parametrize("nu", [-3.0, 0.3, 40.0])
-    @pytest.mark.parametrize("omega", [1e7, 1e9, 1e11])
-    def test_same_rounds_up_to_large_omega(self, nu, omega):
-        # the two forms' rounding gap grows with omega, but below omega near
-        # 1e12 it flips no accept test: both draw the same uniforms and stay
-        # far inside the posterior sd, 1/sqrt(omega) relative
-        c = math.sqrt(omega) * 1.7
-        g_scalar = RngStream(36).generator()
-        g_array = RngStream(36).generator()
-        for _ in range(300):
-            x = gig_rvs(g_scalar, nu, c, omega / c)
-            y = gig_rvs(g_array, nu, np.array([c]), omega / c)[0]
-            assert x == pytest.approx(y, rel=1e-9)
-        assert g_scalar.bit_generator.state == g_array.bit_generator.state
+    """A scalar pair is drawn as a one-element array."""
 
     @pytest.mark.parametrize("nu,c,d", [
-        # alpha = sqrt(omega^2 + nu^2) - |nu| rounds to 0 at omega = c*d tiny
-        # beside |nu|; the scalar hat then takes 1/alpha as inf
-        (1.0, 1e-5, 1e-5),
-        (-1.0, 1e-6, 1e-4),
-        (0.3, 1e-10, 1.0),
-        (-1.3, 1e-3, 1e-6),
-        # alpha = 0 and a hat that neither form can draw from
-        (0.001, 1e-12, 1.0),
+        (-0.5, 1.2, 0.4), (0.5, 1.2, 0.4), (0.0, 1.0, 1e-3), (-110.5, 14.0, 9.0),
+        (-2010.0, 45.0, 50.0), (2.0, 50.0, 200.0), (3.0, 1e-4, 1e-4),
+        (0.342, 2e7, 2.11e7),  # omega = 4.22e14, past where two rounding forms part
+        (2.0, math.sqrt(2.0), 0.0),  # gamma limit
+        (-4.0, 1e-7, 1e-7),  # inverse-gamma limit
     ])
-    def test_hat_at_zero_alpha_matches_array_path(self, nu, c, d):
-        omega = c * d
-        assert omega >= GIG_BOUNDARY_EPS
-        assert math.sqrt(omega * omega + nu * nu) - abs(nu) == 0.0
-
-        def outcome(cc):
-            try:
-                return float(np.squeeze(gig_rvs(RngStream(58).generator(), nu, cc, d)))
-            except ValueError as err:
-                return str(err)
-
-        scalar, array = outcome(c), outcome(np.array([c]))
-        if isinstance(array, str):
-            assert scalar == array and "accepted nothing" in array
-        else:
-            assert scalar == pytest.approx(array, rel=1e-15)
+    def test_same_draw_as_one_element_array(self, nu, c, d):
+        g_scalar = RngStream(35).generator()
+        g_array = RngStream(35).generator()
+        for _ in range(50):
+            x = gig_rvs(g_scalar, nu, c, d)
+            y = gig_rvs(g_array, nu, np.array([c]), np.array([d]))
+            assert isinstance(x, float) and y.shape == (1,)
+            assert np.float64(x).tobytes() == y.tobytes()
+        assert g_scalar.bit_generator.state == g_array.bit_generator.state
 
     def test_boundaries_fall_back(self):
         # d = 0: gamma limit
@@ -552,22 +511,51 @@ class TestGigAlwaysReturns:
         (-3.0, 1e-300, 1e-200, r"GIG\(-3\) inverse-gamma limit scale d\^2/2 underflows to 0"),
     ]
 
+    # alpha = sqrt(omega^2 + nu^2) - |nu| rounds to 0 where omega = c*d is
+    # tiny beside |nu|, and Devroye's hat then takes 1/alpha as inf
+    ZERO_ALPHA = [
+        (1.0, 1e-5, 1e-5),
+        (-1.0, 1e-6, 1e-4),
+        (0.3, 1e-10, 1.0),
+        (-1.3, 1e-3, 1e-6),
+        (0.001, 1e-12, 1.0),  # a hat that cannot be drawn from
+    ]
+
     @staticmethod
     def _alarm(signum, frame):
         raise TimeoutError("gig_rvs did not return within 5 s")
+
+    @contextlib.contextmanager
+    def _within_time(self):
+        previous = signal.signal(signal.SIGALRM, self._alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("nu,c,d,message", CASES)
     @pytest.mark.parametrize("form", ["scalar", "array"])
     def test_raises_within_time(self, nu, c, d, message, form):
         args = (c, d) if form == "scalar" else (np.full(2, c), np.full(2, d))
-        previous = signal.signal(signal.SIGALRM, self._alarm)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
-            with pytest.raises(ValueError, match=message):
-                gig_rvs(RngStream(55).generator(), nu, *args)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+        with self._within_time(), pytest.raises(ValueError, match=message):
+            gig_rvs(RngStream(55).generator(), nu, *args)
+
+    @pytest.mark.parametrize("nu,c,d", ZERO_ALPHA)
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_zero_alpha_returns_or_raises_within_time(self, nu, c, d, form):
+        omega = c * d
+        assert omega >= GIG_BOUNDARY_EPS
+        assert math.sqrt(omega * omega + nu * nu) - abs(nu) == 0.0
+        args = (c, d) if form == "scalar" else (np.full(2, c), np.full(2, d))
+        with self._within_time():
+            try:
+                draw = gig_rvs(RngStream(58).generator(), nu, *args)
+            except ValueError as err:
+                assert "accepted nothing" in str(err)
+            else:
+                assert np.isfinite(draw).all() and (np.asarray(draw) > 0).all()
 
     @pytest.mark.parametrize("form", ["scalar", "array"])
     def test_overflowing_product_still_draws(self, form):

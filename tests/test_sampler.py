@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import kve
 
-from hqreg import loss_density, sampler
+from hqreg import loss_density, randist, sampler
 from hqreg.randist import RngStream, ald_sample, gig_moment, gig_rvs
 from hqreg.sampler import (
     ChainError,
@@ -1378,6 +1378,34 @@ class TestRunChain:
         data, _ = sim1_dataset(403, n=20)
         with pytest.raises(ChainError, match="rho2.*iteration 1"):
             run_chain(data, ModelSpec(tau=0.5, n_iter=10, burn_in=0))
+
+    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()], ids=["lasso", "en"])
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "zero-residual"])
+    def test_chain_draws_only_half_orders(self, shape, tau, penalty, monkeypatch):
+        # every GIG block of the scan draws at order +-1/2, by Wald or its
+        # limit law, so a scan never reaches Devroye's sampler
+        def no_devroye(*args):
+            raise AssertionError("a chain block drew a GIG order other than +-1/2")
+
+        limit_calls = []
+        with_limits = randist._gig_with_limits
+        monkeypatch.setattr(randist, "_devroye_gig_two_param", no_devroye)
+        monkeypatch.setattr(randist, "_gig_with_limits",
+                            lambda *args: limit_calls.append(args) or with_limits(*args))
+        gen = RngStream(406).generator()
+        n, k = {"tall": (60, 5), "wide": (15, 30), "zero-residual": (30, 4)}[shape]
+        X = gen.standard_normal((n, k))
+        y = X[:, 0] + gen.standard_normal(n)
+        if shape == "zero-residual":
+            # a zero row with y = 0 has residual exactly 0 at every beta, so
+            # its v pair takes the gamma limit in every scan
+            X[0], y[0] = 0.0, 0.0
+        spec = ModelSpec(tau=tau, penalty=penalty, n_iter=40, burn_in=10, seed=5)
+        samples = run_chain(Dataset(X, y), spec)
+        assert np.isfinite(samples.draws).all()
+        if shape == "zero-residual":
+            assert len(limit_calls) >= spec.n_iter
 
     @pytest.mark.parametrize("action", ["ignore", "default"])
     def test_numeric_warning_fails_its_block(self, action):

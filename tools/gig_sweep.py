@@ -5,14 +5,17 @@
 Prints the sha256 of what each call returns (its bytes and shape) or the
 message of the ValueError it raises, followed by two uniforms from its
 generator, so a change that keeps every GIG draw and every error prints
-the same digest as its parent.  Then one line per outcome: a count and
-the first 40 characters of the error message, or ``ok``.
+the same digest as its parent.  Then one ``form N: <sha256>`` line for
+each of the seven input forms below, the digest of that form's calls
+alone, and one line per outcome: a count and the first 40 characters of
+the error message, or ``ok``.
 
 The calls cover eleven orders other than +-1/2 (0 among them), c and d
-log-uniform over about 2e-9 to 5e8 as scalars, 1-d arrays, a 2-d c
-against a 1-d d and 2-d pairs, pairs at d = 0, and 1-d pairs spread
-over the double range, where the limit draws overflow and Devroye's
-hat breaks.  Any RuntimeWarning is an error.
+log-uniform over about 2e-9 to 5e8 in seven forms: 0, 1-d pairs; 1, a
+scalar c against a 1-d d; 2, a 2-d c against a 1-d d; 3, 2-d pairs
+with some d = 0; 4, 1-d pairs with some d = 0; 5, scalar pairs; 6, 1-d
+pairs spread over the double range, where the limit draws overflow and
+Devroye's hat breaks.  Any RuntimeWarning is an error.
 """
 
 import hashlib
@@ -24,6 +27,7 @@ import numpy as np
 from hqreg.randist import gig_rvs
 
 ORDERS = [0.0, 0.1, -0.1, 1.0, -1.0, 1.5, -1.5, 2.7, -3.3, 10.0, -25.0]
+FORMS = 7
 
 
 def main() -> None:
@@ -34,9 +38,10 @@ def main() -> None:
         return np.exp(meta.uniform(np.log(2e-9), np.log(5e8), size=shape))
 
     digest, outcomes = hashlib.sha256(), Counter()
+    by_form = [hashlib.sha256() for _ in range(FORMS)]
     for call in range(3000):
         nu = ORDERS[meta.integers(len(ORDERS))]
-        form = meta.integers(7)
+        form = meta.integers(FORMS)
         size = int(meta.integers(1, 25))
         if form == 0:
             c, d = logu(size), logu(size)
@@ -62,8 +67,12 @@ def main() -> None:
         except ValueError as exc:
             record = b"err" + str(exc).encode()
             outcomes[str(exc)[:40]] += 1
-        digest.update(record + gen.random(2).tobytes())
+        record += gen.random(2).tobytes()
+        digest.update(record)
+        by_form[form].update(record)
     print(digest.hexdigest())
+    for form, form_digest in enumerate(by_form):
+        print(f"form {form}: {form_digest.hexdigest()}")
     for outcome, count in sorted(outcomes.items()):
         print(count, outcome)
 

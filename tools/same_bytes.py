@@ -12,10 +12,11 @@ one malformed file for each error class of the input dialect.  Manifest
 lines that begin with ``#`` (the wall time) are ignored.  No command
 reaches ``gig_rvs`` at orders other than +-1/2 on arrays, or its limit
 laws, so this checkout's ``tools/gig_sweep.py`` also runs against each
-tree, and their digest lines are compared.  Prints one line per output
-file, per failing command and for the sweep, and exits 1 on any
-difference, on a command or sweep that fails where it should succeed, or
-on a command that succeeds where it should fail.
+tree, and their digest lines are compared: the overall digest and one
+per input form.  Prints one line per output file, per failing command
+and per sweep digest, and exits 1 on any difference, on a command or
+sweep that fails where it should succeed, or on a command that succeeds
+where it should fail.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ COMMANDS = [
 ]
 
 # commands that must fail, one per error class: config-error, data-error,
-# each CSV error of the input dialect and chain-error; the k > n fit near
-# 1e200 keeps the beta block's own line for a Gram product that overflows,
-# and a constant column's warning is not printed by a run that fails
+# each CSV error of the input dialect and chain-error; the sensitivity run
+# overflows a numpy sum in the penalty block, the k > n fit near 1e200
+# keeps the beta block's own line for a Gram product that overflows, and a
+# constant column's warning is not printed by a run that fails
 FAILING = [
     ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
     ("fail-constant-column", ["fit", "--input", "../inputs/constant.csv", "--iters", "0"], None),
@@ -80,7 +82,7 @@ FAILING = [
     *((f"fail-{name}", _fit(name, "lasso", "0.5"), None)
       for name in ("ragged", "non-numeric", "non-finite", "header-only", "long-cell")),
     ("fail-sensitivity-overflow", ["sensitivity", "--iters", "20", "--burnin", "5"],
-     ["vary=a", "values=1e308"]),
+     ["vary=b", "values=1e308"]),
     ("fail-wide-overflow", ["fit", "--input", "../inputs/overflow-wide.csv", "--no-standardise",
                             "--iters", "20", "--burnin", "5"], None),
 ]
@@ -147,16 +149,18 @@ def run_all(src: Path, work: Path) -> tuple:
     return failed, errors
 
 
-def sweep_digest(src: Path):
-    """The digest line of this checkout's GIG sweep run against ``src``,
-    or None if the sweep fails."""
+def sweep_digests(src: Path):
+    """The digest lines of this checkout's GIG sweep run against ``src``,
+    the overall one first and then one ``form N: ...`` line per input
+    form, or None if the sweep fails."""
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "gig_sweep.py")],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                           text=True)
     if done.returncode:
         print(f"{src}: gig_sweep failed: {done.stderr.strip()}", file=sys.stderr)
         return None
-    return done.stdout.partition("\n")[0]
+    first, *rest = done.stdout.splitlines()
+    return [first] + [line for line in rest if line.startswith("form ")]
 
 
 def content(path: Path) -> bytes:
@@ -183,7 +187,7 @@ def main(argv=None) -> int:
             side_failed, side_errors = run_all(src, tmp / side)
             failed += side_failed
             errors.append(side_errors)
-            digests.append(sweep_digest(src))
+            digests.append(sweep_digests(src))
         base, change = tmp / "base" / "out", tmp / "change" / "out"
         files = sorted({p.relative_to(root) for root in (base, change) if root.exists()
                         for p in root.rglob("*") if p.is_file()})
@@ -207,9 +211,17 @@ def main(argv=None) -> int:
             print(f"{verdict:>14}  {name}: exit {code_b}, {err_b.strip()}")
         if None in digests:
             sweep = "failed"
+            print(f"{sweep:>14}  gig_sweep")
         else:
+            forms = []
+            for a, b in zip(*digests):
+                verdict = "identical" if a == b else "DIFFERENT"
+                if a != b and b.startswith("form "):
+                    forms.append(b.partition(":")[0])
+                print(f"{verdict:>14}  gig_sweep {b}")
             sweep = "identical" if digests[0] == digests[1] else "DIFFERENT"
-        print(f"{sweep:>14}  gig_sweep: {digests[1]}")
+            if forms:
+                sweep += " in " + ", ".join(forms)
         print(f"{len(files)} files, {differ} not identical, {len(failed)} failed commands; "
               f"{len(FAILING)} failing commands, {errors_differ} not identical; "
               f"GIG sweep {sweep}")
