@@ -4,7 +4,9 @@ Subcommands: fit, simulate, sensitivity, contour, cv.  Configuration is
 a flat key=value file plus command-line overrides (flags win), each flag
 read as its key's config line; every run writes a manifest echoing the
 resolved configuration, so any run can be reproduced byte-for-byte by
-pointing --config at its manifest.
+pointing --config at its manifest.  Each subcommand computes its output
+files and returns them; :func:`run` alone makes the output directory and
+writes them, so a run that fails before then leaves no directory.
 
 All floating output is printed with 17 significant digits: output files
 are byte-stable golden artifacts without precision loss.
@@ -325,12 +327,6 @@ def _model_spec(cfg: RunConfig, tau: float = None) -> ModelSpec:
         raise CliError("config-error", str(exc)) from exc
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.get("out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path: Path, header, rows):
     """Header through csv.writer; an ndarray body is written one row per
     format call, with the bytes fmt and csv.writer would give."""
@@ -376,21 +372,22 @@ def _prepare_fit_data(cfg: RunConfig):
     return Dataset(X, y), names_x, warnings
 
 
-def cmd_fit(cfg: RunConfig) -> list:
+def cmd_fit(cfg: RunConfig) -> tuple:
     data, names_x, warnings = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
-    outdir = _outdir(cfg)
     samples = run_chain(data, model)
     rename = {f"beta_{j}": f"beta_{j}:{names_x[j]}" for j in range(len(names_x))}
     columns = [rename.get(c, c) for c in samples.columns]
-    _write_csv(outdir / "samples.csv", columns, samples.draws)
-    rows = zip(columns, *summarize(samples))
-    _write_csv(outdir / "summary.csv", ["parameter", "median", "lower", "upper"], rows)
-    (outdir / "chain-health.txt").write_text("\n".join(samples.health.as_lines()) + "\n")
-    return warnings
+    files = {
+        "samples.csv": (columns, samples.draws),
+        "summary.csv": (["parameter", "median", "lower", "upper"],
+                        zip(columns, *summarize(samples))),
+        "chain-health.txt": "\n".join(samples.health.as_lines()) + "\n",
+    }
+    return files, warnings
 
 
-def cmd_cv(cfg: RunConfig) -> list:
+def cmd_cv(cfg: RunConfig) -> tuple:
     data, _, warnings = _prepare_fit_data(cfg)
     model = _model_spec(cfg)
     folds = cfg.get_int("folds")
@@ -400,18 +397,16 @@ def cmd_cv(cfg: RunConfig) -> list:
         simbench.check_folds(data.n, folds)
     except ValueError as exc:
         raise CliError("data-error", str(exc)) from exc
-    outdir = _outdir(cfg)
     result = simbench.cross_validate(data, model, folds=folds)
     rows = [(
         cfg.get("penalty"), fmt(cfg.get_float("tau")), str(folds),
         result.mspe, result.mape, result.mhpe, result.medspe,
     )]
-    _write_csv(outdir / "cv-metrics.csv",
-               ["method", "tau", "folds", "mspe", "mape", "mhpe", "medspe"], rows)
-    return warnings
+    header = ["method", "tau", "folds", "mspe", "mape", "mhpe", "medspe"]
+    return {"cv-metrics.csv": (header, rows)}, warnings
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
+def cmd_simulate(cfg: RunConfig) -> tuple:
     reps = cfg.get_int("reps")
     if reps < 1:
         raise CliError("config-error", f"reps must be >= 1, got {reps}")
@@ -432,7 +427,6 @@ def cmd_simulate(cfg: RunConfig) -> None:
         simbench.worker_count(len(scenarios) * len(models) * reps)
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
-    outdir = _outdir(cfg)
     if reps >= 300:
         print(
             "warning: full-scale replication counts take hours; "
@@ -454,18 +448,19 @@ def cmd_simulate(cfg: RunConfig) -> None:
         for rep, message in cell.failures:
             failure_rows.append((str(cell.scenario_id), fmt(cell.tau), str(cell.n), str(rep),
                                  message))
-    _write_csv(outdir / "tables.csv",
-               ["scenario", "method", "tau", "n", "rmse", "mmad", "al", "cp",
-                "failures", "complete"], table_rows)
-    _write_csv(outdir / "eta-medians.csv",
-               ["scenario", "tau", "n", "replication", "eta_median"], eta_rows)
+    files = {
+        "tables.csv": (["scenario", "method", "tau", "n", "rmse", "mmad", "al", "cp",
+                        "failures", "complete"], table_rows),
+        "eta-medians.csv": (["scenario", "tau", "n", "replication", "eta_median"], eta_rows),
+    }
     # only a run with a failed replication has this file
     if failure_rows:
-        _write_csv(outdir / "failures.csv",
-                   ["scenario", "tau", "n", "replication", "message"], failure_rows)
+        files["failures.csv"] = (["scenario", "tau", "n", "replication", "message"],
+                                 failure_rows)
+    return files, []
 
 
-def cmd_sensitivity(cfg: RunConfig) -> None:
+def cmd_sensitivity(cfg: RunConfig) -> tuple:
     vary = cfg.get("vary")
     family = next((name for name, cls in _PENALTIES.items()
                    if vary in (f.name for f in fields(cls))), None)
@@ -481,13 +476,12 @@ def cmd_sensitivity(cfg: RunConfig) -> None:
     for val in values:
         sub = RunConfig(cfg.subcommand, {**cfg.values, vary: str(val), "penalty": family})
         models.append((f"{vary}={val:g}", _model_spec(sub)))
-    outdir = _outdir(cfg)
     curves = simbench.sensitivity_curve_study(models)
     rows = []
     for label, grid, fitted, truth in curves:
         for x, f, t in zip(grid, fitted, truth):
             rows.append((label, x, f, t))
-    _write_csv(outdir / "curve.csv", ["setting", "x", "fitted", "truth"], rows)
+    return {"curve.csv": (["setting", "x", "fitted", "truth"], rows)}, []
 
 
 def _toy_contour_data():
@@ -500,7 +494,7 @@ def _toy_contour_data():
     return x, y
 
 
-def cmd_contour(cfg: RunConfig) -> None:
+def cmd_contour(cfg: RunConfig) -> tuple:
     x, y = _toy_contour_data()
     # the paper's 200 x 200 grid over log beta in [-3, 2] and log rho2 in [-9, 1]
     size = 200
@@ -522,17 +516,16 @@ def cmd_contour(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise CliError("config-error", str(exc)) from exc
     # eta times a check loss, or lambda4 times beta^2, over a tiny rho2 can
-    # overflow at a grid point: refuse it before the directory is made
+    # overflow at a grid point: refuse it as a config-error
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             z = log_posterior_grid(spec)
     except FloatingPointError as exc:
         raise CliError("config-error", f"the log posterior is not finite on this grid: {exc}") from exc
-    outdir = _outdir(cfg)
     # one row per (beta_i, rho2_j), beta-major
     rows = np.column_stack([np.repeat(np.log(bgrid), size), np.tile(np.log(rgrid), size),
                             z.ravel()])
-    _write_csv(outdir / "grid.csv", ["log_beta", "log_rho2", "log_posterior"], rows)
+    return {"grid.csv": (["log_beta", "log_rho2", "log_posterior"], rows)}, []
 
 
 _RUNNERS = {
@@ -545,18 +538,24 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> None:
-    """Execute one resolved configuration: write its output files, then
-    its manifest.
-
-    Each subcommand checks its keys before it creates the output
-    directory, so a config-error leaves none behind.  ``fit`` and ``cv``
-    return the input's warnings, printed once every file is written, so
-    that a failed run prints its error line alone.
+    """Execute one resolved configuration.  Its subcommand returns its
+    files, each name mapped to a CSV ``(header, rows)`` or to a text, and
+    the input's warnings; then the output directory is made, the files
+    and the manifest are written and the warnings are printed.  A run
+    that fails before its files are written makes no directory, and a
+    failed run prints its error line alone.
     """
     t0 = time.perf_counter()
-    warnings = _RUNNERS[cfg.subcommand](cfg)
-    _write_manifest(_outdir(cfg), cfg, time.perf_counter() - t0)
-    for w in warnings or ():
+    files, warnings = _RUNNERS[cfg.subcommand](cfg)
+    outdir = Path(cfg.get("out"))
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, str):
+            (outdir / name).write_text(body)
+        else:
+            _write_csv(outdir / name, *body)
+    _write_manifest(outdir, cfg, time.perf_counter() - t0)
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
 

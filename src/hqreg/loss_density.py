@@ -91,12 +91,10 @@ def asym_loss(x, p: LossParams):
     """Asymmetric Huberised loss sqrt(eta (eta + check_loss(x, tau)/rho2)) - eta.
 
     Zero at x = 0 and increasing in |x| on each side; the radicand is
-    bounded below by eta^2 because the check loss is nonnegative.
+    bounded below by eta^2 because the check loss is nonnegative.  A NaN
+    x gives NaN, as in :func:`check_loss`.
     """
-    x = np.asarray(x, dtype=float)
-    xi = check_loss(x, p.tau)
-    assert np.all(xi >= 0.0)
-    z = xi / (p.eta * p.rho2)
+    z = check_loss(x, p.tau) / (p.eta * p.rho2)
     return p.eta * (z / (np.sqrt(1.0 + z) + 1.0))
 
 

@@ -26,12 +26,11 @@ Its fields are its config keys.  It names its study ``method`` label
 and ``Rates``, the NamedTuple of its rates whose field names are their
 sample columns and whose ``log_prior`` is the beta | rho2 prior in closed
 form, and gives ``init`` (a new state's ``latent`` and
-``rates``), ``prior_precision`` (the beta prior's diagonal),
-``rho2_quadratic`` (rho2 * sum(beta_j^2 * prior_precision_j)),
-``latent_params`` (the GIG(1/2) parameters of its latents),
-``scale_orbit`` (its share of the rho2 scale move) and
-``update`` (which draws ``rates``; :func:`run_chain` sets v and ``latent``
-from the joint draw).  Every latent block has a generalised inverse
+``rates``), ``prior_precision`` (the beta prior's diagonal, which the
+beta and rho2 blocks both read), ``latent_params`` (the GIG(1/2)
+parameters of its latents), ``scale_orbit`` (its share of the rho2
+scale move) and ``update`` (which draws ``rates``; :func:`run_chain`
+sets v and ``latent`` from the joint draw).  Every latent block has a generalised inverse
 Gaussian full conditional.  The order of the sigma block follows the
 chain's GIG mixing index lambda, ``loss_density.CHAIN_MIXING_INDEX``; the
 rho2 move holds at any index, while the eta step and the level move carry
@@ -178,11 +177,6 @@ class LassoHyper:
     def prior_precision(self, state: ChainState) -> np.ndarray:
         return 1.0 / (state.rho2 * state.latent)
 
-    def rho2_quadratic(self, state: ChainState) -> float:
-        quad = state.beta**2
-        quad /= state.latent
-        return float(quad.sum())
-
     @staticmethod
     def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
         """(c, d) of the GIG(1/2) s_j: sqrt(l1sq) and |beta_j| / sqrt(rho2),
@@ -240,13 +234,6 @@ class ElasticNetHyper:
 
     def prior_precision(self, state: ChainState) -> np.ndarray:
         return (2.0 * state.rates.lambda4 / state.rho2) * (1.0 + state.latent) / state.latent
-
-    def rho2_quadratic(self, state: ChainState) -> float:
-        quad = 1.0 + state.latent
-        quad *= 2.0 * state.rates.lambda4
-        quad *= state.beta**2
-        quad /= state.latent
-        return float(quad.sum())
 
     @staticmethod
     def latent_params(state: ChainState, out: Optional[np.ndarray] = None) -> tuple:
@@ -513,7 +500,7 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen, resid: n
     index lambda: sigma's prior gives rho2^-lambda sigma^(lambda - 1) per
     observation, and both scale with g.  A family whose ``scale_orbit``
     is None keeps its scale: g moves (rho2, sigma, v) alone and the beta
-    prior adds -(k/2) u - (Q/2) e^-u, Q = ``rho2_quadratic`` / rho2.
+    prior adds -(k/2) u - (Q/2) e^-u, Q = sum(beta_j^2 prior_precision_j).
 
     Given ``shift``, delta = X'(XX')^-1 r from :func:`residual_shift`
     (k > n), and a family scale, the residual is free: beta moves to
@@ -542,7 +529,7 @@ def update_rho2(state: ChainState, data: Dataset, spec: ModelSpec, gen, resid: n
         power = alpha - n - a0
         if orbit is None:
             power -= k / 2.0
-            big_b -= 0.5 * spec.penalty.rho2_quadratic(state) / rho2
+            big_b -= 0.5 * float(state.beta**2 @ spec.penalty.prior_precision(state))
         width = _RHO2_SLICE_WIDTH / math.sqrt(n)
 
         def log_density(u):

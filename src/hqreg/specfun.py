@@ -3,9 +3,10 @@
 Everything here wraps or combines the exponentially scaled Bessel routines
 from scipy.special so that ratios and logarithms stay finite across the
 full argument range the Gibbs updates visit (roughly 1e-6 .. 1e6).
-``log_k1``, ``log_k1_derivs`` and ``log_upper_gamma_half`` take the float
-that the chain passes them (an int works too); ``log_bessel_k`` also takes
-arrays.
+``log_k1`` and ``log_upper_gamma_half`` take the float that the chain
+passes them, and ``log_k1_derivs`` the float of its only caller,
+``sampler.refine_eta_gamma_params``, which the scan no longer runs (an
+int works too); ``log_bessel_k`` also takes arrays.
 """
 
 from __future__ import annotations

@@ -537,8 +537,8 @@ class TestOtherCommands:
 
 
 class TestFailedRunOutput:
-    """A run that ends in a config-error creates no output directory, and a
-    failed run deletes nothing."""
+    """A run that fails, at a key check or in its chain, creates no output
+    directory and deletes nothing."""
 
     @pytest.mark.parametrize("subcommand,config", [
         ("fit", "input=absent.csv"),
@@ -571,7 +571,7 @@ class TestFailedRunOutput:
         ("contour", "lambda1=1e-200"),
         ("contour", "penalty=en;lambda3=1e200"),
         # a negative seed, a non-finite hyperparameter or fewer than 2 kept
-        # draws is refused before the directory, not when the chain runs
+        # draws is a config-error, not a failure when the chain runs
         ("fit", "seed=-1"),
         ("cv", "seed=-1"),
         ("simulate", "seed=-1"),
@@ -616,10 +616,12 @@ class TestFailedRunOutput:
         # valid keys whose chain breaks down: an eta prior shape of 1e308
         cfg = tmp_path / "s.cfg"
         cfg.write_text("vary=c\nvalues=1e308\niters=20\nburnin=5\n")
-        assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        out = tmp_path / "out"
+        assert run_cli(["sensitivity", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("chain-error: update '") and err.count("\n") == 1
         assert "failed at iteration" in err
+        assert not out.exists()
 
     def test_overflowing_reduction_is_its_blocks_chain_error(self, tmp_path, capsys):
         # a prior rate b = 1e308 on the squared l1 rate drives the lasso
@@ -628,9 +630,11 @@ class TestFailedRunOutput:
         # still makes it that block's one error line
         cfg = tmp_path / "s.cfg"
         cfg.write_text("vary=b\nvalues=1e308\niters=20\nburnin=5\n")
-        assert run_cli(["sensitivity", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        out = tmp_path / "out"
+        assert run_cli(["sensitivity", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err == ("chain-error: update 'penalty' failed at iteration 3: "
                                            "overflow encountered in reduce\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("predictors,scaled,flags,line", [
         # values near 1e200 overflow the response variance and the Gram
@@ -669,7 +673,7 @@ class TestFailedRunOutput:
         )
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [line.format(path=path)]
-        assert out.exists() == line.startswith("chain-error")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,config,start", [
         (["fit", "--seed", "x"], "", "config-error: "),
@@ -745,12 +749,13 @@ class TestFailedRunOutput:
 
     def test_failure_after_the_directory_deletes_nothing(self, tmp_path, capsys,
                                                          monkeypatch):
-        # another run writes beside this one while it runs, then this one fails
+        # another run writes beside this one while it runs, then this one
+        # fails: it makes no directory and removes nothing of the other's
         parent = tmp_path / "results"
         other = parent / "b" / "done.txt"
 
         def run_study(*args, **kwargs):
-            other.parent.mkdir()
+            other.parent.mkdir(parents=True)
             other.write_text("x")
             raise CliError("data-error", "failed late")
 
@@ -758,7 +763,7 @@ class TestFailedRunOutput:
         assert run_cli(["simulate", "--out", parent / "a"]) == 1
         assert capsys.readouterr().err.startswith("data-error: ")
         assert other.read_text() == "x"
-        assert (parent / "a").is_dir()
+        assert not (parent / "a").exists()
 
 
 class TestFileFaults:

@@ -60,6 +60,13 @@ class TestLossFamily:
         p = LossParams(eta=1.3, rho2=0.7, tau=0.3)
         assert asym_loss(0.0, p) == 0.0
 
+    def test_nan_propagates(self):
+        # as in check_loss and huber_loss: no assertion stops a NaN
+        p = LossParams(eta=1.3, rho2=0.7, tau=0.3)
+        assert math.isnan(asym_loss(np.nan, p))
+        assert math.isnan(asym_log_density(np.nan, 0.0, p))
+        assert np.isnan(asym_loss(np.array([0.5, np.nan]), p)).tolist() == [False, True]
+
     def test_asym_loss_monotone_each_side(self):
         p = LossParams(eta=0.8, rho2=1.5, tau=0.2)
         xs = np.linspace(0.0, 20.0, 400)

@@ -598,18 +598,6 @@ class TestElasticBlock:
         assert np.max(np.abs(cdf - emp)) < 0.015
 
 
-class TestPenaltyContract:
-    """Each penalty object gives the beta and rho2 blocks one prior."""
-
-    @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
-    def test_rho2_quadratic_matches_prior_precision(self, penalty, chain_state):
-        gen = RngStream(370).generator()
-        for _ in range(20):
-            state = _full_state(chain_state, gen, 3, 7, penalty)
-            expect = state.rho2 * np.sum(state.beta**2 * penalty.prior_precision(state))
-            assert penalty.rho2_quadratic(state) == pytest.approx(expect, rel=1e-12)
-
-
 def _full_state(chain_state, gen, n, k, penalty):
     """A random interior state of ``penalty``'s family."""
     state = dict(beta=gen.standard_normal(k), v=gen.uniform(0.05, 3.0, n),
@@ -758,7 +746,6 @@ class TestLeanBlocks:
         update_eta(st, spec, gen, q, ChainHealth())
         assert q.tobytes() == kept.tobytes()
         update_eta_approx(st, spec, gen, ChainHealth())
-        penalty.rho2_quadratic(st)
         penalty.prior_precision(st)
         if isinstance(penalty, LassoHyper):
             update_s(st, data, spec, gen)

@@ -6,7 +6,8 @@ Unpacks BASE_REV's ``src/`` with ``git archive`` into a temporary
 directory, runs a fixed list of ``hqreg`` commands once against that tree
 and once against this checkout's ``src/``, each in a fresh interpreter,
 and compares every output file byte for byte.  A second list of commands
-must fail: each of those is compared by its exit code and standard error.
+must fail: each of those is compared by its exit code, its standard error
+and whether it left its output directory behind.
 The inputs are CSV files written here with 17 significant digits, and
 one malformed file for each error class of the input dialect.  Manifest
 lines that begin with ``#`` (the wall time) are ignored.  No command
@@ -135,7 +136,8 @@ def run(src: Path, work: Path, name: str, args: list, config) -> subprocess.Comp
 
 def run_all(src: Path, work: Path) -> tuple:
     """Run every command of both lists.  Returns the names of the
-    COMMANDS that failed and each FAILING command's (exit code, stderr)."""
+    COMMANDS that failed and each FAILING command's (exit code, stderr,
+    whether its output directory exists)."""
     failed = []
     for name, args, config in COMMANDS:
         done = run(src, work, name, args, config)
@@ -145,7 +147,7 @@ def run_all(src: Path, work: Path) -> tuple:
     errors = {}
     for name, args, config in FAILING:
         done = run(src, work, name, args, config)
-        errors[name] = (done.returncode, done.stderr)
+        errors[name] = (done.returncode, done.stderr, (work / "out" / name).exists())
     return failed, errors
 
 
@@ -202,13 +204,15 @@ def main(argv=None) -> int:
             print(f"{verdict:>14}  {rel}")
         errors_differ = 0
         for name, _, _ in FAILING:
-            (code_a, err_a), (code_b, err_b) = errors[0][name], errors[1][name]
-            if not (code_a and code_b):
+            base_run, change_run = errors[0][name], errors[1][name]
+            code_b, err_b, left_b = change_run
+            if not (base_run[0] and code_b):
                 verdict = "did not fail"
             else:
-                verdict = "identical" if (code_a, err_a) == (code_b, err_b) else "DIFFERENT"
+                verdict = "identical" if base_run == change_run else "DIFFERENT"
             errors_differ += verdict != "identical"
-            print(f"{verdict:>14}  {name}: exit {code_b}, {err_b.strip()}")
+            left = "leaves" if left_b else "no"
+            print(f"{verdict:>14}  {name}: exit {code_b}, {left} out/{name}, {err_b.strip()}")
         if None in digests:
             sweep = "failed"
             print(f"{sweep:>14}  gig_sweep")
