@@ -221,11 +221,11 @@ _DEFAULTS = {
 }
 
 # keys that manifests held before their values became constants of the
-# sampler or of the contour and sensitivity fixtures; a config may still
-# give them, at these values only
-_RETIRED = {"eta_iters": "10", "eta_tol": "1e-8", "toy_seed": "36", "toy_n": "10",
-            "noise_sigma": "0.03", "grid_size": "200", "log_beta_min": "-3.0",
-            "log_beta_max": "2.0", "log_rho2_min": "-9.0", "log_rho2_max": "1.0"}
+# contour and sensitivity fixtures; a config may still give them, at these
+# values only
+_RETIRED = {"toy_seed": "36", "toy_n": "10", "noise_sigma": "0.03", "grid_size": "200",
+            "log_beta_min": "-3.0", "log_beta_max": "2.0", "log_rho2_min": "-9.0",
+            "log_rho2_max": "1.0"}
 
 
 @dataclass

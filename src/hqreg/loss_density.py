@@ -14,8 +14,8 @@ DENSITY_MIXING_INDEX for the documented density and its oracle, and
 CHAIN_MIXING_INDEX for the Gibbs chain and the posterior surface.
 
 The joint (beta, rho2) log-posterior surface of a single-column design
-comes from one broadcasting kernel, which the grid and the pointwise
-view share; its coefficient prior is the chain's penalty family's
+comes from one broadcasting kernel, which the grid evaluates one beta
+row at a time; its coefficient prior is the chain's penalty family's
 ``Rates.log_prior`` at pinned rates.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "asym_log_density",
     "scale_mixture_density",
     "PosteriorGridSpec",
-    "joint_log_posterior",
     "log_posterior_grid",
     "count_strict_local_maxima",
 ]
@@ -277,14 +276,6 @@ def _log_posterior(spec: PosteriorGridSpec, beta: np.ndarray, rho2: np.ndarray) 
         l1_scale, l2_scale, power = 1.0 / np.sqrt(rho2), rho2, n + 0.5 + 1.0
     prior = spec.rates.log_prior(beta[:, None], l1_scale, l2_scale) - power * np.log(rho2)
     return loglik + prior
-
-
-def joint_log_posterior(beta, rho2: float, spec: PosteriorGridSpec) -> float:
-    """:func:`log_posterior_grid`'s surface at one point (beta, rho2)."""
-    if rho2 <= 0:
-        raise ValueError("rho2 must be > 0")
-    beta = np.asarray(beta, dtype=float).reshape(1)
-    return float(_log_posterior(spec, beta, np.array([rho2], dtype=float))[0, 0])
 
 
 def log_posterior_grid(spec: PosteriorGridSpec) -> np.ndarray:

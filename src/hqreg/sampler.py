@@ -12,10 +12,8 @@ One scan updates, in order:
    (:func:`update_level`).
 
 Given beta and sigma, v and the penalty latents are independent GIG(1/2)
-variables, so one GIG call draws all n + k of them
-(:func:`update_v_and_latents`), with the variates of the separate calls
-:func:`update_v` and :func:`update_s` / :func:`update_t`.  Each penalty
-family is one object, its hyperparameter dataclass:
+variables, so one GIG call draws all n + k of them (:func:`update_v`).
+Each penalty family is one object, its hyperparameter dataclass:
 
 * LassoHyper: coefficient scales s_j with a gamma-updated squared rate;
 * ElasticNetHyper: latents u_j = t_j - 1 > 0, stored as drawn, with a
@@ -41,10 +39,12 @@ Statist.) on a scalar, with closed-form log densities: eta's on log eta,
 and the two group moves' on their group element (Liu & Sabatti 2000,
 JASA), which leave the posterior invariant.  At k > n the group moves
 also shift beta along X'(XX')^-1 r, which maps the residual r to g r;
-X'(XX')^-1 is formed once per chain.  The previous eta step, a refined gamma
-approximation (:func:`update_eta_approx`), is no longer in the scan; it
-stays, with the functions the scan no longer calls, for the benchmark's
-tracer, which wraps them by name (ROADMAP item 14).
+X'(XX')^-1 is formed once per chain.  Four functions are no longer in
+the scan: :func:`update_s` and :func:`update_t`, the penalty latents'
+separate draws, and the previous eta step, a refined gamma approximation
+(:func:`update_eta_approx` with :func:`refine_eta_gamma_params`).  They
+stay for the benchmark's tracer, which wraps them by name (ROADMAP item
+14).
 The block updates draw from the ``np.random.Generator`` that
 :func:`run_chain` passes them.
 """
@@ -77,7 +77,6 @@ __all__ = [
     "update_eta",
     "update_sigma",
     "update_v",
-    "update_v_and_latents",
     "update_rho2",
     "update_level",
     "update_s",
@@ -329,18 +328,18 @@ class ChainHealth:
     slice_evals: dict = field(default_factory=lambda: dict.fromkeys(_SLICE_BLOCKS, 0))
 
     def as_lines(self) -> list:
-        rate = self.mh_accepts / self.mh_proposals if self.mh_proposals else float("nan")
+        rate = self.mh_accepts / self.mh_proposals if self.mh_proposals else math.nan
         lines = [
             f"positivity_clamps={self.positivity_clamps}",
             f"eta_update_skips={self.eta_update_skips}",
             f"mh_proposals={self.mh_proposals}",
             f"mh_accepts={self.mh_accepts}",
-            f"mh_accept_rate={rate:.6f}" if self.mh_proposals else "mh_accept_rate=nan",
+            f"mh_accept_rate={rate:.6f}",
         ]
         for block in _SLICE_BLOCKS:
             steps = self.slice_steps[block]
-            mean = f"{self.slice_evals[block] / steps:.6f}" if steps else "nan"
-            lines.append(f"{block}_slice_evals_per_step={mean}")
+            mean = self.slice_evals[block] / steps if steps else math.nan
+            lines.append(f"{block}_slice_evals_per_step={mean:.6f}")
         return lines
 
 
@@ -442,45 +441,29 @@ def update_sigma(state: ChainState, data: Dataset, spec: ModelSpec, gen,
 
 def update_v(state: ChainState, data: Dataset, spec: ModelSpec, gen,
              resid: np.ndarray) -> np.ndarray:
-    """Per-observation GIG(1/2) draws for the asymmetry latents.
-
-    The x-coefficient (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma collapses
-    to 1/(4 sigma); exact-zero residuals hit the gamma boundary of the
-    GIG sampler rather than being jittered.  ``resid`` is as in
-    :func:`update_sigma`.
-    """
-    return gig_rvs(gen, 0.5, *_v_params(state, resid))
-
-
-def _v_params(state: ChainState, resid: np.ndarray, c=None, d=None) -> tuple:
-    """(c, d) of the GIG(1/2) v_i: 1/(2 sqrt(sigma_i)) and |resid_i| c_i,
-    written to ``c`` and ``d`` when given."""
-    c = np.sqrt(state.sigma, out=c)
-    np.divide(0.5, c, out=c)
-    d = np.abs(resid, out=d)
-    d *= c
-    return c, d
-
-
-def update_v_and_latents(state: ChainState, data: Dataset, spec: ModelSpec, gen,
-                         resid: np.ndarray) -> np.ndarray:
     """v and the penalty family's latents in one GIG(1/2) call: the n
-    draws of :func:`update_v`, then the k of :func:`update_s` (lasso) or
+    asymmetry latents v_i, then the k of :func:`update_s` (lasso) or
     :func:`update_t` (elastic net, t_j - 1 as drawn).
 
-    Given beta and sigma the two blocks are independent, and numpy draws
-    Wald variates element by element in index order, so when every pair
-    is plainly interior one call over the n + k pairs gives the variates
-    of the two calls.  A pair at a boundary (a zero residual or
-    coefficient, c*d below GIG_BOUNDARY_EPS) takes its limit law inside
-    the same call, which then orders the draws by kind (see
-    :func:`gig_rvs`); each draw keeps its law.  ``resid`` is as in
-    :func:`update_sigma`.
+    v_i has c_i = 1/(2 sqrt(sigma_i)) and d_i = |resid_i| c_i: its
+    x-coefficient (1-2 tau)^2/(4 sigma) + tau(1-tau)/sigma collapses to
+    1/(4 sigma).  Given beta and sigma the two blocks are independent, and
+    numpy draws Wald variates element by element in index order, so when
+    every pair is plainly interior one call over the n + k pairs gives the
+    variates of two separate calls.  A pair at a boundary (a zero residual
+    or coefficient, c*d below GIG_BOUNDARY_EPS) takes its gamma limit
+    rather than being jittered, inside the same call, which then orders
+    the draws by kind (see :func:`gig_rvs`); each draw keeps its law.
+    ``resid`` is as in :func:`update_sigma`.
     """
     n = data.n
     c = np.empty(n + data.k)
     d = np.empty(n + data.k)
-    _v_params(state, resid, c[:n], d[:n])
+    c_v, d_v = c[:n], d[:n]
+    np.sqrt(state.sigma, out=c_v)
+    np.divide(0.5, c_v, out=c_v)
+    np.abs(resid, out=d_v)
+    d_v *= c_v
     c[n:], _ = spec.penalty.latent_params(state, d[n:])
     return gig_rvs(gen, 0.5, c, d)
 
@@ -903,7 +886,7 @@ def _scan(state: ChainState, data: Dataset, spec: ModelSpec, gen, health: ChainH
         block = "sigma"
         state.sigma = _clamp_positive(update_sigma(state, data, spec, gen, resid, q), health)
         block = "v and penalty latents"
-        drawn = _clamp_positive(update_v_and_latents(state, data, spec, gen, resid), health)
+        drawn = _clamp_positive(update_v(state, data, spec, gen, resid), health)
         state.v, state.latent = drawn[: data.n], drawn[data.n:]
         block = "penalty"
         spec.penalty.update(state, data, spec, gen, health)

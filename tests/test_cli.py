@@ -287,14 +287,13 @@ class TestFitCommand:
         m2 = [l for l in (out2 / "manifest.txt").read_text().splitlines() if not skip(l)]
         assert m1 == m2
 
-    # manifests written before the eta refinement budget and the contour
-    # and sensitivity fixtures became fixed hold their keys at the fixed
-    # values; the values are compared as numbers
+    # manifests written before the contour and sensitivity fixtures became
+    # fixed hold their keys at the fixed values; the values are compared as
+    # numbers
     @pytest.mark.parametrize("retired", [
-        ("eta_iters=10", "eta_tol=1e-8", "toy_seed=36", "toy_n=10", "noise_sigma=0.03",
-         "grid_size=200", "log_beta_min=-3.0", "log_beta_max=2.0", "log_rho2_min=-9.0",
-         "log_rho2_max=1.0"),
-        ("eta_iters=10.0", "eta_tol=1.0E-08", "log_beta_min=-3", "log_rho2_max=1"),
+        ("toy_seed=36", "toy_n=10", "noise_sigma=0.03", "grid_size=200", "log_beta_min=-3.0",
+         "log_beta_max=2.0", "log_rho2_min=-9.0", "log_rho2_max=1.0"),
+        ("log_beta_min=-3", "log_rho2_max=1"),
     ])
     def test_manifest_with_retired_keys_replays(self, toy_csv, tmp_path, retired):
         runs = {
@@ -316,7 +315,6 @@ class TestFitCommand:
             assert not [line for line in manifest if line.partition("=")[0] in keys]
 
     @pytest.mark.parametrize("setting,fixed", [
-        ("eta_iters=5", "10"), ("eta_iters=ten", "10"), ("eta_tol=1e-6", "1e-8"),
         ("grid_size=50", "200"), ("log_rho2_min=-700", "-9.0"),
     ])
     def test_retired_key_at_another_value_is_config_error(self, toy_csv, tmp_path, capsys,
@@ -328,6 +326,20 @@ class TestFitCommand:
         err = capsys.readouterr().err
         key = setting.partition("=")[0]
         assert err.startswith("config-error: ") and f"key '{key}' is fixed at {fixed}" in err
+        assert not out.exists()
+
+    # manifests that hold the eta refinement budget were written by a chain
+    # whose gamma-approximation eta step is gone, and cannot replay its draws
+    @pytest.mark.parametrize("setting", [
+        "eta_iters=10", "eta_iters=5", "eta_iters=ten", "eta_tol=1e-8", "eta_tol=1e-6",
+    ])
+    def test_retired_eta_key_is_unknown(self, toy_csv, tmp_path, capsys, setting):
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{setting}\n")
+        out = tmp_path / "o"
+        assert run_cli(["fit", "--config", cfgfile, "--input", toy_csv, "--out", out]) == 1
+        key = setting.partition("=")[0]
+        assert capsys.readouterr().err == f"config-error: {cfgfile}:1: unknown key '{key}'\n"
         assert not out.exists()
 
     def test_no_intercept_writes_k_columns(self, toy_csv, tmp_path):

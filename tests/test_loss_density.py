@@ -20,7 +20,6 @@ from hqreg.loss_density import (
     check_loss,
     count_strict_local_maxima,
     huber_loss,
-    joint_log_posterior,
     log_posterior_grid,
     scale_mixture_density,
 )
@@ -192,13 +191,6 @@ class TestJointLogPosterior:
             self.bgrid, self.rgrid, x, y, LassoHyper.Rates(1.0), "unconditional", 1.0, 0.5
         )
 
-    def test_scalar_matches_grid(self):
-        z = log_posterior_grid(self.spec)
-        for i in (0, 40, 100):
-            for j in (3, 60, 110):
-                direct = joint_log_posterior(self.bgrid[i], self.rgrid[j], self.spec)
-                assert z[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-9)
-
     @pytest.mark.parametrize("penalty", RATES_07)
     @pytest.mark.parametrize("style", ["unconditional", "conditional"])
     def test_grid_matches_pointwise_oracle(self, penalty, style):
@@ -218,7 +210,6 @@ class TestJointLogPosterior:
         expect = np.log(k0(np.sqrt(1.3**2 + 1.3 * 0.25))) - 1.0
         assert expect == pytest.approx(-2.4376, abs=1e-4)
         assert log_posterior_grid(spec)[0, 0] == pytest.approx(expect, rel=1e-12)
-        assert joint_log_posterior(1.0, 1.0, spec) == pytest.approx(expect, rel=1e-12)
 
     def test_constant_shift_leaves_argmax(self):
         z = log_posterior_grid(self.spec)
@@ -287,9 +278,9 @@ class TestJointLogPosterior:
         )
 
         def g(phi, xi):
-            beta = phi / xi
-            rho2 = 1.0 / xi**2
-            return joint_log_posterior(beta, rho2, spec) - 4.0 * np.log(xi)
+            beta = np.array([phi / xi])
+            rho2 = np.array([1.0 / xi**2])
+            return loss_density._log_posterior(spec, beta, rho2)[0, 0] - 4.0 * np.log(xi)
 
         gen = RngStream(61).generator()
         grid = np.linspace(0.0, 1.0, 41)
@@ -311,8 +302,11 @@ class TestJointLogPosterior:
                 np.array([2.0, 1.0]), self.rgrid, [1.0], [1.0], LassoHyper.Rates(1.0),
                 "conditional", 1.0, 0.5,
             )
-        with pytest.raises(ValueError):
-            joint_log_posterior(1.0, -1.0, self.spec)
+        with pytest.raises(ValueError, match="rho2_grid must be positive"):
+            PosteriorGridSpec(
+                self.bgrid, np.array([-1.0, 1.0]), [1.0], [1.0], LassoHyper.Rates(1.0),
+                "conditional", 1.0, 0.5,
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", [0, 1])

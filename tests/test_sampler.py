@@ -41,7 +41,6 @@ from hqreg.sampler import (
     update_sigma,
     update_t,
     update_v,
-    update_v_and_latents,
 )
 
 
@@ -310,7 +309,8 @@ class TestUpdateSigmaV:
         assert np.all(draws > 0)
 
     def test_v_zero_residual_gamma_dispatch(self, chain_state):
-        # y = X beta exactly: d = 0 hits the gamma boundary, no error
+        # y = X beta exactly: d = 0 hits the gamma boundary, no error; the
+        # joint block's first n draws are v
         data = Dataset(np.array([[1.0], [2.0]]), np.array([0.7, 1.4]))
         spec = ModelSpec(tau=0.3)
         state = chain_state(
@@ -318,7 +318,7 @@ class TestUpdateSigmaV:
             latent=np.ones(1), lambda1_sq=1.0,
         )
         resid = data.y - data.X @ state.beta
-        draws = update_v(state, data, spec, RngStream(312).generator(), resid)
+        draws = update_v(state, data, spec, RngStream(312).generator(), resid)[: data.n]
         assert np.all(draws > 0)
 
     def test_v_fixture_moments(self, chain_state):
@@ -653,7 +653,6 @@ class TestLeanBlocks:
             resid = data.y - data.X @ st.beta
             update_sigma(st, data, spec, gen, resid)
             update_v(st, data, spec, gen, resid)
-            (update_s if isinstance(penalty, LassoHyper) else update_t)(st, data, spec, gen)
             # the eta step and the rho2 move draw no GIG variate; the move
             # takes a copy, as it sets the state's fields
             update_eta(st, spec, gen, sampler.sigma_quadratic(st, spec, resid), ChainHealth())
@@ -669,10 +668,11 @@ class TestLeanBlocks:
                 c_pen = math.sqrt(2.0 * lam3_tilde)
                 d_pen = np.sqrt(2.0 * lam4 / st.rho2) * np.abs(st.beta)
             lam = loss_density.CHAIN_MIXING_INDEX
+            # the joint call's first n pairs are v's, the last k the latents'
             expected = [
                 (lam - 1.5, math.sqrt(st.eta / st.rho2), np.sqrt(d_sq)),
-                (0.5, c_v, np.abs(resid) * c_v),
-                (0.5, c_pen, d_pen),
+                (0.5, np.concatenate((c_v, np.full(k, c_pen))),
+                 np.concatenate((np.abs(resid) * c_v, d_pen))),
             ]
             assert len(calls) == len(expected)
             for got, want in zip(calls, expected):
@@ -739,7 +739,6 @@ class TestLeanBlocks:
         update_beta(st, data, spec, gen)
         update_sigma(st, data, spec, gen, resid)
         update_v(st, data, spec, gen, resid)
-        update_v_and_latents(st, data, spec, gen, resid)
         q = sampler.sigma_quadratic(st, spec, resid)
         kept = q.copy()
         update_sigma(st, data, spec, gen, resid, q)
@@ -810,6 +809,9 @@ class TestLeanBlocks:
         expected = [(loss_density.CHAIN_MIXING_INDEX - 1.5, math.sqrt(st.eta / st.rho2), d),
                     (0.5, c_v, d_v)]
         assert len(calls) == 2
+        # the joint call's first n pairs are v's
+        nu, c, d = calls[1]
+        calls[1] = (nu, c[:n], d[:n])
         for got, want in zip(calls, expected):
             for a, b in zip(got, want):
                 assert np.asarray(a, dtype=float).tobytes() == np.asarray(b).tobytes()
@@ -843,7 +845,7 @@ class TestLeanBlocks:
             seen.append(("update_level", np.allclose(shift, plain, rtol=1e-6, atol=1e-9)))
             return block(state, data, spec, gen, shift, health)
 
-        for name in ("update_sigma", "update_v_and_latents", "update_rho2"):
+        for name in ("update_sigma", "update_v", "update_rho2"):
             spy_on(name)
         monkeypatch.setattr(sampler, "update_eta", eta_spy)
         monkeypatch.setattr(sampler, "update_level", level_spy)
@@ -852,9 +854,8 @@ class TestLeanBlocks:
             gen = RngStream(387).generator()
             data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
             run_chain(data, ModelSpec(tau=0.3, penalty=penalty, n_iter=6, burn_in=2, seed=5))
-            assert [name for name, _ in seen] == ["update_eta", "update_sigma",
-                                                  "update_v_and_latents", "update_rho2",
-                                                  *order] * 6
+            assert [name for name, _ in seen] == ["update_eta", "update_sigma", "update_v",
+                                                  "update_rho2", *order] * 6
             assert all(same for _, same in seen)
 
 
@@ -874,7 +875,9 @@ def _scan_in_separate_calls(data, spec):
         state.eta = update_eta(state, spec, gen, q, health)
         state.sigma = sampler._clamp_positive(update_sigma(state, data, spec, gen, resid, q),
                                               health)
-        state.v = sampler._clamp_positive(update_v(state, data, spec, gen, resid), health)
+        c_v = 0.5 / np.sqrt(state.sigma)
+        d_v = np.abs(resid) * c_v
+        state.v = sampler._clamp_positive(gig_rvs(gen, 0.5, c_v, d_v), health)
         if isinstance(penalty, LassoHyper):
             state.latent = sampler._clamp_positive(update_s(state, data, spec, gen), health)
             state.rates = penalty.Rates(update_lambda1_sq(state, data, spec, gen))
@@ -923,7 +926,7 @@ class TestJointLatentBlock:
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         st = _full_state(chain_state, gen, n, k, penalty)
         resid = data.y - data.X @ st.beta
-        drawn = update_v_and_latents(st, data, ModelSpec(penalty=penalty), gen, resid)
+        drawn = update_v(st, data, ModelSpec(penalty=penalty), gen, resid)
         assert len(calls) == 1 and drawn.shape == (n + k,)
 
     @pytest.mark.parametrize("penalty", [LassoHyper(), ElasticNetHyper()])
@@ -946,9 +949,10 @@ class TestJointLatentBlock:
         resid = data.y - data.X @ st.beta
         if zero_resid:
             resid[4] = 0.0
-        drawn = update_v_and_latents(st, data, spec, RngStream(393).generator(), resid)
+        drawn = update_v(st, data, spec, RngStream(393).generator(), resid)
         assert len(calls) == 1
-        c_v, d_v = sampler._v_params(st, resid)
+        c_v = 0.5 / np.sqrt(st.sigma)
+        d_v = np.abs(resid) * c_v
         c_pen, d_pen = penalty.latent_params(st)
         c = np.concatenate((c_v, np.full(k, c_pen)))
         d = np.concatenate((d_v, d_pen))
@@ -964,7 +968,7 @@ class TestJointLatentBlock:
         gen = RngStream(396).generator()
         data = Dataset(gen.standard_normal((n, k)), gen.standard_normal(n))
         drawn = np.array([0.5, 0.0, 1e-310, 2.0, 1e-20])
-        monkeypatch.setattr(sampler, "update_v_and_latents", lambda *args: drawn.copy())
+        monkeypatch.setattr(sampler, "update_v", lambda *args: drawn.copy())
         monkeypatch.setattr(sampler, "update_eta", lambda state, *args: state.eta)
         for penalty in (LassoHyper(), ElasticNetHyper()):
             seen = []
@@ -984,7 +988,7 @@ class TestJointLatentBlock:
         spec = ModelSpec(penalty=ElasticNetHyper(), n_iter=2, burn_in=0, seed=4)
         st = _full_state(chain_state, gen, n, k, spec.penalty)
         drawn = np.concatenate((st.v, [0.0, 0.4, 2.0]))
-        monkeypatch.setattr(sampler, "update_v_and_latents", lambda *args: drawn.copy())
+        monkeypatch.setattr(sampler, "update_v", lambda *args: drawn.copy())
         seen = []
         monkeypatch.setattr(sampler, "update_rho2",
                             lambda state, *args: seen.append(state.latent.tolist()) or 1.0)
@@ -1014,8 +1018,7 @@ class TestJointLatentBlock:
         gen = RngStream(395).generator()
         before = gen.bit_generator.state
         with pytest.raises(ValueError, match=r"GIG\(1/2\) Wald mean c/d overflows to inf"):
-            update_v_and_latents(st, data, ModelSpec(penalty=LassoHyper()), gen,
-                                 data.y - data.X @ st.beta)
+            update_v(st, data, ModelSpec(penalty=LassoHyper()), gen, data.y - data.X @ st.beta)
         assert gen.bit_generator.state == before
 
 

@@ -74,10 +74,12 @@ COMMANDS = [
 # commands that must fail, one per error class: config-error, data-error,
 # each CSV error of the input dialect and chain-error; the sensitivity run
 # overflows a numpy sum in the penalty block, the k > n fit near 1e200
-# keeps the beta block's own line for a Gram product that overflows, and a
-# constant column's warning is not printed by a run that fails
+# keeps the beta block's own line for a Gram product that overflows, a
+# constant column's warning is not printed by a run that fails, and the
+# eta refinement budget of old manifests is an unknown key
 FAILING = [
     ("fail-negative-seed", _fit("study", "lasso", "0.5", "--seed", "-1"), None),
+    ("fail-retired-eta-key", _fit("study", "lasso", "0.5"), ["eta_iters=10"]),
     ("fail-constant-column", ["fit", "--input", "../inputs/constant.csv", "--iters", "0"], None),
     ("fail-cv-folds", ["cv", *_fit("study", "lasso", "0.5", "--folds", "1000")[1:]], None),
     *((f"fail-{name}", _fit(name, "lasso", "0.5"), None)
